@@ -31,7 +31,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("coolbench", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "experiment: 7|8|9|ablation|random|sensitivity|extensions|parallel|memlayout|grid|netsim|kernels|shard|replan|lifetime|all")
+		fig     = fs.String("fig", "all", "experiment: 7|8|9|ablation|random|sensitivity|extensions|parallel|shard|replan|lifetime|all")
 		outDir  = fs.String("out", "", "directory for CSV output (omit to skip CSV)")
 		quick   = fs.Bool("quick", false, "reduced sweeps for a fast smoke run")
 		chart   = fs.Bool("chart", false, "also render ASCII charts")
@@ -202,60 +202,6 @@ func collect(which string, quick bool, seed uint64, workers int) ([]*experiments
 		out = append(out, f)
 		benches = append(benches, benchOutput{name: "parallel", data: res})
 	}
-	if want("memlayout") {
-		cfg := experiments.MemLayoutConfig{Seed: seed, Workers: workers}
-		if quick {
-			cfg.Sizes = []int{240, 480}
-			cfg.Iters = 1
-		}
-		f, res, err := experiments.MemLayoutBench(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, f)
-		benches = append(benches, benchOutput{name: "memlayout", data: res})
-	}
-	if want("grid") {
-		cfg := experiments.GridConfig{Seed: seed}
-		if quick {
-			cfg.Sizes = []int{500, 2000}
-			cfg.Iters = 1
-		}
-		f, res, err := experiments.GridBench(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, f)
-		benches = append(benches, benchOutput{name: "grid", data: res})
-	}
-	if want("netsim") {
-		cfg := experiments.NetsimConfig{Seed: seed}
-		if quick {
-			cfg.Sizes = []int{100, 1000}
-			cfg.Iters = 1
-			cfg.Ticks = 2
-		}
-		f, res, err := experiments.NetsimBench(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, f)
-		benches = append(benches, benchOutput{name: "netsim", data: res})
-	}
-	if want("kernels") {
-		cfg := experiments.KernelsConfig{Seed: seed, Workers: workers}
-		if quick {
-			cfg.Sizes = []int{240, 1000}
-			cfg.Iters = 1
-			cfg.EvalReps = 8
-		}
-		f, res, err := experiments.KernelsBench(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, f)
-		benches = append(benches, benchOutput{name: "kernels", data: res})
-	}
 	if want("shard") {
 		cfg := experiments.ShardConfig{Seed: seed, Workers: workers}
 		if quick {
@@ -302,7 +248,7 @@ func collect(which string, quick bool, seed uint64, workers int) ([]*experiments
 		benches = append(benches, benchOutput{name: "lifetime", data: res})
 	}
 	if len(out) == 0 {
-		return nil, nil, fmt.Errorf("unknown experiment %q (want 7|8|9|ablation|random|sensitivity|extensions|parallel|memlayout|grid|netsim|kernels|shard|replan|lifetime|all)", which)
+		return nil, nil, fmt.Errorf("unknown experiment %q (want 7|8|9|ablation|random|sensitivity|extensions|parallel|shard|replan|lifetime|all)", which)
 	}
 	return out, benches, nil
 }

@@ -72,8 +72,11 @@ func TestRunQuickRandom(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-fig", "nope"}, &buf); err == nil {
-		t.Error("unknown figure accepted")
+	// memlayout, grid, netsim and kernels are no longer figures either.
+	for _, fig := range []string{"nope", "memlayout", "grid", "netsim", "kernels"} {
+		if err := run([]string{"-fig", fig, "-quick"}, &buf); err == nil {
+			t.Errorf("figure %q accepted", fig)
+		}
 	}
 	if err := run([]string{"-badflag"}, &buf); err == nil {
 		t.Error("bad flag accepted")
@@ -145,50 +148,6 @@ func TestRunParallelBenchWritesJSON(t *testing.T) {
 	}
 }
 
-func TestRunMemLayoutBenchWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run([]string{"-fig", "memlayout", "-quick", "-out", dir}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "memlayout-bench") {
-		t.Errorf("output missing memlayout-bench figure:\n%s", buf.String())
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_memlayout.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Workers int              `json:"workers"`
-		Cases   []map[string]any `json:"cases"`
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_memlayout.json not valid JSON: %v", err)
-	}
-	if res.Workers < 1 {
-		t.Errorf("workers = %d, want >= 1", res.Workers)
-	}
-	if len(res.Cases) != 2 {
-		t.Fatalf("quick memlayout bench has %d cases, want 2", len(res.Cases))
-	}
-	for i, c := range res.Cases {
-		for _, key := range []string{
-			"sensors", "old_ns_op", "new_ns_op", "speedup",
-			"gain_allocs_per_op", "schedules_identical",
-		} {
-			if _, ok := c[key]; !ok {
-				t.Errorf("case %d missing key %q", i, key)
-			}
-		}
-		if id, _ := c["schedules_identical"].(bool); !id {
-			t.Errorf("case %d: schedules_identical = false", i)
-		}
-		if ga, _ := c["gain_allocs_per_op"].(float64); ga != 0 {
-			t.Errorf("case %d: gain_allocs_per_op = %v, want 0", i, ga)
-		}
-	}
-}
-
 func TestRunQuickFig9WorkersFlag(t *testing.T) {
 	var a, b bytes.Buffer
 	if err := run([]string{"-fig", "9", "-quick", "-workers", "1"}, &a); err != nil {
@@ -199,43 +158,6 @@ func TestRunQuickFig9WorkersFlag(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Error("fig9 output depends on -workers")
-	}
-}
-
-func TestRunGridBenchWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run([]string{"-fig", "grid", "-quick", "-out", dir}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "grid-bench") {
-		t.Errorf("output missing grid-bench figure:\n%s", buf.String())
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_grid.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Cases []map[string]any `json:"cases"`
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_grid.json not valid JSON: %v", err)
-	}
-	if len(res.Cases) != 2 {
-		t.Fatalf("quick grid bench has %d cases, want 2", len(res.Cases))
-	}
-	for i, c := range res.Cases {
-		for _, key := range []string{
-			"sensors", "targets", "edges", "brute_ns_op", "grid_ns_op",
-			"speedup", "incidence_identical",
-		} {
-			if _, ok := c[key]; !ok {
-				t.Errorf("case %d missing key %q", i, key)
-			}
-		}
-		if id, _ := c["incidence_identical"].(bool); !id {
-			t.Errorf("case %d: incidence_identical = false", i)
-		}
 	}
 }
 

@@ -19,6 +19,16 @@ import (
 	"cool"
 )
 
+// algorithms maps the -algo names that run a facade planning engine;
+// every other name is a Baseline.
+var algorithms = map[string]cool.Algorithm{
+	"greedy": cool.AlgorithmGreedy,
+	"lazy":   cool.AlgorithmLazyGreedy,
+	"exact":  cool.AlgorithmExact,
+	"lp":     cool.AlgorithmLPRound,
+	"lp-det": cool.AlgorithmLPRoundDeterministic,
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "coolsched:", err)
@@ -68,31 +78,24 @@ func run(args []string, out io.Writer) error {
 
 	var sched *cool.Schedule
 	var lpBound float64
-	switch *algo {
-	case "greedy":
-		sched, err = planner.Greedy()
-	case "lazy":
-		sched, err = planner.LazyGreedy()
-	case "exact":
-		sched, err = planner.Exact(0)
-	case "lp", "lp-det":
-		cov, cerr := cool.NewTargetCountUtility(net)
-		if cerr != nil {
-			return cerr
+	if alg, ok := algorithms[*algo]; ok {
+		algPlanner := planner
+		if alg == cool.AlgorithmLPRound || alg == cool.AlgorithmLPRoundDeterministic {
+			// LP rounding plans the target-count coverage surrogate.
+			cov, err := cool.NewTargetCountUtility(net)
+			if err != nil {
+				return err
+			}
+			if algPlanner, err = cool.NewPlanner(cov, period); err != nil {
+				return err
+			}
 		}
-		lpPlanner, perr := cool.NewPlanner(cov, period)
-		if perr != nil {
-			return perr
+		res, err := algPlanner.Plan(cool.PlanRequest{Algorithm: alg, Seed: *seed})
+		if err != nil {
+			return err
 		}
-		if *algo == "lp" {
-			sched, lpBound, err = lpPlanner.LPRound(*seed)
-		} else {
-			sched, lpBound, err = lpPlanner.LPRoundDeterministic()
-		}
-	default:
-		sched, err = planner.Baseline(*algo, *seed)
-	}
-	if err != nil {
+		sched, lpBound = res.Schedule, res.LPBound
+	} else if sched, err = planner.Baseline(*algo, *seed); err != nil {
 		return err
 	}
 

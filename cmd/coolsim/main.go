@@ -21,6 +21,13 @@ import (
 	"cool/internal/protocol"
 )
 
+// policyAlgorithms maps the -policy names planned by a facade engine.
+var policyAlgorithms = map[string]cool.Algorithm{
+	"greedy":   cool.AlgorithmGreedy,
+	"lazy":     cool.AlgorithmLazyGreedy,
+	"parallel": cool.AlgorithmParallelGreedy,
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "coolsim:", err)
@@ -140,27 +147,15 @@ func run(args []string, out io.Writer) error {
 		pol = cool.SchedulePolicy{Schedule: res.Schedule}
 	}
 	if pol == nil {
-		switch *policy {
-		case "all-ready":
+		switch alg, planned := policyAlgorithms[*policy]; {
+		case *policy == "all-ready":
 			pol = cool.AllReadyPolicy{}
-		case "greedy":
-			sched, err := planner.Greedy()
+		case planned:
+			res, err := planner.Plan(cool.PlanRequest{Algorithm: alg, Workers: *workers})
 			if err != nil {
 				return err
 			}
-			pol = cool.SchedulePolicy{Schedule: sched}
-		case "lazy":
-			sched, err := planner.LazyGreedy()
-			if err != nil {
-				return err
-			}
-			pol = cool.SchedulePolicy{Schedule: sched}
-		case "parallel":
-			sched, err := planner.ParallelGreedy(*workers)
-			if err != nil {
-				return err
-			}
-			pol = cool.SchedulePolicy{Schedule: sched}
+			pol = cool.SchedulePolicy{Schedule: res.Schedule}
 		default:
 			sched, err := planner.Baseline(*policy, *seed)
 			if err != nil {

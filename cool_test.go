@@ -1,6 +1,7 @@
 package cool
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -18,6 +19,16 @@ func deployTestNetwork(t *testing.T, n, m int) *Network {
 		t.Fatal(err)
 	}
 	return net
+}
+
+// mustPlan plans req and returns the result, failing the test on error.
+func mustPlan(tb testing.TB, p *Planner, req PlanRequest) *PlanResult {
+	tb.Helper()
+	res, err := p.Plan(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 func sunnyPeriod(t *testing.T) Period {
@@ -49,10 +60,7 @@ func TestEndToEndGreedyPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := planner.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 	if sched.NumSensors() != 30 || sched.Period() != 4 {
 		t.Fatalf("schedule shape: %d sensors, T=%d", sched.NumSensors(), sched.Period())
 	}
@@ -104,14 +112,8 @@ func TestLazyGreedyFacadeMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := planner.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := planner.LazyGreedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eager := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
+	lazy := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmLazyGreedy}).Schedule
 	if math.Abs(planner.PeriodUtility(eager)-planner.PeriodUtility(lazy)) > 1e-9 {
 		t.Error("lazy and eager utilities differ")
 	}
@@ -130,14 +132,8 @@ func TestExactFacadeSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := planner.Exact(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := planner.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmExact}).Schedule
+	greedy := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 	ev, gv := planner.PeriodUtility(exact), planner.PeriodUtility(greedy)
 	if gv > ev+1e-9 || gv < ev/2-1e-9 {
 		t.Errorf("greedy %v outside [OPT/2, OPT] for OPT=%v", gv, ev)
@@ -154,10 +150,8 @@ func TestLPRoundFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, lpOpt, err := planner.LPRound(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lp := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmLPRound, Seed: 7})
+	sched, lpOpt := lp.Schedule, lp.LPBound
 	if got := planner.PeriodUtility(sched); got > lpOpt+1e-6 {
 		t.Errorf("rounded %v above LP bound %v", got, lpOpt)
 	}
@@ -170,7 +164,7 @@ func TestLPRoundFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dp.LPRound(7); err == nil {
+	if _, err := dp.Plan(PlanRequest{Algorithm: AlgorithmLPRound, Seed: 7}); err == nil {
 		t.Error("LPRound accepted a detection utility")
 	}
 }
@@ -181,30 +175,40 @@ func TestBaselinesFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner, err := NewPlanner(u, sunnyPeriod(t))
-	if err != nil {
-		t.Fatal(err)
-	}
 	names := BaselineNames()
 	if len(names) == 0 {
 		t.Fatal("no baseline names")
 	}
-	greedy, err := planner.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gv := planner.PeriodUtility(greedy)
-	for _, name := range names {
-		s, err := planner.Baseline(name, 3)
+	// ρ = 1/2 plans every baseline in removal mode; the paper's
+	// algorithm through the Baseline interface must equal Plan's greedy.
+	for _, rho := range []float64{3, 0.5} {
+		period, err := PeriodFromRho(rho)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if bv := planner.PeriodUtility(s); bv > gv+1e-9 {
-			t.Errorf("%s beat greedy", name)
+		planner, err := NewPlanner(u, period)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := planner.Baseline("nope", 1); err == nil {
-		t.Error("unknown baseline accepted")
+		greedy := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
+		gv := planner.PeriodUtility(greedy)
+		for _, name := range names {
+			s, err := planner.Baseline(name, 3)
+			if err != nil {
+				t.Fatalf("ρ=%v %s: %v", rho, name, err)
+			}
+			if err := s.CheckFeasible(period); err != nil {
+				t.Errorf("ρ=%v %s: %v", rho, name, err)
+			}
+			if name == string(AlgorithmGreedy) || name == string(AlgorithmLazyGreedy) {
+				sameSchedule(t, fmt.Sprintf("ρ=%v %s", rho, name), planner, s, greedy)
+			} else if bv := planner.PeriodUtility(s); bv > gv+1e-9 {
+				t.Errorf("ρ=%v: %s beat greedy", rho, name)
+			}
+		}
+		if _, err := planner.Baseline("nope", 1); err == nil {
+			t.Error("unknown baseline accepted")
+		}
 	}
 }
 
@@ -258,10 +262,7 @@ func TestWrapFunctionAndCheckSubmodular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := planner.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 	if sched.Period() != 2 {
 		t.Errorf("period = %d, want 2", sched.Period())
 	}
@@ -341,10 +342,7 @@ func TestRandomChargingFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := planner.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 	res, err := RunSimulation(SimConfig{
 		NumSensors: 10,
 		Slots:      40,
@@ -376,10 +374,8 @@ func TestLPRoundDeterministicFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, lpOpt, err := planner.LPRoundDeterministic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lp := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmLPRoundDeterministic})
+	sched, lpOpt := lp.Schedule, lp.LPBound
 	val := planner.PeriodUtility(sched)
 	if val > lpOpt+1e-6 {
 		t.Errorf("value %v above LP bound %v", val, lpOpt)
@@ -388,10 +384,7 @@ func TestLPRoundDeterministicFacade(t *testing.T) {
 		t.Errorf("value %v below (1-1/e) of LP bound %v", val, lpOpt)
 	}
 	// Deterministic: two invocations agree exactly.
-	again, _, err := planner.LPRoundDeterministic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmLPRoundDeterministic}).Schedule
 	if planner.PeriodUtility(again) != val {
 		t.Error("LPRoundDeterministic is not deterministic")
 	}
@@ -404,7 +397,7 @@ func TestLPRoundDeterministicFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dp.LPRoundDeterministic(); err == nil {
+	if _, err := dp.Plan(PlanRequest{Algorithm: AlgorithmLPRoundDeterministic}); err == nil {
 		t.Error("detection utility accepted")
 	}
 }

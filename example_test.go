@@ -30,10 +30,11 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	schedule, err := planner.Greedy()
+	plan, err := planner.Plan(cool.PlanRequest{Algorithm: cool.AlgorithmGreedy})
 	if err != nil {
 		panic(err)
 	}
+	schedule := plan.Schedule
 	fmt.Printf("T=%d slots, mode=%v\n", schedule.Period(), schedule.Mode())
 	fmt.Printf("every sensor active once per period: %v\n",
 		schedule.CheckFeasible(period) == nil)

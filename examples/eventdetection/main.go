@@ -50,10 +50,11 @@ func run() error {
 		return err
 	}
 
-	greedy, err := planner.LazyGreedy()
+	plan, err := planner.Plan(cool.PlanRequest{Algorithm: cool.AlgorithmLazyGreedy})
 	if err != nil {
 		return err
 	}
+	greedy := plan.Schedule
 	roundRobin, err := planner.Baseline("round-robin", 1)
 	if err != nil {
 		return err

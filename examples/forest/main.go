@@ -75,10 +75,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		schedule, err := planner.Greedy()
+		plan, err := planner.Plan(cool.PlanRequest{Algorithm: cool.AlgorithmGreedy})
 		if err != nil {
 			return err
 		}
+		schedule := plan.Schedule
 		// 12-hour day; slot length varies with the weather's pattern but
 		// the slot count per day stays a multiple of the period.
 		slots := 12 * period.Slots()

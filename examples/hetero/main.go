@@ -86,10 +86,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	homo, err := planner.Greedy()
+	plan, err := planner.Plan(cool.PlanRequest{Algorithm: cool.AlgorithmGreedy})
 	if err != nil {
 		return err
 	}
+	homo := plan.Schedule
 	homoAvg := planner.AverageUtility(homo, targets)
 	fmt.Printf("homogeneous greedy (worst-case rho=5 for all): avg utility %.4f\n", homoAvg)
 	fmt.Printf("heterogeneity-aware gain: %+.1f%%\n", 100*(heteroAvg/homoAvg-1))

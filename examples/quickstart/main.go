@@ -49,10 +49,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	schedule, err := planner.Greedy()
+	plan, err := planner.Plan(cool.PlanRequest{Algorithm: cool.AlgorithmGreedy})
 	if err != nil {
 		return err
 	}
+	schedule := plan.Schedule
 
 	fmt.Printf("schedule period: %d slots, sensors per slot: %v\n",
 		schedule.Period(), schedule.SlotSizes())

@@ -74,10 +74,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	schedule, err := planner.Greedy()
+	plan, err := planner.Plan(cool.PlanRequest{Algorithm: cool.AlgorithmGreedy})
 	if err != nil {
 		return err
 	}
+	schedule := plan.Schedule
 	fmt.Printf("planned schedule: avg utility %.4f per target per slot\n",
 		planner.AverageUtility(schedule, targets))
 

@@ -118,10 +118,7 @@ func TestNewOnlineGreedyPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := planner.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 	offline, err := Simulate(planner, sched, 32, 4, 2)
 	if err != nil {
 		t.Fatal(err)

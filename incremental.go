@@ -12,7 +12,7 @@ type RepairStats = core.RepairStats
 // perturbation's blast radius instead of replanning the whole fleet.
 //
 // Obtain one from Planner.Incremental (which plans the initial
-// schedule, bit-identically to Planner.Greedy). The three perturbation
+// schedule, bit-identically to Plan with AlgorithmGreedy). The three perturbation
 // operations — KillSensors (node death), DeploySensors (reserve
 // activation or repaired nodes returning) and UpdateRho (weather
 // drift) — each leave the committed schedule feasible for the current

@@ -6,8 +6,8 @@ import (
 )
 
 // TestIncrementalMatchesGreedy pins the facade contract: the handle's
-// initial committed schedule is bit-identical to Planner.Greedy, in
-// both regimes.
+// initial committed schedule is bit-identical to Plan with
+// AlgorithmGreedy, in both regimes.
 func TestIncrementalMatchesGreedy(t *testing.T) {
 	net, err := AllCoverNetwork(20, 6)
 	if err != nil {
@@ -26,10 +26,7 @@ func TestIncrementalMatchesGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := pl.Greedy()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustPlan(t, pl, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 		got, err := inc.Schedule()
 		if err != nil {
 			t.Fatal(err)

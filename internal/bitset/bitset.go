@@ -66,22 +66,10 @@ func (s Bitset) Remove(v int) {
 }
 
 // Count returns the number of members. It runs on the package's
-// unrolled popcount kernel (see popcount.go); CountScalar retains the
-// plain word loop as the bit-exact reference.
+// unrolled popcount kernel (see popcount.go); the tests hold it to the
+// plain word loop CountScalar.
 func (s Bitset) Count() int {
 	return popcountWords(s.words)
-}
-
-// CountScalar is the pre-kernel scalar popcount loop, retained verbatim
-// as the differential reference for Count: the kernel tests and the
-// `coolbench -fig kernels` audit require Count() == CountScalar() on
-// every input. New code should call Count.
-func (s Bitset) CountScalar() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // And intersects the receiver with o in place (s ← s ∩ o). It panics

@@ -12,8 +12,8 @@
 // caller — Bitset methods, the submodular oracles, and the scheduling
 // engines all go through these symbols and nothing else. Whatever the
 // implementation, the contract is exact integer arithmetic: results
-// must be identical to the scalar reference loops (Bitset.CountScalar
-// keeps one caller-visible), never merely close.
+// must be identical to the scalar reference loops (the tests keep
+// Bitset.CountScalar as one), never merely close.
 package bitset
 
 import "math/bits"

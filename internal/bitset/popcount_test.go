@@ -1,9 +1,21 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
+
+// CountScalar is the pre-kernel scalar popcount loop, kept as the
+// differential reference for Count: the kernel tests require
+// Count() == CountScalar() on every input.
+func (s Bitset) CountScalar() int {
+	c := 0
+	for _, w := range s.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
 
 // boundarySizes are the tail-word corners of the 64-bit layout: the
 // empty universe, a single bit, one-below/at/one-above the word

@@ -298,10 +298,11 @@ func TestE2EEngineConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directSched, err := planner.Greedy()
+	direct, err := planner.Plan(cool.PlanRequest{Algorithm: cool.AlgorithmGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
+	directSched := direct.Schedule
 	mustEqualSchedules(t, "greedy vs direct", base.Schedule, directSched)
 	if !sameBits(base.Utility, planner.PeriodUtility(directSched)) {
 		t.Fatalf("greedy utility: wire %v, direct %v", base.Utility, planner.PeriodUtility(directSched))
@@ -326,6 +327,41 @@ func TestE2EEngineConsistency(t *testing.T) {
 	}
 	if _, err := cli.Plan("acme", PlanRequest{Fingerprint: sub.Fingerprint, Engine: "simulated-annealing"}); !isCode(err, CodeBadRequest) {
 		t.Fatalf("unknown engine: want bad-request, got %v", err)
+	}
+}
+
+// TestE2EPlanEngineErrors pins the typed error of every engine and
+// objective mismatch the plan op rejects, code and message verbatim.
+func TestE2EPlanEngineErrors(t *testing.T) {
+	cli, _ := newTestPair(t, Config{})
+	sub, err := cli.Submit("acme", SubmitRequest{Spec: testSpec(10, 5, 1, 23)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dspec := testSpec(8, 4, 1, 24)
+	dspec.Utility = UtilityDetection
+	dspec.DetectProb = 0.6
+	dsub, err := cli.Submit("acme", SubmitRequest{Spec: dspec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const detection = "lifetime objective requires a coverage utility (detection deployments have no binary coverage)"
+	for _, tc := range []struct {
+		fingerprint, engine, objective, want string
+	}{
+		{sub.Fingerprint, "simulated-annealing", "", `unknown engine "simulated-annealing"`},
+		{sub.Fingerprint, EngineHEF, ObjectiveUtility, `unknown engine "hef"`},
+		{sub.Fingerprint, EngineGreedy, ObjectiveLifetime, `engine "greedy" does not plan the lifetime objective`},
+		{sub.Fingerprint, EngineIncremental, ObjectiveLifetime, `engine "incremental" does not plan the lifetime objective`},
+		{sub.Fingerprint, "bogus", ObjectiveLifetime, `engine "bogus" does not plan the lifetime objective`},
+		{dsub.Fingerprint, "", ObjectiveLifetime, detection},
+		{dsub.Fingerprint, "bogus", ObjectiveLifetime, detection},
+	} {
+		_, err := cli.Plan("acme", PlanRequest{Fingerprint: tc.fingerprint, Engine: tc.engine, Objective: tc.objective})
+		var we *WireError
+		if !errors.As(err, &we) || we.Code != CodeBadRequest || we.Message != tc.want {
+			t.Errorf("engine %q objective %q: got %v, want %s: %s", tc.engine, tc.objective, err, CodeBadRequest, tc.want)
+		}
 	}
 }
 

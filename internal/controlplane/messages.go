@@ -162,27 +162,31 @@ type SubmitResponse struct {
 // utility objective all produce the same schedule bits ("incremental"
 // initializes bit-identically to the greedy); they differ in cost and
 // in whether a live replanning session is established. The lifetime
-// objective plugs its schedulers into the same engine seam.
+// objective plugs its schedulers into the same engine seam. Every
+// engine except EngineIncremental is one-shot: the server maps it to a
+// cool.Algorithm and makes one Planner.Plan call.
 const (
 	// EngineIncremental plans via Planner.Incremental and keeps the
 	// live Repairer session for replan traffic. The utility default.
 	EngineIncremental = "incremental"
-	// EngineGreedy is the one-shot paper greedy (Planner.Greedy).
+	// EngineGreedy is the one-shot paper greedy
+	// (cool.AlgorithmGreedy).
 	EngineGreedy = "greedy"
-	// EngineLazy is the one-shot CELF lazy greedy (Planner.LazyGreedy).
+	// EngineLazy is the one-shot CELF lazy greedy
+	// (cool.AlgorithmLazyGreedy).
 	EngineLazy = "lazy"
 	// EngineParallel is the sharded-scan parallel greedy
-	// (Planner.ParallelGreedy), bit-identical to EngineGreedy.
+	// (cool.AlgorithmParallelGreedy), bit-identical to EngineGreedy.
 	EngineParallel = "parallel"
 
-	// EngineHEF is the high-energy-first lifetime scheduler. The
-	// default under ObjectiveLifetime.
+	// EngineHEF is the high-energy-first lifetime scheduler
+	// (cool.AlgorithmHEF). The default under ObjectiveLifetime.
 	EngineHEF = "hef"
 	// EngineStripCover is the rotating disjoint-cover-group lifetime
-	// scheduler.
+	// scheduler (cool.AlgorithmStripCover).
 	EngineStripCover = "strip-cover"
-	// EngineLifetimeExact is the exhaustive lifetime reference (tiny
-	// deployments only).
+	// EngineLifetimeExact is the exhaustive lifetime reference
+	// (cool.AlgorithmLifetimeExact; tiny deployments only).
 	EngineLifetimeExact = "lifetime-exact"
 )
 

@@ -440,7 +440,7 @@ func (s *Server) acquireJob() func() {
 }
 
 // ensureInc establishes the live incremental session (the initial plan
-// is bit-identical to Planner.Greedy). Callers hold d.mu.
+// is bit-identical to EngineGreedy). Callers hold d.mu.
 func (d *deployment) ensureInc() error {
 	if d.inc != nil {
 		return nil
@@ -453,6 +453,23 @@ func (d *deployment) ensureInc() error {
 	return nil
 }
 
+// oneShotEngines maps every one-shot engine to the facade request it
+// plans through Planner.Plan. EngineIncremental is the only engine
+// outside the table: it keeps a live Repairer session for replans.
+var oneShotEngines = map[string]cool.PlanRequest{
+	EngineGreedy:        {Objective: cool.ObjectiveUtility, Algorithm: cool.AlgorithmGreedy},
+	EngineLazy:          {Objective: cool.ObjectiveUtility, Algorithm: cool.AlgorithmLazyGreedy},
+	EngineParallel:      {Objective: cool.ObjectiveUtility, Algorithm: cool.AlgorithmParallelGreedy},
+	EngineHEF:           {Objective: cool.ObjectiveLifetime, Algorithm: cool.AlgorithmHEF},
+	EngineStripCover:    {Objective: cool.ObjectiveLifetime, Algorithm: cool.AlgorithmStripCover},
+	EngineLifetimeExact: {Objective: cool.ObjectiveLifetime, Algorithm: cool.AlgorithmLifetimeExact},
+}
+
+// handlePlan serves both objectives through one engine seam. The empty
+// engine means EngineIncremental under the utility objective and
+// EngineHEF under the lifetime objective; the lifetime planners take
+// their default recharge rate (1/ρ per rest slot) and horizon from the
+// deployment's charging ratio.
 func (s *Server) handlePlan(tenant string, plan *PlanRequest) (*Response, *WireError) {
 	d, werr := s.deployment(tenant, plan.Fingerprint)
 	if werr != nil {
@@ -469,51 +486,46 @@ func (s *Server) handlePlan(tenant string, plan *PlanRequest) (*Response, *WireE
 	if oerr != nil {
 		return nil, &WireError{Code: CodeBadRequest, Message: oerr.Error()}
 	}
-	if obj == cool.ObjectiveLifetime {
-		return s.handlePlanLifetime(tenant, plan, d)
+	lifetime := obj == cool.ObjectiveLifetime
+	if lifetime && d.snap.Spec.Utility == UtilityDetection {
+		return nil, &WireError{Code: CodeBadRequest,
+			Message: "lifetime objective requires a coverage utility (detection deployments have no binary coverage)"}
 	}
 	engine := plan.Engine
-	if engine == "" {
+	switch {
+	case engine == "" && lifetime:
+		engine = EngineHEF
+	case engine == "":
 		engine = EngineIncremental
 	}
 	var (
-		sched   *cool.Schedule
-		utility float64
-		err     error
+		resp *PlanResponse
+		err  error
 	)
-	switch engine {
-	case EngineIncremental:
-		if err = d.ensureInc(); err == nil {
-			if sched, err = d.inc.Schedule(); err == nil {
-				utility = d.inc.Utility()
-			}
+	req, oneShot := oneShotEngines[engine]
+	switch {
+	case engine == EngineIncremental && !lifetime:
+		resp, err = d.planIncremental()
+	case !oneShot || req.Objective != obj:
+		msg := fmt.Sprintf("unknown engine %q", engine)
+		if lifetime {
+			msg = fmt.Sprintf("engine %q does not plan the lifetime objective", engine)
 		}
-	case EngineGreedy:
-		if sched, err = d.planner.Greedy(); err == nil {
-			utility = d.planner.PeriodUtility(sched)
-		}
-	case EngineLazy:
-		if sched, err = d.planner.LazyGreedy(); err == nil {
-			utility = d.planner.PeriodUtility(sched)
-		}
-	case EngineParallel:
-		if sched, err = d.planner.ParallelGreedy(plan.Workers); err == nil {
-			utility = d.planner.PeriodUtility(sched)
-		}
+		return nil, &WireError{Code: CodeBadRequest, Message: msg}
 	default:
-		return nil, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("unknown engine %q", engine)}
+		req.Workers = plan.Workers
+		resp, err = d.planOneShot(engine, req)
 	}
 	if err != nil {
 		return nil, &WireError{Code: CodeInternal, Message: err.Error()}
 	}
-	d.objective = ObjectiveUtility
-	s.logf("plan tenant=%s fp=%.12s engine=%s utility=%g", tenant, plan.Fingerprint, engine, utility)
-	resp := &PlanResponse{
-		Engine:   engine,
-		Schedule: sched,
-		Utility:  utility,
-		Mode:     sched.Mode().String(),
-		Slots:    sched.Period(),
+	if lifetime {
+		d.objective = ObjectiveLifetime
+		s.logf("plan tenant=%s fp=%.12s engine=%s objective=lifetime lifetime=%d",
+			tenant, plan.Fingerprint, engine, resp.Lifetime.Lifetime)
+	} else {
+		d.objective = ObjectiveUtility
+		s.logf("plan tenant=%s fp=%.12s engine=%s utility=%g", tenant, plan.Fingerprint, engine, resp.Utility)
 	}
 	s.pushEvent(depKey{tenant, plan.Fingerprint}, d, &WatchEvent{
 		Fingerprint: plan.Fingerprint, Kind: WatchEventPlan, Plan: resp,
@@ -521,41 +533,36 @@ func (s *Server) handlePlan(tenant string, plan *PlanRequest) (*Response, *WireE
 	return &Response{Op: OpPlan, Plan: resp}, nil
 }
 
-// handlePlanLifetime serves the lifetime objective through the same
-// engine seam: the engine name maps to a lifetime algorithm and the
-// deployment's charging ratio supplies the default recharge rate
-// (1/ρ per rest slot) and horizon. Callers hold d.mu.
-func (s *Server) handlePlanLifetime(tenant string, plan *PlanRequest, d *deployment) (*Response, *WireError) {
-	if d.snap.Spec.Utility == UtilityDetection {
-		return nil, &WireError{Code: CodeBadRequest,
-			Message: "lifetime objective requires a coverage utility (detection deployments have no binary coverage)"}
+// planIncremental answers EngineIncremental from the live session,
+// establishing it on first use. Callers hold d.mu.
+func (d *deployment) planIncremental() (*PlanResponse, error) {
+	if err := d.ensureInc(); err != nil {
+		return nil, err
 	}
-	var alg cool.Algorithm
-	switch plan.Engine {
-	case "", EngineHEF:
-		alg = cool.AlgorithmHEF
-	case EngineStripCover:
-		alg = cool.AlgorithmStripCover
-	case EngineLifetimeExact:
-		alg = cool.AlgorithmLifetimeExact
-	default:
-		return nil, &WireError{Code: CodeBadRequest,
-			Message: fmt.Sprintf("engine %q does not plan the lifetime objective", plan.Engine)}
-	}
-	res, err := d.planner.Plan(cool.PlanRequest{Objective: cool.ObjectiveLifetime, Algorithm: alg})
+	sched, err := d.inc.Schedule()
 	if err != nil {
-		return nil, &WireError{Code: CodeInternal, Message: err.Error()}
+		return nil, err
+	}
+	return utilityResponse(EngineIncremental, sched, d.inc.Utility()), nil
+}
+
+// planOneShot runs a one-shot engine through Planner.Plan. Callers
+// hold d.mu.
+func (d *deployment) planOneShot(engine string, req cool.PlanRequest) (*PlanResponse, error) {
+	res, err := d.planner.Plan(req)
+	if err != nil {
+		return nil, err
 	}
 	lr := res.Lifetime
+	if lr == nil {
+		return utilityResponse(engine, res.Schedule, d.planner.PeriodUtility(res.Schedule)), nil
+	}
 	slots := make([][]int, lr.Schedule.Slots())
 	for t := range slots {
 		slots[t] = append([]int{}, lr.Schedule.ActiveAt(t)...)
 	}
-	d.objective = ObjectiveLifetime
-	s.logf("plan tenant=%s fp=%.12s engine=%s objective=lifetime lifetime=%d",
-		tenant, plan.Fingerprint, string(res.Algorithm), lr.Lifetime)
-	resp := &PlanResponse{
-		Engine:    string(res.Algorithm),
+	return &PlanResponse{
+		Engine:    engine,
 		Objective: ObjectiveLifetime,
 		Lifetime: &LifetimePlanInfo{
 			Lifetime:    lr.Lifetime,
@@ -563,11 +570,17 @@ func (s *Server) handlePlanLifetime(tenant string, plan *PlanRequest, d *deploym
 			Groups:      lr.Groups,
 			ActiveSlots: slots,
 		},
+	}, nil
+}
+
+func utilityResponse(engine string, sched *cool.Schedule, utility float64) *PlanResponse {
+	return &PlanResponse{
+		Engine:   engine,
+		Schedule: sched,
+		Utility:  utility,
+		Mode:     sched.Mode().String(),
+		Slots:    sched.Period(),
 	}
-	s.pushEvent(depKey{tenant, plan.Fingerprint}, d, &WatchEvent{
-		Fingerprint: plan.Fingerprint, Kind: WatchEventPlan, Plan: resp,
-	})
-	return &Response{Op: OpPlan, Plan: resp}, nil
 }
 
 func (s *Server) handleReplan(tenant string, rep *ReplanRequest) (*Response, *WireError) {

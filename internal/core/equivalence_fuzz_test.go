@@ -91,10 +91,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 			"ParallelGreedy-2": func() (*Schedule, error) { return ParallelGreedy(in, 2) },
 			"ParallelGreedy-4": func() (*Schedule, error) { return ParallelGreedy(in, 4) },
 			"ParallelLazy-3":   func() (*Schedule, error) { return ParallelLazyGreedy(in, 3) },
+			"LazyGreedy":       func() (*Schedule, error) { return LazyGreedy(in) },
 		}
-		if ModeFor(p) == ModePlacement {
-			engines["LazyGreedy"] = func() (*Schedule, error) { return LazyGreedy(in) }
-		} else {
+		if ModeFor(p) == ModeRemoval {
 			engines["LazyGreedyRemoval"] = func() (*Schedule, error) { return LazyGreedyRemoval(in) }
 		}
 		for name, run := range engines {

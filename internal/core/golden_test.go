@@ -200,13 +200,32 @@ func goldenEngines(in Instance) map[string]func() (*Schedule, error) {
 		"ParallelGreedy":    func() (*Schedule, error) { return ParallelGreedy(in, workers) },
 		"ParallelLazy":      func() (*Schedule, error) { return ParallelLazyGreedy(in, workers) },
 		"ParallelGreedy-x5": func() (*Schedule, error) { return ParallelGreedy(in, 5) },
+		"LazyGreedy":        func() (*Schedule, error) { return LazyGreedy(in) },
+		"Greedy-full-refresh": func() (*Schedule, error) {
+			return Greedy(Instance{N: in.N, Period: in.Period, Factory: func() submodular.RemovalOracle {
+				return noSparseOracle{in.Factory()}
+			}})
+		},
 	}
-	if ModeFor(in.Period) == ModePlacement {
-		engines["LazyGreedy"] = func() (*Schedule, error) { return LazyGreedy(in) }
-	} else {
+	if ModeFor(in.Period) == ModeRemoval {
 		engines["LazyGreedyRemoval"] = func() (*Schedule, error) { return LazyGreedyRemoval(in) }
 	}
 	return engines
+}
+
+// noSparseOracle hides the column-sparse refresh of a wrapped oracle
+// while forwarding its bulk marginals, forcing Greedy onto the
+// full-column refresh path.
+type noSparseOracle struct {
+	submodular.RemovalOracle
+}
+
+func (o noSparseOracle) BulkGain(out []float64) {
+	o.RemovalOracle.(submodular.BulkGainer).BulkGain(out)
+}
+
+func (o noSparseOracle) BulkLoss(out []float64) {
+	o.RemovalOracle.(submodular.BulkLosser).BulkLoss(out)
 }
 
 const goldenPath = "testdata/golden_schedules.json"

@@ -306,80 +306,6 @@ func GreedySubset(in Instance, present []bool) (*Schedule, error) {
 	return NewSchedule(ModePlacement, T, assign)
 }
 
-// ReferenceGreedySubset is the uncached eager-scan counterpart of
-// GreedySubset — the seed-style reference the incremental edge-case
-// tests cross-check perturbed fleets against.
-func ReferenceGreedySubset(in Instance, present []bool) (*Schedule, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if present == nil {
-		return ReferenceGreedy(in)
-	}
-	if len(present) != in.N {
-		return nil, fmt.Errorf("core: present covers %d sensors, instance has %d", len(present), in.N)
-	}
-	T := in.Period.Slots()
-	removal := ModeFor(in.Period) == ModeRemoval
-	assign := newAssignment(in.N)
-	live := 0
-	for v := 0; v < in.N; v++ {
-		if present[v] {
-			live++
-		} else {
-			assign[v] = Absent
-		}
-	}
-	oracles := make([]submodular.RemovalOracle, T)
-	for t := range oracles {
-		o := in.Factory()
-		if removal {
-			for v := 0; v < in.N; v++ {
-				if present[v] {
-					o.Add(v)
-				}
-			}
-		}
-		oracles[t] = o
-	}
-	for step := 0; step < live; step++ {
-		bestV, bestT := -1, -1
-		bestM := 0.0
-		first := true
-		for v := 0; v < in.N; v++ {
-			if assign[v] != -1 {
-				continue
-			}
-			for t := 0; t < T; t++ {
-				if removal {
-					if l := oracles[t].Loss(v); first || l < bestM {
-						bestV, bestT, bestM = v, t, l
-						first = false
-					}
-				} else {
-					if g := oracles[t].Gain(v); first || g > bestM {
-						bestV, bestT, bestM = v, t, g
-						first = false
-					}
-				}
-			}
-		}
-		if bestV < 0 {
-			return nil, fmt.Errorf("core: subset greedy found no candidate at step %d", step)
-		}
-		if removal {
-			oracles[bestT].Remove(bestV)
-		} else {
-			oracles[bestT].Add(bestV)
-		}
-		assign[bestV] = bestT
-	}
-	if removal {
-		return NewSchedule(ModeRemoval, T, assign)
-	}
-	return NewSchedule(ModePlacement, T, assign)
-}
-
 // ReferenceGreedy computes the same schedule as Greedy with the seed's
 // uncached eager scan: every step re-evaluates Gain/Loss for all
 // unassigned (sensor, slot) pairs, O(n²·T·deg) total. It is retained as
@@ -625,19 +551,19 @@ func (h *lossHeap) Pop() any {
 	return e
 }
 
-// LazyGreedy computes the same placement schedule as Greedy for ρ ≥ 1
-// instances, using CELF-style lazy evaluation of marginal gains:
-// because gains only shrink as the schedule grows (submodularity),
-// a cached gain that still tops the heap after recomputation is the
-// true maximizer. With ties broken identically it returns a schedule
-// with the same utility as the eager greedy at a fraction of the gain
-// evaluations. It returns an error for removal-mode instances.
+// LazyGreedy computes the same schedule as Greedy using CELF-style
+// lazy evaluation of marginal gains: because gains only shrink as the
+// schedule grows (submodularity), a cached gain that still tops the
+// heap after recomputation is the true maximizer. With ties broken
+// identically it returns Greedy's schedule at a fraction of the gain
+// evaluations. Like Greedy it dispatches on the period: ρ ≥ 1 runs the
+// placement form here, ρ < 1 the loss-side dual LazyGreedyRemoval.
 func LazyGreedy(in Instance) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if ModeFor(in.Period) != ModePlacement {
-		return nil, fmt.Errorf("core: LazyGreedy requires a placement-mode period (ρ ≥ 1)")
+	if ModeFor(in.Period) == ModeRemoval {
+		return LazyGreedyRemoval(in)
 	}
 	T := in.Period.Slots()
 	oracles := make([]submodular.RemovalOracle, T)

@@ -185,11 +185,35 @@ func TestLazyGreedyMatchesEagerUtility(t *testing.T) {
 	}
 }
 
-func TestLazyGreedyRejectsRemovalMode(t *testing.T) {
+// TestLazyGreedyRemovalMode pins LazyGreedy's removal-mode dispatch:
+// at ρ < 1 it returns LazyGreedyRemoval's schedule, which is Greedy's
+// bit for bit.
+func TestLazyGreedyRemovalMode(t *testing.T) {
 	rng := stats.NewRNG(14)
-	in, _ := detectionInstance(t, rng, 4, 2, 0.5)
-	if _, err := LazyGreedy(in); err == nil {
-		t.Error("LazyGreedy accepted a removal-mode instance")
+	for _, rho := range []float64{0.5, 1.0 / 3} {
+		in, _ := detectionInstance(t, rng, 9, 3, rho)
+		lazy, err := LazyGreedy(in)
+		if err != nil {
+			t.Fatalf("ρ=%v: LazyGreedy: %v", rho, err)
+		}
+		if lazy.Mode() != ModeRemoval {
+			t.Fatalf("ρ=%v: mode %v, want removal", rho, lazy.Mode())
+		}
+		for name, run := range map[string]func(Instance) (*Schedule, error){
+			"LazyGreedyRemoval": LazyGreedyRemoval,
+			"Greedy":            Greedy,
+		} {
+			want, err := run(in)
+			if err != nil {
+				t.Fatalf("ρ=%v: %s: %v", rho, name, err)
+			}
+			if !assignmentsEqual(lazy.Assignment(), want.Assignment()) {
+				t.Errorf("ρ=%v: LazyGreedy %v != %s %v", rho, lazy.Assignment(), name, want.Assignment())
+			}
+			if lv, wv := lazy.PeriodUtility(in.Factory), want.PeriodUtility(in.Factory); math.Float64bits(lv) != math.Float64bits(wv) {
+				t.Errorf("ρ=%v: LazyGreedy utility %v != %s %v", rho, lv, name, wv)
+			}
+		}
 	}
 }
 

@@ -62,8 +62,7 @@ func ParallelGreedy(in Instance, workers int) (*Schedule, error) {
 // sharded across workers goroutines. The subsequent priority-queue
 // climb is inherently sequential (each pop depends on the previous
 // recomputation) and runs on the coordinator. The result is
-// bit-identical to LazyGreedy (placement) or LazyGreedyRemoval
-// (removal) for every worker count.
+// bit-identical to LazyGreedy for every worker count.
 func ParallelLazyGreedy(in Instance, workers int) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -73,9 +72,6 @@ func ParallelLazyGreedy(in Instance, workers int) (*Schedule, error) {
 		workers = in.N
 	}
 	if workers <= 1 {
-		if ModeFor(in.Period) == ModeRemoval {
-			return LazyGreedyRemoval(in)
-		}
 		return LazyGreedy(in)
 	}
 	if ModeFor(in.Period) == ModePlacement {

@@ -56,13 +56,7 @@ func TestParallelLazyGreedyMatchesLazy(t *testing.T) {
 	rng := stats.NewRNG(202)
 	for _, rho := range []float64{3, 7, 0.5} {
 		in, _ := detectionInstance(t, rng, 20, 5, rho)
-		var want *Schedule
-		var err error
-		if ModeFor(in.Period) == ModeRemoval {
-			want, err = LazyGreedyRemoval(in)
-		} else {
-			want, err = LazyGreedy(in)
-		}
+		want, err := LazyGreedy(in)
 		if err != nil {
 			t.Fatal(err)
 		}

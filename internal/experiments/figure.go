@@ -148,6 +148,13 @@ func (f *Figure) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// falseVerdict is the error a bench returns instead of publishing a
+// result in which one of its verdict fields is false: the verdict's
+// JSON name and the case it failed on.
+func falseVerdict(bench, verdict, where string) error {
+	return fmt.Errorf("experiments: %s bench: %s is false for %s", bench, verdict, where)
+}
+
 // FindSeries returns the series with the given label, or nil.
 func (f *Figure) FindSeries(label string) *Series {
 	for i := range f.Series {

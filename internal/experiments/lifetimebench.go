@@ -19,8 +19,8 @@ import (
 // and for the coverage-lifetime objective (HEF, strip-cover, and the
 // exact reference on tiny instances). Every row records a verified
 // lifetime — schedules re-audited by the package's feasibility
-// checkers — and CI asserts the recorded verdict columns in
-// BENCH_lifetime.json.
+// checkers — and the run fails (LifetimeResult.verdictErr) when a
+// verdict column it would write to BENCH_lifetime.json is false.
 
 // LifetimeConfig parameterizes the lifetime benchmark.
 type LifetimeConfig struct {
@@ -131,6 +131,27 @@ type LifetimeResult struct {
 	Rho     float64         `json:"rho"`
 	Battery float64         `json:"battery"`
 	Groups  []LifetimeGroup `json:"groups"`
+}
+
+// verdictErr names the first scenario whose verdict is false, if any,
+// and fails a run in which the exact cross-check never ran.
+func (r *LifetimeResult) verdictErr() error {
+	exactRan := false
+	for _, g := range r.Groups {
+		switch {
+		case !g.SchedulesFeasible:
+			return falseVerdict("lifetime", "schedules_feasible", g.Name)
+		case !g.ExactIsMax:
+			return falseVerdict("lifetime", "exact_is_max", g.Name)
+		case !g.PlannersBeatUtility:
+			return falseVerdict("lifetime", "planners_beat_utility", g.Name)
+		}
+		exactRan = exactRan || g.ExactRan
+	}
+	if !exactRan {
+		return falseVerdict("lifetime", "exact_ran", "every scenario")
+	}
+	return nil
 }
 
 // lifetimeScenario is one benchmark scenario before planning.
@@ -283,7 +304,7 @@ func utilityLifetime(in *lifetime.Instance, rho float64) (int, int64, error) {
 		return 0, 0, err
 	}
 	var sched *core.Schedule
-	ns, _, _, err := measureRun(func() error {
+	ns, err := measureRun(func() error {
 		var err error
 		sched, err = core.Greedy(core.Instance{
 			N:       in.N,
@@ -341,7 +362,7 @@ func lifetimeGroup(sc lifetimeScenario, cfg *LifetimeConfig) (*LifetimeGroup, er
 	best, exactLife := 0, -1
 	for _, p := range planners {
 		var res *lifetime.Result
-		ns, _, _, err := measureRun(func() error {
+		ns, err := measureRun(func() error {
 			var err error
 			res, err = p.run(&in)
 			return err
@@ -426,6 +447,9 @@ func LifetimeBench(cfg LifetimeConfig) (*Figure, *LifetimeResult, error) {
 		if len(series[name].X) > 0 {
 			fig.Series = append(fig.Series, *series[name])
 		}
+	}
+	if err := res.verdictErr(); err != nil {
+		return nil, nil, err
 	}
 	return fig, res, nil
 }

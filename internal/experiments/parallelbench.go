@@ -107,6 +107,14 @@ type ParallelBenchResult struct {
 	SchedulesIdentical bool `json:"schedules_identical"`
 }
 
+// verdictErr names the bench's false verdict, if any.
+func (r *ParallelBenchResult) verdictErr() error {
+	if !r.SchedulesIdentical {
+		return falseVerdict("parallel", "schedules_identical", fmt.Sprintf("n=%d workers=%d", r.Sensors, r.Workers))
+	}
+	return nil
+}
+
 // ParallelBench times the three greedy engines and the two Monte-Carlo
 // drivers on the same workload, verifies their outputs are identical,
 // and reports best-of-Iters wall times. It returns both a renderable
@@ -243,6 +251,9 @@ func ParallelBench(cfg ParallelBenchConfig) (*Figure, *ParallelBenchResult, erro
 			fmt.Sprintf("monte-carlo speedup: %.2fx over %d replications", res.SimParallelSpeedup, cfg.SimReps),
 			fmt.Sprintf("outputs identical across engines and worker counts: %v", identical),
 		},
+	}
+	if err := res.verdictErr(); err != nil {
+		return nil, nil, err
 	}
 	return fig, res, nil
 }

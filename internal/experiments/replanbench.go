@@ -17,13 +17,14 @@ import (
 // the from-scratch greedy replan over the surviving fleet, at fleet
 // sizes up to 10⁵ and perturbation sizes {1, 1%, 10%}. Every speedup is
 // reported next to its quality cost — the utility gap against the full
-// replan — and CI asserts the recorded schedules_feasible and
-// gap_within_bound verdicts from BENCH_replan.json.
+// replan — and the run fails (ReplanResult.verdictErr) when an
+// init_identical, schedules_feasible or gap_within_bound verdict it
+// would write to BENCH_replan.json is false.
 
 // ReplanGapBoundPct is the accepted utility gap (percent) of a
 // repaired schedule against the from-scratch replan of the surviving
-// fleet; cases beyond it record gap_within_bound=false, which CI
-// rejects. The bound is far inside the structural 50% worst case of a
+// fleet; a case beyond it records gap_within_bound=false and fails
+// the run. The bound is far inside the structural 50% worst case of a
 // converged local-search fixed point (DESIGN.md §5.7); in practice the
 // damage-localized sweep lands within a fraction of a percent.
 const ReplanGapBoundPct = 2.0
@@ -135,6 +136,25 @@ type ReplanResult struct {
 	Groups      []ReplanGroup `json:"groups"`
 }
 
+// verdictErr names the first case whose verdict is false, if any.
+func (r *ReplanResult) verdictErr() error {
+	for _, g := range r.Groups {
+		if !g.InitIdentical {
+			return falseVerdict("replan", "init_identical", fmt.Sprintf("n=%d", g.Sensors))
+		}
+		for _, c := range g.Cases {
+			where := fmt.Sprintf("n=%d killed=%d", g.Sensors, c.Killed)
+			if !c.SchedulesFeasible {
+				return falseVerdict("replan", "schedules_feasible", where)
+			}
+			if !c.GapWithinBound {
+				return falseVerdict("replan", "gap_within_bound", where)
+			}
+		}
+	}
+	return nil
+}
+
 // replanInstance deploys a uniform field and builds the detection
 // instance (FixedProb 0.4), solving the sensing range from the target
 // coverage degree — the same geometry the shard bench uses.
@@ -202,7 +222,7 @@ func replanGroup(n int, cfg *ReplanConfig, period energy.Period) (*ReplanGroup, 
 	group := &ReplanGroup{Sensors: n, Targets: n / 10}
 
 	var rep *core.Repairer
-	group.NsPlan, _, _, err = measureRun(func() error {
+	group.NsPlan, err = measureRun(func() error {
 		rep, err = core.NewRepairer(in)
 		return err
 	})
@@ -234,7 +254,7 @@ func replanGroup(n int, cfg *ReplanConfig, period energy.Period) (*ReplanGroup, 
 		for it := 0; it < iters; it++ {
 			victims := pickVictims(rng, rep, n, k)
 			var st core.RepairStats
-			nsRepair, _, _, err := measureRun(func() error {
+			nsRepair, err := measureRun(func() error {
 				var err error
 				st, err = rep.RemoveSensors(victims)
 				return err
@@ -254,7 +274,7 @@ func replanGroup(n int, cfg *ReplanConfig, period energy.Period) (*ReplanGroup, 
 				present[v] = rep.Present(v)
 			}
 			var full *core.Schedule
-			nsFull, _, _, err := measureRun(func() error {
+			nsFull, err := measureRun(func() error {
 				var err error
 				full, err = core.GreedySubset(in, present)
 				return err
@@ -334,6 +354,9 @@ func ReplanBench(cfg ReplanConfig) (*Figure, *ReplanResult, error) {
 		fig.Series = append(fig.Series, s)
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"n=%d initial plan %.3fs, init_identical=%v", n, float64(group.NsPlan)/1e9, group.InitIdentical))
+	}
+	if err := res.verdictErr(); err != nil {
+		return nil, nil, err
 	}
 	return fig, res, nil
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sort"
+	"time"
 
 	"cool/internal/core"
 	"cool/internal/energy"
@@ -21,12 +23,13 @@ import (
 // engines at deployment sizes up to a million sensors, and the sharded
 // radio network against the single flat core at a million nodes. Every
 // speedup is reported next to its quality cost — the utility gap
-// against the global greedy — and CI asserts the recorded k1_identical,
-// gap_within_bound, and trace_identical verdicts from BENCH_shard.json.
+// against the global greedy — and the run fails (ShardResult.verdictErr)
+// when a k1_identical, gap_within_bound or trace_identical verdict it
+// would write to BENCH_shard.json is false.
 
 // ShardGapBoundPct is the accepted utility gap (percent) of a sharded
-// plan against the global greedy; cases beyond it record
-// gap_within_bound=false, which CI rejects.
+// plan against the global greedy; a case beyond it records
+// gap_within_bound=false and fails the run.
 const ShardGapBoundPct = 2.0
 
 // ShardConfig parameterizes the sharded planner/netsim benchmark.
@@ -179,6 +182,27 @@ type ShardResult struct {
 	NetCases    []ShardNetCase   `json:"net_cases"`
 }
 
+// verdictErr names the first case whose verdict is false, if any.
+func (r *ShardResult) verdictErr() error {
+	for _, g := range r.PlanGroups {
+		where := fmt.Sprintf("plan n=%d engine=%s", g.Sensors, g.Engine)
+		if !g.K1Identical {
+			return falseVerdict("shard", "k1_identical", where)
+		}
+		for _, c := range g.Cases {
+			if !c.GapWithinBound {
+				return falseVerdict("shard", "gap_within_bound", fmt.Sprintf("%s k=%d", where, c.K))
+			}
+		}
+	}
+	for _, c := range r.NetCases {
+		if !c.TraceIdentical {
+			return falseVerdict("shard", "trace_identical", fmt.Sprintf("net n=%d k=%d", r.NetNodes, c.K))
+		}
+	}
+	return nil
+}
+
 // shardPlanProblem deploys a uniform field and assembles the geometric
 // shard problem over the detection utility (FixedProb 0.4), solving the
 // sensing range from the target coverage degree.
@@ -272,7 +296,7 @@ func shardPlanGroup(n int, ks []int, lazy bool, cfg *ShardConfig, period energy.
 		var bestNs int64 = -1
 		for i := 0; i < iters; i++ {
 			var res *shard.Result
-			ns, _, _, err := measureRun(func() error {
+			ns, err := measureRun(func() error {
 				var err error
 				res, err = shard.Plan(prob, shard.Options{Shards: k, Workers: cfg.Workers, Lazy: lazy})
 				return err
@@ -288,7 +312,11 @@ func shardPlanGroup(n int, ks []int, lazy bool, cfg *ShardConfig, period energy.
 			k1 = best
 			group.K1NsOp = bestNs
 			// Bit-identity audit against the flat engine run directly.
-			direct, err := directEngine(prob.Global, period, lazy)
+			flat := core.Greedy
+			if lazy {
+				flat = core.LazyGreedy
+			}
+			direct, err := flat(prob.Global)
 			if err != nil {
 				return nil, err
 			}
@@ -317,14 +345,15 @@ func shardPlanGroup(n int, ks []int, lazy bool, cfg *ShardConfig, period energy.
 	return group, nil
 }
 
-func directEngine(in core.Instance, period energy.Period, lazy bool) (*core.Schedule, error) {
-	if !lazy {
-		return core.Greedy(in)
+// measureRun times one execution, starting from a forced GC so that
+// garbage left by earlier runs is not collected on this run's clock.
+func measureRun(run func() error) (int64, error) {
+	runtime.GC()
+	t0 := time.Now()
+	if err := run(); err != nil {
+		return 0, err
 	}
-	if core.ModeFor(period) == core.ModeRemoval {
-		return core.LazyGreedyRemoval(in)
-	}
-	return core.LazyGreedy(in)
+	return time.Since(t0).Nanoseconds(), nil
 }
 
 // shardNetRun executes ticks whole-fleet broadcast rounds on a sharded
@@ -350,7 +379,7 @@ func shardNetRun(specs []netsim.NodeSpec, k, workers, ticks int, seed uint64) (i
 		}
 		h.Write(word[:])
 	}
-	ns, _, _, err := measureRun(func() error {
+	ns, err := measureRun(func() error {
 		for t := 0; t < ticks; t++ {
 			for i := range specs {
 				if _, err := net.Batch(specs[i].ID, payload); err != nil {
@@ -385,12 +414,31 @@ func shardNetRun(specs []netsim.NodeSpec, k, workers, ticks int, seed uint64) (i
 	return ns, h.Sum64(), sent, delivered, net.EffectiveShards(), nil
 }
 
+// netsimSpecs deploys n nodes uniformly at random with a shared radio
+// range solved from the target mean degree.
+func netsimSpecs(n int, fieldSide, degree float64, seed uint64) []netsim.NodeSpec {
+	r := math.Sqrt(degree * fieldSide * fieldSide / (math.Pi * float64(n)))
+	rng := stats.NewRNG(seed)
+	specs := make([]netsim.NodeSpec, n)
+	for i := range specs {
+		specs[i] = netsim.NodeSpec{
+			ID: netsim.NodeID(i),
+			Pos: geometry.Point{
+				X: rng.Float64() * fieldSide,
+				Y: rng.Float64() * fieldSide,
+			},
+			Radio: r,
+		}
+	}
+	return specs
+}
+
 // shardNetSweep benchmarks the sharded radio core at every configured
 // k, comparing each run's normalized delivery trace and counters to the
 // k=1 flat core's.
 func shardNetSweep(cfg *ShardConfig) ([]ShardNetCase, error) {
 	n := cfg.NetNodes
-	specs, _ := netsimSpecs(n, cfg.FieldSide, cfg.Degree, cfg.Seed+99)
+	specs := netsimSpecs(n, cfg.FieldSide, cfg.Degree, cfg.Seed+99)
 	var out []ShardNetCase
 	var baseNs int64
 	var baseDigest uint64
@@ -491,6 +539,9 @@ func ShardBench(cfg ShardConfig) (*Figure, *ShardResult, error) {
 				cfg.NetNodes, c.K, c.EffectiveK, float64(c.NsOp)/1e9, cfg.NetTicks,
 				c.PacketsPerSec/1e6, c.SpeedupVsK1, c.TraceIdentical))
 		}
+	}
+	if err := res.verdictErr(); err != nil {
+		return nil, nil, err
 	}
 	return fig, res, nil
 }

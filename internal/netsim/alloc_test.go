@@ -227,8 +227,8 @@ func BenchmarkNetsimBatch(b *testing.B) {
 }
 
 // BenchmarkNetsimReference is the same round on the retained map-based
-// reference network; the ratio to BenchmarkNetsimBatch is the headline
-// of `coolbench -fig netsim`.
+// reference network; its ratio to BenchmarkNetsimBatch is the flat
+// core's speedup.
 func BenchmarkNetsimReference(b *testing.B) {
 	const n = 1024
 	net, err := NewReference(Config{Loss: 0.1, Seed: 1})

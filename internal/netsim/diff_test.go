@@ -28,7 +28,7 @@ type diffPair struct {
 
 func newDiffPair(t testing.TB, cfg Config) *diffPair {
 	t.Helper()
-	flat, err := New(cfg)
+	flat, err := newNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@
 // AddNodes. The hot delivery paths are Batch (one neighbor resolution
 // and one RNG/loss sweep for a whole broadcast, zero allocations in
 // steady state) and ReceiveInto (drain into a caller-owned buffer,
-// zero allocations when capacity suffices). New/AddNode/Receive remain
-// as thin compatibility wrappers.
+// zero allocations when capacity suffices). AddNode and Receive are
+// the single-node conveniences over them.
 package netsim
 
 import (
@@ -65,8 +65,8 @@ type NodeSpec struct {
 	Radio float64
 }
 
-// Config tunes the radio medium. Prefer the functional options of
-// NewNetwork; Config remains for the deprecated New constructor.
+// Config tunes the radio medium. NewNetwork fills it from functional
+// options; NewReference takes it directly.
 type Config struct {
 	// Loss is the independent per-link drop probability in [0, 1).
 	Loss float64
@@ -167,11 +167,6 @@ func NewNetwork(opts ...Option) (*Network, error) {
 	}
 	return newNetwork(cfg)
 }
-
-// New builds an empty network from a Config.
-//
-// Deprecated: use NewNetwork with WithLoss/WithDelay/WithSeed options.
-func New(cfg Config) (*Network, error) { return newNetwork(cfg) }
 
 func newNetwork(cfg Config) (*Network, error) {
 	if err := cfg.defaults(); err != nil {

@@ -34,7 +34,7 @@ var impls = []struct {
 	name string
 	make func(Config) (radio, error)
 }{
-	{"flat", func(cfg Config) (radio, error) { return New(cfg) }},
+	{"flat", func(cfg Config) (radio, error) { return newNetwork(cfg) }},
 	{"reference", func(cfg Config) (radio, error) { return NewReference(cfg) }},
 }
 
@@ -96,9 +96,9 @@ func TestOptionsConstructor(t *testing.T) {
 	if net.cfg != want {
 		t.Errorf("cfg = %+v, want %+v", net.cfg, want)
 	}
-	// The options constructor and the deprecated Config constructor
-	// must produce byte-identical behaviour from the same parameters.
-	old, err := New(want)
+	// The options constructor must behave byte-identically to a
+	// network built straight from the Config the options fill.
+	old, err := newNetwork(want)
 	if err != nil {
 		t.Fatal(err)
 	}

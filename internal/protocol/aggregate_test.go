@@ -8,7 +8,7 @@ import (
 )
 
 func TestAggregationLossless(t *testing.T) {
-	e, _ := gridEngine(t, Config{BeaconInterval: 2}, netsim.Config{Seed: 21}, 4)
+	e, _ := gridEngine(t, Config{BeaconInterval: 2}, 4, netsim.WithSeed(21))
 	// Let the tree form.
 	if _, ok, err := e.RunUntil(func() bool { return e.SyncedCount() == 16 }, 300); err != nil || !ok {
 		t.Fatalf("tree formation failed: %v", err)
@@ -48,7 +48,7 @@ func TestAggregationPacketEfficiency(t *testing.T) {
 	// beacon traffic cancels out of the comparison.
 	const measureTicks = 120
 	run := func(aggregate bool) int {
-		e, radio := gridEngine(t, Config{BeaconInterval: 2}, netsim.Config{Seed: 22}, 4)
+		e, radio := gridEngine(t, Config{BeaconInterval: 2}, 4, netsim.WithSeed(22))
 		if _, ok, err := e.RunUntil(func() bool { return e.SyncedCount() == 16 }, 300); err != nil || !ok {
 			t.Fatalf("tree formation failed: %v", err)
 		}
@@ -89,7 +89,7 @@ func TestAggregationPacketEfficiency(t *testing.T) {
 }
 
 func TestAggregationUnderLossPartial(t *testing.T) {
-	e, _ := gridEngine(t, Config{BeaconInterval: 2}, netsim.Config{Loss: 0.3, Seed: 23}, 4)
+	e, _ := gridEngine(t, Config{BeaconInterval: 2}, 4, netsim.WithLoss(0.3), netsim.WithSeed(23))
 	if _, ok, err := e.RunUntil(func() bool { return e.SyncedCount() == 16 }, 2000); err != nil || !ok {
 		t.Fatalf("tree formation failed: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestAggregationUnderLossPartial(t *testing.T) {
 }
 
 func TestStartAggregationValidation(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{}, 2)
+	e, _ := gridEngine(t, Config{}, 2)
 	if err := e.StartAggregation(1, nil, 4, 2); err == nil {
 		t.Error("nil value function accepted")
 	}

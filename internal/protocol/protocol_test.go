@@ -9,9 +9,9 @@ import (
 
 // gridEngine builds a connected grid network with the base at the
 // origin and returns a ready engine.
-func gridEngine(t *testing.T, cfg Config, netCfg netsim.Config, side int) (*Engine, *netsim.Network) {
+func gridEngine(t *testing.T, cfg Config, side int, opts ...netsim.Option) (*Engine, *netsim.Network) {
 	t.Helper()
-	net, err := netsim.New(netCfg)
+	net, err := netsim.NewNetwork(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(Config{}, nil); err == nil {
 		t.Error("nil network accepted")
 	}
-	net, err := netsim.New(netsim.Config{})
+	net, err := netsim.NewNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestNewEngineValidation(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{}, 2)
+	e, _ := gridEngine(t, Config{}, 2)
 	if err := e.Register(0); err == nil {
 		t.Error("double registration accepted")
 	}
@@ -70,7 +70,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestTickRequiresFullRegistration(t *testing.T) {
-	net, err := netsim.New(netsim.Config{})
+	net, err := netsim.NewNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTickRequiresFullRegistration(t *testing.T) {
 }
 
 func TestTimeSyncConverges(t *testing.T) {
-	e, _ := gridEngine(t, Config{BeaconInterval: 3}, netsim.Config{Seed: 1}, 4)
+	e, _ := gridEngine(t, Config{BeaconInterval: 3}, 4, netsim.WithSeed(1))
 	ticks, ok, err := e.RunUntil(func() bool { return e.SyncedCount() == 16 }, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestTimeSyncConverges(t *testing.T) {
 }
 
 func TestNodeSlotUnknown(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{}, 2)
+	e, _ := gridEngine(t, Config{}, 2)
 	if _, _, err := e.NodeSlot(99); err == nil {
 		t.Error("unknown node accepted")
 	}
@@ -132,7 +132,7 @@ func TestNodeSlotUnknown(t *testing.T) {
 }
 
 func TestDistributeValidation(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{}, 2)
+	e, _ := gridEngine(t, Config{}, 2)
 	if err := e.Distribute(ScheduleMsg{Period: 0}); err == nil {
 		t.Error("zero period accepted")
 	}
@@ -142,7 +142,7 @@ func TestDistributeValidation(t *testing.T) {
 }
 
 func TestScheduleDisseminationLossless(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{Seed: 2}, 4)
+	e, _ := gridEngine(t, Config{}, 4, netsim.WithSeed(2))
 	sched := ScheduleMsg{Version: 1, Period: 4, Assign: []int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3}}
 	if err := e.Distribute(sched); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestScheduleDisseminationLossless(t *testing.T) {
 }
 
 func TestScheduleDisseminationSurvivesLoss(t *testing.T) {
-	e, _ := gridEngine(t, Config{RefloodInterval: 5}, netsim.Config{Loss: 0.3, Seed: 3}, 4)
+	e, _ := gridEngine(t, Config{RefloodInterval: 5}, 4, netsim.WithLoss(0.3), netsim.WithSeed(3))
 	sched := ScheduleMsg{Version: 1, Period: 2, Assign: make([]int, 16)}
 	if err := e.Distribute(sched); err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestScheduleDisseminationSurvivesLoss(t *testing.T) {
 }
 
 func TestScheduleVersionUpgrade(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{Seed: 4}, 3)
+	e, _ := gridEngine(t, Config{}, 3, netsim.WithSeed(4))
 	if err := e.Distribute(ScheduleMsg{Version: 1, Period: 2, Assign: make([]int, 9)}); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestScheduleVersionUpgrade(t *testing.T) {
 }
 
 func TestConvergecastCollectsReports(t *testing.T) {
-	e, _ := gridEngine(t, Config{BeaconInterval: 2}, netsim.Config{Seed: 5}, 4)
+	e, _ := gridEngine(t, Config{BeaconInterval: 2}, 4, netsim.WithSeed(5))
 	// Let the tree form first.
 	if _, ok, err := e.RunUntil(func() bool { return e.SyncedCount() == 16 }, 300); err != nil || !ok {
 		t.Fatalf("tree formation failed: %v", err)
@@ -242,7 +242,7 @@ func TestConvergecastCollectsReports(t *testing.T) {
 // collection complete on a 30%-lossy medium.
 func TestConvergecastSurvivesLoss(t *testing.T) {
 	e, _ := gridEngine(t, Config{BeaconInterval: 2, ReportRetryInterval: 3},
-		netsim.Config{Loss: 0.3, Seed: 8}, 4)
+		4, netsim.WithLoss(0.3), netsim.WithSeed(8))
 	if _, ok, err := e.RunUntil(func() bool { return e.SyncedCount() == 16 }, 1000); err != nil || !ok {
 		t.Fatalf("tree formation failed: %v (synced %d)", err, e.SyncedCount())
 	}
@@ -272,7 +272,7 @@ func TestConvergecastSurvivesLoss(t *testing.T) {
 }
 
 func TestReportFromBaseCollectsDirectly(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{}, 2)
+	e, _ := gridEngine(t, Config{}, 2)
 	if err := e.Report(BaseID, 1, 3.5); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestReportFromBaseCollectsDirectly(t *testing.T) {
 }
 
 func TestReportDeduplication(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{}, 2)
+	e, _ := gridEngine(t, Config{}, 2)
 	// Same origin, distinct sequence numbers: both collected.
 	if err := e.Report(BaseID, 1, 1); err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestReportDeduplication(t *testing.T) {
 }
 
 func TestAllAckedWithoutSchedule(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{}, 2)
+	e, _ := gridEngine(t, Config{}, 2)
 	if e.AllAcked() {
 		t.Error("AllAcked true with no schedule")
 	}
@@ -311,7 +311,7 @@ func TestAllAckedWithoutSchedule(t *testing.T) {
 func TestReparentingAfterRelayFailure(t *testing.T) {
 	// A 3-row corridor: base at origin; two parallel relay columns so an
 	// alternative route exists when one relay dies.
-	net, err := netsim.New(netsim.Config{Seed: 31})
+	net, err := netsim.NewNetwork(netsim.WithSeed(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestReparentingAfterRelayFailure(t *testing.T) {
 }
 
 func TestAckedCountProgress(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{Seed: 40}, 3)
+	e, _ := gridEngine(t, Config{}, 3, netsim.WithSeed(40))
 	// The base always holds its own (future) schedule, so it counts as
 	// acked from the start.
 	if e.AckedCount() != 1 {
@@ -389,7 +389,7 @@ func TestAckedCountProgress(t *testing.T) {
 }
 
 func TestRunUntilImmediateAndTimeout(t *testing.T) {
-	e, _ := gridEngine(t, Config{}, netsim.Config{Seed: 41}, 2)
+	e, _ := gridEngine(t, Config{}, 2, netsim.WithSeed(41))
 	ticks, ok, err := e.RunUntil(func() bool { return true }, 10)
 	if err != nil || !ok || ticks != 0 {
 		t.Errorf("immediate predicate: ticks=%d ok=%v err=%v", ticks, ok, err)
@@ -406,7 +406,7 @@ func TestRunUntilImmediateAndTimeout(t *testing.T) {
 func TestAggregationLateArrivalForwarded(t *testing.T) {
 	// Line topology: base - relay - leaf, with a slow leaf (big slack
 	// makes the relay send before the leaf's aggregate arrives).
-	net, err := netsim.New(netsim.Config{Seed: 42, MinDelay: 1, MaxDelay: 2})
+	net, err := netsim.NewNetwork(netsim.WithDelay(1, 2), netsim.WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}

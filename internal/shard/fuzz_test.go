@@ -34,7 +34,6 @@ func FuzzShardEquivalence(f *testing.F) {
 			period = removalPeriod()
 		}
 		d := buildTestProblem(t, seed, n, m, 400, 120, 14, period, detect)
-		mode := core.ModeFor(period)
 
 		// k = 1: bit-identity against the global engine.
 		for _, lazy := range []bool{false, true} {
@@ -42,7 +41,7 @@ func FuzzShardEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := runEngine(d.p.Global, mode, lazy)
+			want, err := runEngine(d.p.Global, lazy)
 			if err != nil {
 				t.Fatal(err)
 			}

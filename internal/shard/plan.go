@@ -10,17 +10,14 @@ import (
 )
 
 // runEngine dispatches a flat instance to the configured engine: the
-// cached eager Greedy, or the CELF lazy variant matching the mode. All
-// of them produce bit-identical schedules on the same instance, so the
-// choice only affects speed.
-func runEngine(in core.Instance, mode core.Mode, lazy bool) (*core.Schedule, error) {
-	if !lazy {
-		return core.Greedy(in)
+// cached eager Greedy or the CELF LazyGreedy. Both produce
+// bit-identical schedules on the same instance, so the choice only
+// affects speed.
+func runEngine(in core.Instance, lazy bool) (*core.Schedule, error) {
+	if lazy {
+		return core.LazyGreedy(in)
 	}
-	if mode == core.ModeRemoval {
-		return core.LazyGreedyRemoval(in)
-	}
-	return core.LazyGreedy(in)
+	return core.Greedy(in)
 }
 
 // Plan computes an activation schedule by geometric sharding: partition
@@ -54,7 +51,7 @@ func Plan(p *Problem, opts Options) (*Result, error) {
 	}
 
 	if k == 1 {
-		return planGlobal(p, opts, mode, requested)
+		return planGlobal(p, opts, requested)
 	}
 
 	pt := newPartition(p, k)
@@ -62,7 +59,7 @@ func Plan(p *Problem, opts Options) (*Result, error) {
 		// The populated geometry cannot host more than one strip (all
 		// sensors in one grid column, degenerate extents, ...): graceful
 		// degradation to the global engine.
-		return planGlobal(p, opts, mode, requested)
+		return planGlobal(p, opts, requested)
 	}
 	if p.BuildShard == nil {
 		return nil, errors.New("shard: Problem.BuildShard is nil")
@@ -83,7 +80,7 @@ func Plan(p *Problem, opts Options) (*Result, error) {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 		sub := core.Instance{N: len(sensors), Period: p.Period, Factory: factory}
-		sched, err := runEngine(sub, mode, opts.Lazy)
+		sched, err := runEngine(sub, opts.Lazy)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -134,8 +131,8 @@ func Plan(p *Problem, opts Options) (*Result, error) {
 // planGlobal is the k = 1 path: the global engine on the full instance,
 // wrapped in the sharded Result shape with the decomposition fields
 // reporting the trivial partition.
-func planGlobal(p *Problem, opts Options, mode core.Mode, requested int) (*Result, error) {
-	sched, err := runEngine(p.Global, mode, opts.Lazy)
+func planGlobal(p *Problem, opts Options, requested int) (*Result, error) {
+	sched, err := runEngine(p.Global, opts.Lazy)
 	if err != nil {
 		return nil, err
 	}

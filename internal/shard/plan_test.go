@@ -30,7 +30,7 @@ func TestPlanK1BitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := runEngine(d.p.Global, core.ModeFor(tc.period), tc.lazy)
+			want, err := runEngine(d.p.Global, tc.lazy)
 			if err != nil {
 				t.Fatal(err)
 			}

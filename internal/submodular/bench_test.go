@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// Microbenchmarks for the oracle hot path. `make bench-mem` runs these
-// with -benchmem as the allocation smoke pass; the headline old-vs-new
-// engine comparison lives in internal/experiments (coolbench -fig
-// memlayout). The MapOracle benchmarks keep the retired map layout
-// measurable so regressions of the flat layout are visible as a shrunk
-// gap rather than an absolute mystery.
+// Microbenchmarks for the oracle hot path; run them with -benchmem for
+// the allocation picture (the AllocsPerRun tests in alloc_test.go are
+// the enforced limits). The MapOracle benchmarks keep the retired map
+// layout measurable so regressions of the flat layout are visible as a
+// shrunk gap rather than an absolute mystery.
 
 const benchN = 1024
 

@@ -118,8 +118,8 @@ func (u *DetectionUtility) TotalWeight() float64 {
 
 // Eval implements Function. The per-target survival update and the
 // weighted complement reduction run on the unrolled scatter kernels of
-// kernels.go; EvalScalar retains the plain loops as the bit-exact
-// reference both are tested against.
+// kernels.go; the tests hold it bit for bit to the plain loops of
+// EvalScalar.
 func (u *DetectionUtility) Eval(set []int) float64 {
 	seen := bitset.New(u.n)
 	surv := make([]float64, len(u.weights))
@@ -136,35 +136,6 @@ func (u *DetectionUtility) Eval(set []int) float64 {
 		mulScatter(surv, ts, qs)
 	}
 	return weightedComplementSum(u.weights, surv)
-}
-
-// EvalScalar is the pre-kernel scalar evaluation loop, retained
-// verbatim as the differential reference for Eval: the kernel tests
-// and the `coolbench -fig kernels` audit require
-// Eval(set) == EvalScalar(set) bit for bit on every input. New code
-// should call Eval.
-func (u *DetectionUtility) EvalScalar(set []int) float64 {
-	seen := bitset.New(u.n)
-	surv := make([]float64, len(u.weights))
-	for i := range surv {
-		surv[i] = 1
-	}
-	for _, v := range set {
-		checkElem(v, u.n)
-		if seen.Contains(v) {
-			continue
-		}
-		seen.Add(v)
-		ts, qs := u.sensorTargets.Row(v)
-		for k, t := range ts {
-			surv[t] *= qs[k]
-		}
-	}
-	var total float64
-	for i, s := range surv {
-		total += u.weights[i] * (1 - s)
-	}
-	return total
 }
 
 // TargetValue returns U_i(S) for a single target index, useful for

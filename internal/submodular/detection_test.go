@@ -139,6 +139,16 @@ func TestDetectionOracleMatchesEval(t *testing.T) {
 			}
 		}
 	}
+	// The unrolled Eval kernels reproduce the scalar loop bit for bit,
+	// including on rows long enough to fill whole unrolled blocks.
+	for trial := 0; trial < 20; trial++ {
+		n := 8 + rng.Intn(40)
+		u := randomDetectionUtility(t, rng, n, 4+rng.Intn(24))
+		set := rng.Perm(n)[:1+rng.Intn(n)]
+		if got, want := u.Eval(set), u.EvalScalar(set); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Eval %v != EvalScalar %v", trial, got, want)
+		}
+	}
 }
 
 func TestDetectionOracleRemoveMatchesEval(t *testing.T) {

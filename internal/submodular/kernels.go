@@ -15,7 +15,8 @@
 // if an index appears twice in one call; the single sequential
 // accumulator of weightedComplementSum keeps the reduction order of
 // the scalar sum. The engines' cross-engine determinism tests and the
-// `coolbench -fig kernels` audit enforce this empirically.
+// Eval-vs-EvalScalar check of TestDetectionOracleMatchesEval enforce
+// this empirically.
 //
 // The build tag mirrors internal/bitset/popcount.go: a future
 // `cool_popcnt_asm` build can swap in platform SIMD kernels (with the

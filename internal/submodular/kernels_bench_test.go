@@ -6,8 +6,8 @@ import (
 )
 
 // Kernel benchmarks for the detection model's unrolled Eval path and
-// the column-sparse dirty refresh, run by `make bench-kernels` and the
-// CI bench-kernels job with -benchmem. Eval vs EvalScalar shows the
+// the column-sparse dirty refresh; run them with
+// `go test -bench Kernel -benchmem`. Eval vs EvalScalar shows the
 // scatter/reduction unroll; SparseRefresh vs BulkGain shows the
 // column-sparse win at the single-mutation granularity the engines
 // actually use. The refresh benchmarks must report 0 allocs/op.

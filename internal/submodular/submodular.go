@@ -12,6 +12,7 @@ package submodular
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"cool/internal/bitset"
 )
@@ -203,8 +204,9 @@ type StateCopier interface {
 //
 // Membership is a bitset and the member list handed to Eval is a
 // reusable scratch buffer — a Gain query allocates nothing beyond what
-// the wrapped Function's Eval itself allocates. MapOracle retains the
-// original map[int]bool representation as a cross-checking reference.
+// the wrapped Function's Eval itself allocates. The tests keep the
+// original map[int]bool representation, MapOracle, as a cross-checking
+// reference.
 //
 // EvalOracle deliberately does not implement ConcurrentReadSafe: it
 // cannot vouch for the wrapped Function's Eval being safe under
@@ -399,4 +401,16 @@ func maskSet(mask, n int) []int {
 		}
 	}
 	return s
+}
+
+// sameFunction reports whether two Function values are the same,
+// guarding the interface comparison so that uncomparable dynamic types
+// (e.g. struct functions containing slices) report false instead of
+// panicking.
+func sameFunction(a, b Function) bool {
+	ta := reflect.TypeOf(a)
+	if ta == nil || ta != reflect.TypeOf(b) || !ta.Comparable() {
+		return false
+	}
+	return a == b
 }

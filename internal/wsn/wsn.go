@@ -128,8 +128,9 @@ func NewNetwork(sensors []Sensor, targets []Target) (*Network, error) {
 
 // NewNetworkBruteForce builds the identical Network via the original
 // O(n·m) pairwise scan. It is retained as the reference construction
-// for the grid index's differential test harness and the
-// `coolbench -fig grid` benchmark; library code should use NewNetwork.
+// for the grid index's differential tests (griddiff_test.go and the
+// grid-vs-brute schedule test in internal/experiments); library code
+// should use NewNetwork.
 func NewNetworkBruteForce(sensors []Sensor, targets []Target) (*Network, error) {
 	n, err := newNetworkShell(sensors, targets)
 	if err != nil {

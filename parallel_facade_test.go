@@ -6,7 +6,7 @@ import (
 )
 
 // TestPlannerParallelGreedyMatchesGreedy checks the public facade: the
-// parallel planner methods are bit-identical to their sequential
+// parallel algorithms are bit-identical to their sequential
 // counterparts for every worker count.
 func TestPlannerParallelGreedyMatchesGreedy(t *testing.T) {
 	net := deployTestNetwork(t, 24, 5)
@@ -18,26 +18,14 @@ func TestPlannerParallelGreedyMatchesGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := planner.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLazy, err := planner.LazyGreedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
+	wantLazy := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmLazyGreedy}).Schedule
 	for _, w := range []int{1, 2, 8, 0} {
-		got, err := planner.ParallelGreedy(w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
+		got := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmParallelGreedy, Workers: w}).Schedule
 		if !reflect.DeepEqual(want.Assignment(), got.Assignment()) {
 			t.Errorf("workers=%d: ParallelGreedy differs from Greedy", w)
 		}
-		gotLazy, err := planner.ParallelLazyGreedy(w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
+		gotLazy := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmParallelLazyGreedy, Workers: w}).Schedule
 		if !reflect.DeepEqual(wantLazy.Assignment(), gotLazy.Assignment()) {
 			t.Errorf("workers=%d: ParallelLazyGreedy differs from LazyGreedy", w)
 		}
@@ -57,10 +45,7 @@ func TestRunMonteCarloFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := planner.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := mustPlan(t, planner, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 	cfg := SimConfig{
 		NumSensors: 16,
 		Slots:      32,

@@ -107,10 +107,7 @@ type PlanResult struct {
 }
 
 // Plan computes a schedule for the requested objective with the
-// requested algorithm. It is the single planning entry point: the
-// historical per-algorithm methods (Greedy, LazyGreedy, Exact,
-// LPRound, ...) are thin deprecated wrappers over Plan and remain
-// bit-identical to it.
+// requested algorithm. It is the single planning entry point.
 func (p *Planner) Plan(req PlanRequest) (*PlanResult, error) {
 	obj := req.Objective
 	if obj == 0 {
@@ -162,11 +159,7 @@ func (p *Planner) planUtility(req PlanRequest) (*PlanResult, error) {
 	case AlgorithmGreedy:
 		res.Schedule, err = core.Greedy(p.inst)
 	case AlgorithmLazyGreedy:
-		if core.ModeFor(p.period) == core.ModeRemoval {
-			res.Schedule, err = core.LazyGreedyRemoval(p.inst)
-		} else {
-			res.Schedule, err = core.LazyGreedy(p.inst)
-		}
+		res.Schedule, err = core.LazyGreedy(p.inst)
 	case AlgorithmParallelGreedy:
 		res.Schedule, err = core.ParallelGreedy(p.inst, req.Workers)
 	case AlgorithmParallelLazyGreedy:

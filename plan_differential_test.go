@@ -10,13 +10,12 @@ import (
 	"cool/internal/submodular"
 )
 
-// The API-redesign contract: every deprecated per-algorithm method is
-// a thin wrapper over Planner.Plan and must stay *bit-identical* to it
-// — same assignment, same exact float64 utility — across the whole
-// golden-schedule corpus. The scenarios here reconstruct the corpus of
-// internal/core/golden_test.go (same seeds, same RNG draw order), and
-// the Greedy result is additionally anchored against the committed
-// golden records so the redesign provably changed nothing.
+// The facade contract: every greedy engine reachable through
+// Planner.Plan reproduces the committed golden-schedule corpus *bit
+// for bit* — same assignment, same exact float64 utility. The
+// scenarios here reconstruct the corpus of internal/core/golden_test.go
+// (same seeds, same RNG draw order), so the facade provably plans what
+// the engines were pinned to.
 
 // diffScenario mirrors the goldenScenario JSON of internal/core.
 type diffScenario struct {
@@ -120,7 +119,7 @@ func loadDiffRecords(t *testing.T) []diffRecord {
 func sameSchedule(t *testing.T, label string, p *Planner, a, b *Schedule) {
 	t.Helper()
 	if a == nil || b == nil {
-		t.Fatalf("%s: nil schedule (wrapper %v, plan %v)", label, a, b)
+		t.Fatalf("%s: nil schedule (%v, %v)", label, a, b)
 	}
 	ai, bi := a.Assignment(), b.Assignment()
 	if len(ai) != len(bi) {
@@ -128,7 +127,7 @@ func sameSchedule(t *testing.T, label string, p *Planner, a, b *Schedule) {
 	}
 	for v := range ai {
 		if ai[v] != bi[v] {
-			t.Fatalf("%s: sensor %d assigned %d by wrapper, %d by Plan", label, v, ai[v], bi[v])
+			t.Fatalf("%s: sensor %d assigned %d vs %d", label, v, ai[v], bi[v])
 		}
 	}
 	ua, ub := p.PeriodUtility(a), p.PeriodUtility(b)
@@ -152,94 +151,37 @@ func TestPlanWrapperBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			// Anchor: the Greedy wrapper still reproduces the committed
-			// golden record, so the reconstruction is faithful and the
-			// redesign left the engine output untouched.
-			greedy, err := p.Greedy()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := greedy.Assignment(); len(got) != len(rec.Assignment) {
-				t.Fatalf("assignment length %d, golden %d", len(got), len(rec.Assignment))
-			} else {
+			const workers = 3
+			for _, req := range []PlanRequest{
+				{Algorithm: AlgorithmGreedy},
+				{Algorithm: AlgorithmLazyGreedy},
+				{Algorithm: AlgorithmParallelGreedy, Workers: workers},
+				{Algorithm: AlgorithmParallelLazyGreedy, Workers: workers},
+			} {
+				res, err := p.Plan(req)
+				if err != nil {
+					t.Fatalf("%s: %v", req.Algorithm, err)
+				}
+				if res.Algorithm != req.Algorithm || res.Objective != ObjectiveUtility {
+					t.Fatalf("%s: Plan echoed (%q, %v)", req.Algorithm, res.Algorithm, res.Objective)
+				}
+				sched := res.Schedule
+				if sched.Mode().String() != rec.Mode || sched.Period() != rec.Period {
+					t.Fatalf("%s: %v schedule of %d slots, golden %s of %d",
+						req.Algorithm, sched.Mode(), sched.Period(), rec.Mode, rec.Period)
+				}
+				got := sched.Assignment()
+				if len(got) != len(rec.Assignment) {
+					t.Fatalf("%s: assignment length %d, golden %d", req.Algorithm, len(got), len(rec.Assignment))
+				}
 				for v := range got {
 					if got[v] != rec.Assignment[v] {
-						t.Fatalf("sensor %d assigned %d, golden %d — scenario reconstruction diverged",
-							v, got[v], rec.Assignment[v])
+						t.Fatalf("%s: sensor %d assigned %d, golden %d", req.Algorithm, v, got[v], rec.Assignment[v])
 					}
 				}
-			}
-			if got := p.PeriodUtility(greedy); math.Float64bits(got) != math.Float64bits(rec.Utility) {
-				t.Fatalf("greedy utility %v, golden %v", got, rec.Utility)
-			}
-
-			const workers = 3
-			pairs := []struct {
-				name    string
-				wrapper func() (*Schedule, error)
-				req     PlanRequest
-			}{
-				{"greedy", p.Greedy, PlanRequest{Algorithm: AlgorithmGreedy}},
-				{"lazy-greedy", p.LazyGreedy, PlanRequest{Algorithm: AlgorithmLazyGreedy}},
-				{"parallel-greedy", func() (*Schedule, error) { return p.ParallelGreedy(workers) },
-					PlanRequest{Algorithm: AlgorithmParallelGreedy, Workers: workers}},
-				{"parallel-lazy-greedy", func() (*Schedule, error) { return p.ParallelLazyGreedy(workers) },
-					PlanRequest{Algorithm: AlgorithmParallelLazyGreedy, Workers: workers}},
-			}
-			// Exact is feasible only on the small corpus instances.
-			if rec.Scenario.N <= 10 {
-				pairs = append(pairs, struct {
-					name    string
-					wrapper func() (*Schedule, error)
-					req     PlanRequest
-				}{"exact", func() (*Schedule, error) { return p.Exact(0) },
-					PlanRequest{Algorithm: AlgorithmExact}})
-			}
-			for _, pair := range pairs {
-				ws, err := pair.wrapper()
-				if err != nil {
-					t.Fatalf("%s wrapper: %v", pair.name, err)
-				}
-				res, err := p.Plan(pair.req)
-				if err != nil {
-					t.Fatalf("%s Plan: %v", pair.name, err)
-				}
-				if res.Algorithm != pair.req.Algorithm || res.Objective != ObjectiveUtility {
-					t.Fatalf("%s: Plan echoed (%q, %v)", pair.name, res.Algorithm, res.Objective)
-				}
-				sameSchedule(t, pair.name, p, ws, res.Schedule)
-			}
-
-			// The LP engines apply to linearizable utilities in
-			// placement mode; both the schedule and the bound must
-			// match bit for bit.
-			if rec.Scenario.Model == "coverage" && rec.Scenario.Rho >= 1 {
-				const seed = 99
-				ws, wb, err := p.LPRound(seed)
-				if err != nil {
-					t.Fatalf("LPRound wrapper: %v", err)
-				}
-				res, err := p.Plan(PlanRequest{Algorithm: AlgorithmLPRound, Seed: seed})
-				if err != nil {
-					t.Fatalf("LPRound Plan: %v", err)
-				}
-				sameSchedule(t, "lp-round", p, ws, res.Schedule)
-				if math.Float64bits(wb) != math.Float64bits(res.LPBound) {
-					t.Fatalf("lp-round bound %v vs %v", wb, res.LPBound)
-				}
-
-				ws, wb, err = p.LPRoundDeterministic()
-				if err != nil {
-					t.Fatalf("LPRoundDeterministic wrapper: %v", err)
-				}
-				res, err = p.Plan(PlanRequest{Algorithm: AlgorithmLPRoundDeterministic})
-				if err != nil {
-					t.Fatalf("LPRoundDeterministic Plan: %v", err)
-				}
-				sameSchedule(t, "lp-round-det", p, ws, res.Schedule)
-				if math.Float64bits(wb) != math.Float64bits(res.LPBound) {
-					t.Fatalf("lp-round-det bound %v vs %v", wb, res.LPBound)
+				if u := p.PeriodUtility(sched); math.Float64bits(u) != math.Float64bits(rec.Utility) {
+					t.Fatalf("%s: utility %v (bits %#x), golden %v (bits %#x)", req.Algorithm,
+						u, math.Float64bits(u), rec.Utility, math.Float64bits(rec.Utility))
 				}
 			}
 		})

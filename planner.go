@@ -48,101 +48,6 @@ func NewPlanner(u Utility, period Period) (*Planner, error) {
 // Period returns the planner's charging period.
 func (p *Planner) Period() Period { return p.period }
 
-// Greedy computes the paper's greedy hill-climbing schedule
-// (Algorithm 1 / its ρ ≤ 1 removal form). The result achieves at least
-// half the optimal average utility (Lemma 4.1, Theorems 4.3/4.4).
-//
-// Deprecated: Use Plan(PlanRequest{Algorithm: AlgorithmGreedy}). The
-// wrapper is bit-identical to Plan (pinned by the differential test
-// over the golden corpus).
-func (p *Planner) Greedy() (*Schedule, error) {
-	return p.planSchedule(PlanRequest{Algorithm: AlgorithmGreedy})
-}
-
-// LazyGreedy computes the same schedule as Greedy using lazy marginal
-// evaluation (CELF for ρ ≥ 1 placement, its loss-side dual for ρ ≤ 1
-// removal) — typically several times faster on large instances.
-//
-// Deprecated: Use Plan(PlanRequest{Algorithm: AlgorithmLazyGreedy}).
-func (p *Planner) LazyGreedy() (*Schedule, error) {
-	return p.planSchedule(PlanRequest{Algorithm: AlgorithmLazyGreedy})
-}
-
-// ParallelGreedy computes a schedule bit-identical to Greedy's with the
-// marginal-gain scans sharded across up to workers goroutines (0 or
-// negative selects runtime.NumCPU). The utility's oracles must be
-// safe for concurrent read-only queries or support Clone; every utility
-// constructed by this package qualifies.
-//
-// Deprecated: Use Plan(PlanRequest{Algorithm: AlgorithmParallelGreedy,
-// Workers: workers}).
-func (p *Planner) ParallelGreedy(workers int) (*Schedule, error) {
-	return p.planSchedule(PlanRequest{Algorithm: AlgorithmParallelGreedy, Workers: workers})
-}
-
-// ParallelLazyGreedy computes a schedule bit-identical to LazyGreedy's
-// with the initial marginal evaluation sharded across up to workers
-// goroutines.
-//
-// Deprecated: Use
-// Plan(PlanRequest{Algorithm: AlgorithmParallelLazyGreedy, Workers:
-// workers}).
-func (p *Planner) ParallelLazyGreedy(workers int) (*Schedule, error) {
-	return p.planSchedule(PlanRequest{Algorithm: AlgorithmParallelLazyGreedy, Workers: workers})
-}
-
-// Exact computes an optimal schedule by branch and bound. maxNodes
-// bounds the search (0 = default); instances beyond ~12 sensors are
-// rejected as too large.
-//
-// Deprecated: Use Plan(PlanRequest{Algorithm: AlgorithmExact,
-// MaxNodes: maxNodes}).
-func (p *Planner) Exact(maxNodes int64) (*Schedule, error) {
-	return p.planSchedule(PlanRequest{Algorithm: AlgorithmExact, MaxNodes: maxNodes})
-}
-
-// planSchedule runs Plan and unwraps the schedule, the shape shared by
-// every deprecated single-schedule wrapper.
-func (p *Planner) planSchedule(req PlanRequest) (*Schedule, error) {
-	res, err := p.Plan(req)
-	if err != nil {
-		return nil, err
-	}
-	return res.Schedule, nil
-}
-
-// LPRound solves the LP relaxation of the scheduling problem and rounds
-// it to a feasible schedule (Section IV-A-1 of the paper). It requires
-// a weighted-coverage utility (NewTargetCountUtility, NewAreaUtility or
-// NewCoverageUtility) and a ρ ≥ 1 period; it returns the schedule and
-// the LP optimum, a valid upper bound on any schedule's period utility.
-//
-// Deprecated: Use Plan(PlanRequest{Algorithm: AlgorithmLPRound, Seed:
-// seed}).
-func (p *Planner) LPRound(seed uint64) (*Schedule, float64, error) {
-	res, err := p.Plan(PlanRequest{Algorithm: AlgorithmLPRound, Seed: seed})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Schedule, res.LPBound, nil
-}
-
-// LPRoundDeterministic derandomizes LPRound by the method of
-// conditional expectations: sensors are fixed one at a time to the
-// choice maximizing the exactly-computable expected coverage of the
-// remaining fractional solution. The result is deterministic and
-// achieves at least (1−1/e) of the LP optimum on coverage utilities.
-//
-// Deprecated: Use
-// Plan(PlanRequest{Algorithm: AlgorithmLPRoundDeterministic}).
-func (p *Planner) LPRoundDeterministic() (*Schedule, float64, error) {
-	res, err := p.Plan(PlanRequest{Algorithm: AlgorithmLPRoundDeterministic})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Schedule, res.LPBound, nil
-}
-
 func utilityAsLinearizable(u Utility) (core.Linearizable, bool) {
 	if cu, ok := u.(coverageUtility); ok {
 		return cu.CoverageUtility, true

@@ -20,7 +20,7 @@ func shardedTestNetwork(t *testing.T, n, m int) *Network {
 }
 
 // TestShardedPlanK1Identity pins the facade's k = 1 contract against
-// Planner.Greedy for both utility families and both modes.
+// Plan's greedy for both utility families and both modes.
 func TestShardedPlanK1Identity(t *testing.T) {
 	net := shardedTestNetwork(t, 150, 75)
 	for _, period := range []Period{{ActiveSlots: 1, PassiveSlots: 3}, {ActiveSlots: 3, PassiveSlots: 1}} {
@@ -36,10 +36,7 @@ func TestShardedPlanK1Identity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := pl.Greedy()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustPlan(t, pl, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 		got, exp := res.Schedule.Assignment(), want.Assignment()
 		for v := range exp {
 			if got[v] != exp[v] {
@@ -62,10 +59,7 @@ func TestShardedPlanK1Identity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cwant, err := cpl.LazyGreedy()
-		if err != nil {
-			t.Fatal(err)
-		}
+		cwant := mustPlan(t, cpl, PlanRequest{Algorithm: AlgorithmLazyGreedy}).Schedule
 		cgot, cexp := cres.Schedule.Assignment(), cwant.Assignment()
 		for v := range cexp {
 			if cgot[v] != cexp[v] {
@@ -102,10 +96,7 @@ func TestShardedPlanDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	global, err := pl.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	global := mustPlan(t, pl, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 	gu := pl.PeriodUtility(global)
 	if gap := (gu - res.Utility) / gu; gap > 0.05 {
 		t.Fatalf("utility gap %.2f%% vs global greedy (%v vs %v)", 100*gap, res.Utility, gu)
