@@ -18,8 +18,8 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Full race-detector pass; gates the parallel scheduling and
-# Monte-Carlo engines.
+# Full race-detector pass; gates the parallel lazy-greedy fill, the
+# Monte-Carlo engine and the coold daemon.
 race:
 	$(GO) test -race ./...
 

@@ -31,7 +31,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("coolbench", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "experiment: 7|8|9|ablation|random|sensitivity|extensions|parallel|shard|replan|lifetime|all")
+		fig     = fs.String("fig", "all", "experiment: 7|8|9|ablation|random|sensitivity|extensions|shard|replan|lifetime|all")
 		outDir  = fs.String("out", "", "directory for CSV output (omit to skip CSV)")
 		quick   = fs.Bool("quick", false, "reduced sweeps for a fast smoke run")
 		chart   = fs.Bool("chart", false, "also render ASCII charts")
@@ -188,20 +188,6 @@ func collect(which string, quick bool, seed uint64, workers int) ([]*experiments
 			return nil, nil, err
 		}
 	}
-	if want("parallel") {
-		cfg := experiments.ParallelBenchConfig{Seed: seed, Workers: workers}
-		if quick {
-			cfg.Sensors, cfg.Targets = 80, 10
-			cfg.Iters = 1
-			cfg.SimSlots, cfg.SimReps = 48, 8
-		}
-		f, res, err := experiments.ParallelBench(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, f)
-		benches = append(benches, benchOutput{name: "parallel", data: res})
-	}
 	if want("shard") {
 		cfg := experiments.ShardConfig{Seed: seed, Workers: workers}
 		if quick {
@@ -248,7 +234,7 @@ func collect(which string, quick bool, seed uint64, workers int) ([]*experiments
 		benches = append(benches, benchOutput{name: "lifetime", data: res})
 	}
 	if len(out) == 0 {
-		return nil, nil, fmt.Errorf("unknown experiment %q (want 7|8|9|ablation|random|sensitivity|extensions|parallel|shard|replan|lifetime|all)", which)
+		return nil, nil, fmt.Errorf("unknown experiment %q (want 7|8|9|ablation|random|sensitivity|extensions|shard|replan|lifetime|all)", which)
 	}
 	return out, benches, nil
 }

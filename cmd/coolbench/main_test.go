@@ -72,8 +72,9 @@ func TestRunQuickRandom(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
-	// memlayout, grid, netsim and kernels are no longer figures either.
-	for _, fig := range []string{"nope", "memlayout", "grid", "netsim", "kernels"} {
+	// memlayout, grid, netsim, kernels and parallel are no longer
+	// figures either.
+	for _, fig := range []string{"nope", "memlayout", "grid", "netsim", "kernels", "parallel"} {
 		if err := run([]string{"-fig", fig, "-quick"}, &buf); err == nil {
 			t.Errorf("figure %q accepted", fig)
 		}
@@ -114,37 +115,6 @@ func TestRunChartFlag(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "+---") {
 		t.Error("chart axis missing")
-	}
-}
-
-func TestRunParallelBenchWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run([]string{"-fig", "parallel", "-quick", "-out", dir, "-workers", "2"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "parallel-bench") {
-		t.Errorf("output missing parallel-bench figure:\n%s", buf.String())
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_parallel.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res map[string]any
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_parallel.json not valid JSON: %v", err)
-	}
-	for _, key := range []string{
-		"workers", "greedy_reference_ns_op", "greedy_parallel_ns_op",
-		"greedy_parallel_speedup_vs_reference", "sim_parallel_speedup",
-		"schedules_identical",
-	} {
-		if _, ok := res[key]; !ok {
-			t.Errorf("BENCH_parallel.json missing key %q", key)
-		}
-	}
-	if id, _ := res["schedules_identical"].(bool); !id {
-		t.Error("schedules_identical = false in quick bench")
 	}
 }
 

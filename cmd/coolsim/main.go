@@ -25,7 +25,7 @@ import (
 var policyAlgorithms = map[string]cool.Algorithm{
 	"greedy":   cool.AlgorithmGreedy,
 	"lazy":     cool.AlgorithmLazyGreedy,
-	"parallel": cool.AlgorithmParallelGreedy,
+	"parallel": cool.AlgorithmParallelLazyGreedy,
 }
 
 func main() {

@@ -4,7 +4,7 @@
 // It is the membership representation of the submodular-oracle hot path
 // (see internal/submodular): Add/Remove/Contains are single-word
 // bit operations with zero allocations, Count is a popcount sweep, and
-// Clone/CopyFrom copy n/64 contiguous words instead of rehashing a
+// Clone copies n/64 contiguous words instead of rehashing a
 // map[int]bool. All operations are O(1) or O(n/64) with perfectly
 // predictable, cache-friendly memory access.
 //
@@ -73,7 +73,7 @@ func (s Bitset) Count() int {
 }
 
 // And intersects the receiver with o in place (s ← s ∩ o). It panics
-// when the universes differ, mirroring the CopyFrom compatibility rule.
+// when the universes differ.
 func (s Bitset) And(o Bitset) {
 	if s.n != o.n {
 		panic(fmt.Sprintf("bitset: And universe mismatch %d != %d", s.n, o.n))
@@ -117,17 +117,6 @@ func (s Bitset) Clone() Bitset {
 	c := Bitset{words: make([]uint64, len(s.words)), n: s.n}
 	copy(c.words, s.words)
 	return c
-}
-
-// CopyFrom overwrites the receiver with src's members. It reports false
-// (leaving the receiver unchanged) when the universes differ; on true
-// no allocation occurred.
-func (s Bitset) CopyFrom(src Bitset) bool {
-	if s.n != src.n || len(s.words) != len(src.words) {
-		return false
-	}
-	copy(s.words, src.words)
-	return true
 }
 
 // Equal reports whether both sets have the same universe and members.

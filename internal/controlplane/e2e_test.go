@@ -307,14 +307,24 @@ func TestE2EEngineConsistency(t *testing.T) {
 	if !sameBits(base.Utility, planner.PeriodUtility(directSched)) {
 		t.Fatalf("greedy utility: wire %v, direct %v", base.Utility, planner.PeriodUtility(directSched))
 	}
-	for _, engine := range []string{EngineLazy, EngineParallel} {
-		got, err := cli.Plan("acme", PlanRequest{Fingerprint: sub.Fingerprint, Engine: engine, Workers: 3})
+	for _, req := range []PlanRequest{
+		{Engine: EngineLazy, Workers: 3},
+		{Engine: EngineParallel, Workers: 0},
+		{Engine: EngineParallel, Workers: 1},
+		{Engine: EngineParallel, Workers: 3},
+	} {
+		label := fmt.Sprintf("%s workers=%d", req.Engine, req.Workers)
+		req.Fingerprint = sub.Fingerprint
+		got, err := cli.Plan("acme", req)
 		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		mustEqualSchedules(t, engine, got.Schedule, base.Schedule)
+		if got.Engine != req.Engine {
+			t.Fatalf("%s: response echoes engine %q", label, got.Engine)
+		}
+		mustEqualSchedules(t, label, got.Schedule, base.Schedule)
 		if !sameBits(got.Utility, base.Utility) {
-			t.Fatalf("%s: utility %v, want %v", engine, got.Utility, base.Utility)
+			t.Fatalf("%s: utility %v, want %v", label, got.Utility, base.Utility)
 		}
 	}
 	inc, err := cli.Plan("acme", PlanRequest{Fingerprint: sub.Fingerprint, Engine: EngineIncremental})

@@ -175,8 +175,9 @@ const (
 	// EngineLazy is the one-shot CELF lazy greedy
 	// (cool.AlgorithmLazyGreedy).
 	EngineLazy = "lazy"
-	// EngineParallel is the sharded-scan parallel greedy
-	// (cool.AlgorithmParallelGreedy), bit-identical to EngineGreedy.
+	// EngineParallel is the lazy greedy with its initial marginal
+	// evaluation sharded across Workers goroutines
+	// (cool.AlgorithmParallelLazyGreedy), bit-identical to EngineGreedy.
 	EngineParallel = "parallel"
 
 	// EngineHEF is the high-energy-first lifetime scheduler
@@ -206,7 +207,8 @@ type PlanRequest struct {
 	// EngineIncremental under the utility objective and EngineHEF
 	// under the lifetime objective.
 	Engine string `json:"engine,omitempty"`
-	// Workers bounds EngineParallel's scan concurrency (<= 0 NumCPU).
+	// Workers bounds EngineParallel's fill concurrency (<= 0 NumCPU);
+	// other engines ignore it.
 	Workers int `json:"workers,omitempty"`
 	// Objective selects what to optimize: "" or ObjectiveUtility for
 	// the per-period submodular utility (the historical behavior), or

@@ -459,7 +459,7 @@ func (d *deployment) ensureInc() error {
 var oneShotEngines = map[string]cool.PlanRequest{
 	EngineGreedy:        {Objective: cool.ObjectiveUtility, Algorithm: cool.AlgorithmGreedy},
 	EngineLazy:          {Objective: cool.ObjectiveUtility, Algorithm: cool.AlgorithmLazyGreedy},
-	EngineParallel:      {Objective: cool.ObjectiveUtility, Algorithm: cool.AlgorithmParallelGreedy},
+	EngineParallel:      {Objective: cool.ObjectiveUtility, Algorithm: cool.AlgorithmParallelLazyGreedy},
 	EngineHEF:           {Objective: cool.ObjectiveLifetime, Algorithm: cool.AlgorithmHEF},
 	EngineStripCover:    {Objective: cool.ObjectiveLifetime, Algorithm: cool.AlgorithmStripCover},
 	EngineLifetimeExact: {Objective: cool.ObjectiveLifetime, Algorithm: cool.AlgorithmLifetimeExact},

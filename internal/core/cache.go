@@ -13,11 +13,6 @@ package core
 // hill-climb from O(n·T) oracle calls per step (the seed's
 // ReferenceGreedy) to O(n), while the argmax/argmin selection becomes a
 // pure O(n·T) array scan.
-//
-// The cache is also the unit of sharding for the parallel engine:
-// workers own disjoint sensor ranges [lo, hi) of each column, so
-// fillSlot and the range scans below are data-race-free by
-// construction.
 type marginCache struct {
 	n, T int
 	// vals[t*n+v] is the cached marginal of sensor v at slot t.
@@ -38,11 +33,11 @@ func (c *marginCache) at(v, t int) float64 { return c.vals[t*c.n+v] }
 func (c *marginCache) column(t int) []float64 { return c.vals[t*c.n : (t+1)*c.n] }
 
 // fillSlot recomputes slot t's column for the still-unassigned sensors
-// in [lo, hi) using eval (an oracle's Gain or Loss method). Entries of
-// assigned sensors are left stale; every scan skips them.
-func (c *marginCache) fillSlot(t, lo, hi int, assign []int, eval func(v int) float64) {
+// using eval (an oracle's Gain or Loss method). Entries of assigned
+// sensors are left stale; every scan skips them.
+func (c *marginCache) fillSlot(t int, assign []int, eval func(v int) float64) {
 	base := t * c.n
-	for v := lo; v < hi; v++ {
+	for v := 0; v < c.n; v++ {
 		if assign[v] < 0 {
 			c.vals[base+v] = eval(v)
 		}
@@ -50,101 +45,10 @@ func (c *marginCache) fillSlot(t, lo, hi int, assign []int, eval func(v int) flo
 }
 
 // candidate is one (sensor, slot, marginal) selection result. v < 0
-// means "no candidate in range".
+// means "no candidate".
 type candidate struct {
 	v, t  int
 	value float64
-}
-
-// argmaxRange returns the maximum-gain candidate among unassigned
-// sensors in [lo, hi), scanning sensors then slots in ascending order
-// with a strict > comparison — ties therefore resolve to the lowest
-// (v, t) pair, exactly like the seed's eager scan, which keeps every
-// engine (sequential, lazy, parallel) bit-identical. The parallel
-// engine now scans compacted pending sublists (argmaxPending); the
-// dense range scan is retained as the differential reference the
-// pending-list scans are tested against.
-func (c *marginCache) argmaxRange(lo, hi int, assign []int) candidate {
-	best := candidate{v: -1, t: -1, value: -1}
-	for v := lo; v < hi; v++ {
-		if assign[v] >= 0 {
-			continue
-		}
-		row := v
-		for t := 0; t < c.T; t++ {
-			if g := c.vals[t*c.n+row]; g > best.value {
-				best = candidate{v: v, t: t, value: g}
-			}
-		}
-	}
-	return best
-}
-
-// argminRange is the removal-mode dual of argmaxRange: the minimum-loss
-// candidate among unassigned sensors in [lo, hi), ties to the lowest
-// (v, t).
-func (c *marginCache) argminRange(lo, hi int, assign []int) candidate {
-	best := candidate{v: -1, t: -1}
-	found := false
-	for v := lo; v < hi; v++ {
-		if assign[v] >= 0 {
-			continue
-		}
-		for t := 0; t < c.T; t++ {
-			if l := c.vals[t*c.n+v]; !found || l < best.value {
-				best = candidate{v: v, t: t, value: l}
-				found = true
-			}
-		}
-	}
-	return best
-}
-
-// fillSlotPending recomputes slot t's column entries for exactly the
-// sensors in pending — a worker's compacted ascending sublist of
-// still-unassigned sensors — using eval (an oracle's Gain or Loss
-// method). It is the pending-list counterpart of fillSlot: same
-// entries written in the same ascending order, minus the dead
-// assigned-sensor iterations and their skip branch.
-func (c *marginCache) fillSlotPending(t int, pending []int, eval func(v int) float64) {
-	base := t * c.n
-	for _, v := range pending {
-		c.vals[base+v] = eval(v)
-	}
-}
-
-// argmaxPending returns the maximum-gain candidate over pending × all
-// slots, scanning sensors then slots in ascending order with a strict
-// > comparison — the pending-list counterpart of argmaxRange. Because
-// pending preserves ascending sensor order and contains exactly the
-// unassigned sensors of its owner's range, the scan visits the same
-// live (v, t) pairs in the same order as argmaxRange over that range,
-// so the result (including every tie-break) is identical.
-func (c *marginCache) argmaxPending(pending []int) candidate {
-	best := candidate{v: -1, t: -1, value: -1}
-	for _, v := range pending {
-		for t := 0; t < c.T; t++ {
-			if g := c.vals[t*c.n+v]; g > best.value {
-				best = candidate{v: v, t: t, value: g}
-			}
-		}
-	}
-	return best
-}
-
-// argminPending is the removal-mode dual of argmaxPending.
-func (c *marginCache) argminPending(pending []int) candidate {
-	best := candidate{v: -1, t: -1}
-	found := false
-	for _, v := range pending {
-		for t := 0; t < c.T; t++ {
-			if l := c.vals[t*c.n+v]; !found || l < best.value {
-				best = candidate{v: v, t: t, value: l}
-				found = true
-			}
-		}
-	}
-	return best
 }
 
 // argmaxColumn returns slot t's best candidate among the sensors in
@@ -230,53 +134,4 @@ func bestOfColumnsMin(cols []candidate) candidate {
 		}
 	}
 	return best
-}
-
-// mergeMax combines per-worker argmax candidates into the global best.
-// locals must be ordered by ascending sensor range so that the strict >
-// comparison reproduces the lowest-(v, t) tie-break of a single global
-// scan.
-func mergeMax(locals []candidate) candidate {
-	best := candidate{v: -1, t: -1, value: -1}
-	for _, c := range locals {
-		if c.v >= 0 && c.value > best.value {
-			best = c
-		}
-	}
-	return best
-}
-
-// mergeMin is the removal-mode dual of mergeMax.
-func mergeMin(locals []candidate) candidate {
-	best := candidate{v: -1, t: -1}
-	found := false
-	for _, c := range locals {
-		if c.v >= 0 && (!found || c.value < best.value) {
-			best = c
-			found = true
-		}
-	}
-	return best
-}
-
-// chunkBounds splits [0, n) into k near-equal contiguous ranges,
-// returning k+1 boundaries (bounds[w] .. bounds[w+1] is worker w's
-// range). k is clamped to n so no range is empty.
-func chunkBounds(n, k int) []int {
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
-	bounds := make([]int, k+1)
-	base, rem := n/k, n%k
-	for w := 0; w < k; w++ {
-		size := base
-		if w < rem {
-			size++
-		}
-		bounds[w+1] = bounds[w] + size
-	}
-	return bounds
 }

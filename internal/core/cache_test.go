@@ -26,17 +26,19 @@ func TestMarginCachePlacementMatchesFresh(t *testing.T) {
 	assign := newAssignment(in.N)
 	cache := newMarginCache(in.N, T)
 	for tt := 0; tt < T; tt++ {
-		cache.fillSlot(tt, 0, in.N, assign, oracles[tt].Gain)
+		cache.fillSlot(tt, assign, oracles[tt].Gain)
 	}
 	checkAgainstFresh(t, in, cache, assign, false)
+	pending := newPending(in.N)
 	for step := 0; step < in.N; step++ {
-		best := cache.argmaxRange(0, in.N, assign)
-		if best.v < 0 {
-			t.Fatalf("no candidate at step %d", step)
+		best := columnArgmax(cache, pending)
+		if want := denseArgmax(cache, assign); best != want || best.v < 0 {
+			t.Fatalf("step %d: column scans chose %+v, dense scan %+v", step, best, want)
 		}
 		oracles[best.t].Add(best.v)
 		assign[best.v] = best.t
-		cache.fillSlot(best.t, 0, in.N, assign, oracles[best.t].Gain)
+		pending = dropPending(pending, best.v)
+		cache.fillSlot(best.t, assign, oracles[best.t].Gain)
 		checkAgainstFresh(t, in, cache, assign, false)
 	}
 }
@@ -57,17 +59,19 @@ func TestMarginCacheRemovalMatchesFresh(t *testing.T) {
 	assign := newAssignment(in.N)
 	cache := newMarginCache(in.N, T)
 	for tt := 0; tt < T; tt++ {
-		cache.fillSlot(tt, 0, in.N, assign, oracles[tt].Loss)
+		cache.fillSlot(tt, assign, oracles[tt].Loss)
 	}
 	checkAgainstFresh(t, in, cache, assign, true)
+	pending := newPending(in.N)
 	for step := 0; step < in.N; step++ {
-		best := cache.argminRange(0, in.N, assign)
-		if best.v < 0 {
-			t.Fatalf("no candidate at step %d", step)
+		best := columnArgmin(cache, pending)
+		if want := denseArgmin(cache, assign); best != want || best.v < 0 {
+			t.Fatalf("step %d: column scans chose %+v, dense scan %+v", step, best, want)
 		}
 		oracles[best.t].Remove(best.v)
 		assign[best.v] = best.t
-		cache.fillSlot(best.t, 0, in.N, assign, oracles[best.t].Loss)
+		pending = dropPending(pending, best.v)
+		cache.fillSlot(best.t, assign, oracles[best.t].Loss)
 		checkAgainstFresh(t, in, cache, assign, true)
 	}
 }
@@ -141,27 +145,29 @@ func TestChunkBounds(t *testing.T) {
 	}
 }
 
-// TestMergeTieBreak verifies that merging per-worker candidates in
-// range order reproduces the sequential scan's lowest-(v, t) tie-break:
-// with equal values, the earlier range's candidate must win.
+// TestMergeTieBreak verifies that merging per-column candidates
+// reproduces the dense scan's lowest-(v, t) tie-break: with equal
+// values the lower sensor wins even from a later column, an equal
+// sensor keeps the earlier column, and empty columns (v = -1) are
+// skipped.
 func TestMergeTieBreak(t *testing.T) {
-	locals := []candidate{
-		{v: 5, t: 1, value: 2},
+	cols := []candidate{
 		{v: 9, t: 0, value: 2},
+		{v: 5, t: 1, value: 2},
+		{v: 5, t: 2, value: 2},
 	}
-	if got := mergeMax(locals); got.v != 5 || got.t != 1 {
-		t.Errorf("mergeMax tie: got (%d,%d), want (5,1)", got.v, got.t)
+	if got := bestOfColumnsMax(cols); got.v != 5 || got.t != 1 {
+		t.Errorf("bestOfColumnsMax tie: got (%d,%d), want (5,1)", got.v, got.t)
 	}
-	if got := mergeMin(locals); got.v != 5 || got.t != 1 {
-		t.Errorf("mergeMin tie: got (%d,%d), want (5,1)", got.v, got.t)
+	if got := bestOfColumnsMin(cols); got.v != 5 || got.t != 1 {
+		t.Errorf("bestOfColumnsMin tie: got (%d,%d), want (5,1)", got.v, got.t)
 	}
-	// Empty ranges (v = -1) must be skipped.
-	locals = []candidate{{v: -1}, {v: 3, t: 2, value: 1}}
-	if got := mergeMax(locals); got.v != 3 {
-		t.Errorf("mergeMax skipped wrong candidate: %+v", got)
+	cols = []candidate{{v: -1}, {v: 3, t: 1, value: 1}}
+	if got := bestOfColumnsMax(cols); got.v != 3 {
+		t.Errorf("bestOfColumnsMax skipped wrong candidate: %+v", got)
 	}
-	locals = []candidate{{v: -1}, {v: 3, t: 2, value: -1}}
-	if got := mergeMin(locals); got.v != 3 {
-		t.Errorf("mergeMin skipped wrong candidate: %+v", got)
+	cols = []candidate{{v: -1}, {v: 3, t: 1, value: -1}}
+	if got := bestOfColumnsMin(cols); got.v != 3 {
+		t.Errorf("bestOfColumnsMin skipped wrong candidate: %+v", got)
 	}
 }

@@ -87,11 +87,11 @@ func FuzzEngineEquivalence(f *testing.F) {
 		wantUtil := want.PeriodUtility(in.Factory)
 
 		engines := map[string]func() (*Schedule, error){
-			"ReferenceGreedy":  func() (*Schedule, error) { return ReferenceGreedy(in) },
-			"ParallelGreedy-2": func() (*Schedule, error) { return ParallelGreedy(in, 2) },
-			"ParallelGreedy-4": func() (*Schedule, error) { return ParallelGreedy(in, 4) },
-			"ParallelLazy-3":   func() (*Schedule, error) { return ParallelLazyGreedy(in, 3) },
-			"LazyGreedy":       func() (*Schedule, error) { return LazyGreedy(in) },
+			"ReferenceGreedy": func() (*Schedule, error) { return ReferenceGreedy(in) },
+			"ParallelLazy-2":  func() (*Schedule, error) { return ParallelLazyGreedy(in, 2) },
+			"ParallelLazy-3":  func() (*Schedule, error) { return ParallelLazyGreedy(in, 3) },
+			"ParallelLazy-4":  func() (*Schedule, error) { return ParallelLazyGreedy(in, 4) },
+			"LazyGreedy":      func() (*Schedule, error) { return LazyGreedy(in) },
 		}
 		if ModeFor(p) == ModeRemoval {
 			engines["LazyGreedyRemoval"] = func() (*Schedule, error) { return LazyGreedyRemoval(in) }

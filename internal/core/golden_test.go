@@ -193,14 +193,13 @@ func buildGoldenInstance(t *testing.T, scn goldenScenario) Instance {
 // goldenEngines returns the named engines applicable to the instance's
 // regime. Every engine must produce the same schedule.
 func goldenEngines(in Instance) map[string]func() (*Schedule, error) {
-	const workers = 3 // >1 so the sharded paths actually run
+	// Worker counts > 1 so the sharded fill actually runs.
 	engines := map[string]func() (*Schedule, error){
-		"Greedy":            func() (*Schedule, error) { return Greedy(in) },
-		"ReferenceGreedy":   func() (*Schedule, error) { return ReferenceGreedy(in) },
-		"ParallelGreedy":    func() (*Schedule, error) { return ParallelGreedy(in, workers) },
-		"ParallelLazy":      func() (*Schedule, error) { return ParallelLazyGreedy(in, workers) },
-		"ParallelGreedy-x5": func() (*Schedule, error) { return ParallelGreedy(in, 5) },
-		"LazyGreedy":        func() (*Schedule, error) { return LazyGreedy(in) },
+		"Greedy":          func() (*Schedule, error) { return Greedy(in) },
+		"ReferenceGreedy": func() (*Schedule, error) { return ReferenceGreedy(in) },
+		"ParallelLazy":    func() (*Schedule, error) { return ParallelLazyGreedy(in, 3) },
+		"ParallelLazy-x5": func() (*Schedule, error) { return ParallelLazyGreedy(in, 5) },
+		"LazyGreedy":      func() (*Schedule, error) { return LazyGreedy(in) },
 		"Greedy-full-refresh": func() (*Schedule, error) {
 			return Greedy(Instance{N: in.N, Period: in.Period, Factory: func() submodular.RemovalOracle {
 				return noSparseOracle{in.Factory()}

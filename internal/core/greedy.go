@@ -112,14 +112,14 @@ func fillColumn(cache *marginCache, t int, o submodular.RemovalOracle, assign []
 			b.BulkLoss(cache.column(t))
 			return
 		}
-		cache.fillSlot(t, 0, cache.n, assign, o.Loss)
+		cache.fillSlot(t, assign, o.Loss)
 		return
 	}
 	if b, ok := o.(submodular.BulkGainer); ok {
 		b.BulkGain(cache.column(t))
 		return
 	}
-	cache.fillSlot(t, 0, cache.n, assign, o.Gain)
+	cache.fillSlot(t, assign, o.Gain)
 }
 
 // refreshColumnAfter refreshes slot t's cache column after its oracle
@@ -228,18 +228,6 @@ func newPending(n int) []int {
 	return pending
 }
 
-// rangePending returns the ascending list of the sensors in [lo, hi) —
-// one parallel worker's compacted sublist of its static sensor range,
-// shrunk by dropPending as sensors are scheduled, mirroring the
-// sequential engine's newPending over the full ground set.
-func rangePending(lo, hi int) []int {
-	pending := make([]int, hi-lo)
-	for i := range pending {
-		pending[i] = lo + i
-	}
-	return pending
-}
-
 // GreedySubset computes the greedy schedule over a sub-population:
 // sensors with present[v] == false receive the Absent assignment and
 // never enter any oracle, and the greedy runs over the survivors
@@ -309,9 +297,9 @@ func GreedySubset(in Instance, present []bool) (*Schedule, error) {
 // ReferenceGreedy computes the same schedule as Greedy with the seed's
 // uncached eager scan: every step re-evaluates Gain/Loss for all
 // unassigned (sensor, slot) pairs, O(n²·T·deg) total. It is retained as
-// the correctness and performance yardstick for the cached and parallel
-// engines — determinism tests assert bit-identical schedules against
-// it, and BENCH_parallel.json reports speedups relative to it.
+// the correctness and performance yardstick for the cached, lazy and
+// parallel engines — determinism tests assert bit-identical schedules
+// against it, and BenchmarkGreedyParallel times them against it.
 func ReferenceGreedy(in Instance) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err

@@ -25,10 +25,10 @@ func assertSameSchedule(t *testing.T, label string, want, got *Schedule) {
 	}
 }
 
-// TestParallelGreedyMatchesSequential is the tentpole determinism test:
-// for placement (ρ = 3, 7) and removal (ρ = 0.5) instances, every
-// worker count returns exactly the schedule of the cached sequential
-// greedy, which in turn equals the seed's uncached reference scan.
+// TestParallelGreedyMatchesSequential is the determinism test: for
+// placement (ρ = 3, 7) and removal (ρ = 0.5) instances, the cached
+// sequential greedy equals the seed's uncached reference scan, and the
+// parallel engine returns exactly that schedule at every worker count.
 func TestParallelGreedyMatchesSequential(t *testing.T) {
 	rng := stats.NewRNG(101)
 	for _, rho := range []float64{3, 7, 0.5} {
@@ -43,7 +43,7 @@ func TestParallelGreedyMatchesSequential(t *testing.T) {
 		}
 		assertSameSchedule(t, "cached vs reference", ref, want)
 		for _, w := range workerCounts {
-			got, err := ParallelGreedy(in, w)
+			got, err := ParallelLazyGreedy(in, w)
 			if err != nil {
 				t.Fatalf("rho=%v workers=%d: %v", rho, w, err)
 			}
@@ -70,76 +70,92 @@ func TestParallelLazyGreedyMatchesLazy(t *testing.T) {
 	}
 }
 
-// TestParallelGreedyCloneReplicaPath exercises the Clone-based fallback
-// for oracles that do not advertise concurrent read-safety: EvalOracle
-// deliberately does not, so each worker must run on its own replica and
-// still reproduce the sequential schedule exactly.
-func TestParallelGreedyCloneReplicaPath(t *testing.T) {
-	sizes := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
+// evalInstance builds an instance over EvalOracle, which deliberately
+// does not advertise concurrent read-safety.
+func evalInstance(t *testing.T, sizes []float64, rho float64) Instance {
+	t.Helper()
 	fn, err := submodular.NewLogSumUtility(sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := Instance{
+		N:       len(sizes),
+		Period:  period(t, rho),
+		Factory: func() submodular.RemovalOracle { return submodular.NewEvalOracle(fn) },
+	}
+	if submodular.ReadsAreConcurrentSafe(in.Factory()) {
+		t.Fatal("EvalOracle unexpectedly advertises read-safety; test no longer covers the replica path")
+	}
+	return in
+}
+
+// TestParallelGreedyCloneReplicaPath exercises the Clone-based fallback
+// for oracles that do not advertise concurrent read-safety: each worker
+// must run on its own replica and still reproduce the sequential
+// schedule exactly.
+func TestParallelGreedyCloneReplicaPath(t *testing.T) {
 	for _, rho := range []float64{3, 0.5} {
-		in := Instance{
-			N:       len(sizes),
-			Period:  period(t, rho),
-			Factory: func() submodular.RemovalOracle { return submodular.NewEvalOracle(fn) },
-		}
-		if submodular.ReadsAreConcurrentSafe(in.Factory()) {
-			t.Fatal("EvalOracle unexpectedly advertises read-safety; test no longer covers the replica path")
-		}
+		in := evalInstance(t, []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}, rho)
 		want, err := Greedy(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 4} {
-			got, err := ParallelGreedy(in, w)
+			got, err := ParallelLazyGreedy(in, w)
 			if err != nil {
 				t.Fatalf("rho=%v workers=%d: %v", rho, w, err)
 			}
 			assertSameSchedule(t, "replica path", want, got)
-			lazyGot, err := ParallelLazyGreedy(in, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lazyGot.PeriodUtility(in.Factory) != want.PeriodUtility(in.Factory) {
-				t.Errorf("rho=%v workers=%d: lazy parallel utility %v != %v",
-					rho, w, lazyGot.PeriodUtility(in.Factory), want.PeriodUtility(in.Factory))
-			}
 		}
 	}
 }
 
-// TestParallelGreedySharedPath pins down that the detection oracles do
-// take the shared-oracle fast path (they advertise read-safety), so the
-// suite covers both sharing strategies.
+// TestParallelGreedySharedPath pins down both sharing strategies:
+// detection oracles advertise read-safety, so every worker aliases the
+// base set; EvalOracle does not, so every further worker holds its own
+// replica mirroring the base state (here the removal-mode full set).
 func TestParallelGreedySharedPath(t *testing.T) {
 	rng := stats.NewRNG(7)
 	in, _ := detectionInstance(t, rng, 8, 3, 3)
 	if !submodular.ReadsAreConcurrentSafe(in.Factory()) {
 		t.Fatal("detection oracle stopped advertising read-safety; shared path untested")
 	}
-	shards, err := buildShards(in, 3, false)
+	sets, err := workerOracles(in, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !shards.shared {
-		t.Error("buildShards did not share read-safe oracles")
+	for w := 1; w < 3; w++ {
+		for tt := range sets[w] {
+			if sets[w][tt] != sets[0][tt] {
+				t.Errorf("worker %d slot %d holds a replica despite read-safety", w, tt)
+			}
+		}
+	}
+
+	ev := evalInstance(t, []float64{1, 2, 3, 4, 5, 6}, 0.5)
+	sets, err = workerOracles(ev, 3, true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for w := 1; w < 3; w++ {
-		for tt := range shards.sets[w] {
-			if shards.sets[w][tt] != shards.sets[0][tt] {
-				t.Errorf("worker %d slot %d holds a replica despite read-safety", w, tt)
+		for tt, o := range sets[w] {
+			base := sets[0][tt]
+			if o == base {
+				t.Fatalf("worker %d slot %d aliases a non-read-safe oracle", w, tt)
+			}
+			if o.Value() != base.Value() {
+				t.Errorf("worker %d slot %d: replica Value %v != base %v", w, tt, o.Value(), base.Value())
+			}
+			for v := 0; v < ev.N; v++ {
+				if !o.Contains(v) {
+					t.Errorf("worker %d slot %d: replica lacks sensor %d of the full set", w, tt, v)
+				}
 			}
 		}
 	}
 }
 
 func TestParallelGreedyValidatesInstance(t *testing.T) {
-	if _, err := ParallelGreedy(Instance{}, 4); err == nil {
-		t.Error("invalid instance accepted by ParallelGreedy")
-	}
 	if _, err := ParallelLazyGreedy(Instance{}, 4); err == nil {
 		t.Error("invalid instance accepted by ParallelLazyGreedy")
 	}
@@ -153,7 +169,7 @@ func TestParallelGreedyWorkerClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParallelGreedy(in, 16)
+	got, err := ParallelLazyGreedy(in, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

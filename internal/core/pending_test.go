@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// These tests pin the compacted pending-list scans to the dense range
-// scans they replaced: identical results (including every tie-break)
-// on random caches, and zero allocations in the steady-state scan the
-// parallel engine runs every step.
+// These tests pin the sequential engine's selection — one argmax (or
+// argmin) per column over the compacted pending list, merged by
+// bestOfColumnsMax (Min) — to a dense v-major scan of the whole cache:
+// identical results, including every lowest-(v, t) tie-break, on
+// random caches, and zero allocations in the column scans the engine
+// runs every step.
 
 // randomCacheState builds a cache with random marginals, a random
-// assignment, and the matching compacted ascending pending list for
-// [lo, hi).
-func randomCacheState(rng *rand.Rand, n, T, lo, hi int) (*marginCache, []int, []int) {
+// assignment, and the matching compacted ascending pending list.
+func randomCacheState(rng *rand.Rand, n, T int) (*marginCache, []int, []int) {
 	cache := newMarginCache(n, T)
 	for i := range cache.vals {
 		// Coarse quantization forces frequent exact ties, stressing the
@@ -21,20 +22,71 @@ func randomCacheState(rng *rand.Rand, n, T, lo, hi int) (*marginCache, []int, []
 		cache.vals[i] = float64(rng.Intn(8))
 	}
 	assign := make([]int, n)
+	var pending []int
 	for v := range assign {
+		assign[v] = -1
 		if rng.Intn(3) == 0 {
 			assign[v] = rng.Intn(T)
 		} else {
-			assign[v] = -1
-		}
-	}
-	var pending []int
-	for v := lo; v < hi; v++ {
-		if assign[v] < 0 {
 			pending = append(pending, v)
 		}
 	}
 	return cache, assign, pending
+}
+
+// denseArgmax is the seed's eager selection over a cache: the
+// maximum-gain candidate among unassigned sensors, scanning sensors
+// then slots in ascending order with a strict > comparison, so ties
+// resolve to the lowest (v, t).
+func denseArgmax(c *marginCache, assign []int) candidate {
+	best := candidate{v: -1, t: -1, value: -1}
+	for v := 0; v < c.n; v++ {
+		if assign[v] >= 0 {
+			continue
+		}
+		for t := 0; t < c.T; t++ {
+			if g := c.at(v, t); g > best.value {
+				best = candidate{v: v, t: t, value: g}
+			}
+		}
+	}
+	return best
+}
+
+// denseArgmin is the removal-mode dual of denseArgmax.
+func denseArgmin(c *marginCache, assign []int) candidate {
+	best := candidate{v: -1, t: -1}
+	found := false
+	for v := 0; v < c.n; v++ {
+		if assign[v] >= 0 {
+			continue
+		}
+		for t := 0; t < c.T; t++ {
+			if l := c.at(v, t); !found || l < best.value {
+				best = candidate{v: v, t: t, value: l}
+				found = true
+			}
+		}
+	}
+	return best
+}
+
+// columnArgmax and columnArgmin run the sequential engine's selection
+// from scratch: one scan per column, merged across columns.
+func columnArgmax(c *marginCache, pending []int) candidate {
+	cols := make([]candidate, c.T)
+	for t := range cols {
+		cols[t] = c.argmaxColumn(t, pending)
+	}
+	return bestOfColumnsMax(cols)
+}
+
+func columnArgmin(c *marginCache, pending []int) candidate {
+	cols := make([]candidate, c.T)
+	for t := range cols {
+		cols[t] = c.argminColumn(t, pending)
+	}
+	return bestOfColumnsMin(cols)
 }
 
 func TestPendingScansMatchRangeScans(t *testing.T) {
@@ -42,42 +94,13 @@ func TestPendingScansMatchRangeScans(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(40)
 		T := 1 + rng.Intn(6)
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo+1)
-		cache, assign, pending := randomCacheState(rng, n, T, lo, hi)
+		cache, assign, pending := randomCacheState(rng, n, T)
 
-		gotMax := cache.argmaxPending(pending)
-		wantMax := cache.argmaxRange(lo, hi, assign)
-		if gotMax != wantMax {
-			t.Fatalf("trial %d: argmaxPending %+v != argmaxRange %+v", trial, gotMax, wantMax)
+		if got, want := columnArgmax(cache, pending), denseArgmax(cache, assign); got != want {
+			t.Fatalf("trial %d: column argmax %+v != dense scan %+v", trial, got, want)
 		}
-		gotMin := cache.argminPending(pending)
-		wantMin := cache.argminRange(lo, hi, assign)
-		if gotMin != wantMin {
-			t.Fatalf("trial %d: argminPending %+v != argminRange %+v", trial, gotMin, wantMin)
-		}
-	}
-}
-
-func TestFillSlotPendingMatchesFillSlot(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(30)
-		T := 1 + rng.Intn(4)
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo+1)
-		cache, assign, pending := randomCacheState(rng, n, T, lo, hi)
-		ref := newMarginCache(n, T)
-		copy(ref.vals, cache.vals)
-
-		eval := func(v int) float64 { return float64(v*31%17) * 0.5 }
-		slot := rng.Intn(T)
-		cache.fillSlotPending(slot, pending, eval)
-		ref.fillSlot(slot, lo, hi, assign, eval)
-		for i := range cache.vals {
-			if cache.vals[i] != ref.vals[i] {
-				t.Fatalf("trial %d: vals[%d] = %v, dense reference %v", trial, i, cache.vals[i], ref.vals[i])
-			}
+		if got, want := columnArgmin(cache, pending), denseArgmin(cache, assign); got != want {
+			t.Fatalf("trial %d: column argmin %+v != dense scan %+v", trial, got, want)
 		}
 	}
 }
@@ -100,19 +123,13 @@ func TestDropPendingPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestPendingScanZeroAlloc gates the parallel engine's steady-state
-// step at zero allocations: the per-worker column refresh over the
-// compacted sublist and both pending scans must reuse the worker's
-// buffers only.
+// TestPendingScanZeroAlloc gates the sequential engine's steady-state
+// column scans at zero allocations.
 func TestPendingScanZeroAlloc(t *testing.T) {
 	const n, T = 512, 6
 	rng := rand.New(rand.NewSource(5))
-	cache, _, pending := randomCacheState(rng, n, T, 0, n)
-	eval := func(v int) float64 { return float64(v) }
+	cache, _, pending := randomCacheState(rng, n, T)
 	if a := testing.AllocsPerRun(100, func() {
-		cache.fillSlotPending(2, pending, eval)
-		_ = cache.argmaxPending(pending)
-		_ = cache.argminPending(pending)
 		_ = cache.argmaxColumn(1, pending)
 		_ = cache.argminColumn(1, pending)
 	}); a != 0 {

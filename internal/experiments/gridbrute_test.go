@@ -78,9 +78,6 @@ func TestScheduleBitIdentityGridVsBrute(t *testing.T) {
 				{"ReferenceGreedy", core.ReferenceGreedy},
 				{"Greedy", core.Greedy},
 				{"LazyGreedy", core.LazyGreedy},
-				{"ParallelGreedy", func(in core.Instance) (*core.Schedule, error) {
-					return core.ParallelGreedy(in, 4)
-				}},
 			} {
 				g, err := pl.run(gridIn)
 				if err != nil {

@@ -99,38 +99,3 @@ func TestFig7WorkerInvariance(t *testing.T) {
 		t.Error("fig7 differs across worker counts")
 	}
 }
-
-func TestParallelBenchQuick(t *testing.T) {
-	fig, res, err := ParallelBench(ParallelBenchConfig{
-		Sensors:  40,
-		Targets:  6,
-		Iters:    1,
-		SimSlots: 24,
-		SimReps:  4,
-		Workers:  2,
-		Seed:     11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.SchedulesIdentical {
-		t.Error("engines disagreed on a quick workload")
-	}
-	if res.Workers != 2 {
-		t.Errorf("resolved workers %d, want 2", res.Workers)
-	}
-	if res.Slots != 8 {
-		t.Errorf("rho=7 should give 8 slots, got %d", res.Slots)
-	}
-	if res.GreedyReferenceNsOp <= 0 || res.GreedySequentialNsOp <= 0 ||
-		res.GreedyParallelNsOp <= 0 || res.SimSequentialNsOp <= 0 ||
-		res.SimParallelNsOp <= 0 {
-		t.Errorf("non-positive timing in %+v", res)
-	}
-	if len(fig.Series) != 5 {
-		t.Errorf("figure has %d series, want 5", len(fig.Series))
-	}
-	if _, _, err := ParallelBench(ParallelBenchConfig{Sensors: -1}); err == nil {
-		t.Error("invalid config accepted")
-	}
-}

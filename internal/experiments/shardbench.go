@@ -545,3 +545,15 @@ func ShardBench(cfg ShardConfig) (*Figure, *ShardResult, error) {
 	}
 	return fig, res, nil
 }
+
+func assignEqual(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -9,9 +9,6 @@ import (
 // published verdict false is an error naming the verdict and the case,
 // and the same result with every verdict true is not.
 func TestFalseVerdictIsError(t *testing.T) {
-	parallel := func() *ParallelBenchResult {
-		return &ParallelBenchResult{Sensors: 80, Workers: 2, SchedulesIdentical: true}
-	}
 	shard := func() *ShardResult {
 		return &ShardResult{
 			PlanGroups: []ShardPlanGroup{{Sensors: 1200, Engine: "eager", K1Identical: true,
@@ -30,7 +27,7 @@ func TestFalseVerdictIsError(t *testing.T) {
 			{Name: "scaled", SchedulesFeasible: true, ExactIsMax: true, PlannersBeatUtility: true},
 		}}
 	}
-	for _, good := range []interface{ verdictErr() error }{parallel(), shard(), replan(), lifetime()} {
+	for _, good := range []interface{ verdictErr() error }{shard(), replan(), lifetime()} {
 		if err := good.verdictErr(); err != nil {
 			t.Errorf("%T with every verdict true: %v", good, err)
 		}
@@ -40,11 +37,6 @@ func TestFalseVerdictIsError(t *testing.T) {
 		verdict, where string
 		bad            interface{ verdictErr() error }
 	}{
-		{"schedules_identical", "n=80 workers=2", func() *ParallelBenchResult {
-			r := parallel()
-			r.SchedulesIdentical = false
-			return r
-		}()},
 		{"k1_identical", "plan n=1200 engine=eager", func() *ShardResult {
 			r := shard()
 			r.PlanGroups[0].K1Identical = false

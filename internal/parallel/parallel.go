@@ -1,16 +1,16 @@
 // Package parallel provides the repository's shared bounded worker-pool
 // primitives: deterministic parallel-for loops over index ranges.
 //
-// Every concurrent fan-out in the library (the sharded greedy engine in
-// internal/core, the Monte-Carlo simulator in internal/sim, and the
+// Every concurrent fan-out in the library (the sharded lazy-greedy fill
+// in internal/core, the Monte-Carlo simulator in internal/sim, and the
 // per-point experiment sweeps in internal/experiments) funnels through
 // this package so that worker-count normalization, error propagation,
 // and panic safety are implemented exactly once.
 //
-// Determinism contract: For and ForChunks impose no ordering between
-// iterations, so callers must make every iteration independent — write
-// results to index-addressed slots, never append to shared slices, and
-// derive per-iteration RNG streams from the iteration index (see
+// Determinism contract: For imposes no ordering between iterations, so
+// callers must make every iteration independent — write results to
+// index-addressed slots, never append to shared slices, and derive
+// per-iteration RNG streams from the iteration index (see
 // stats.SplitMix64) rather than sharing a generator.
 package parallel
 
@@ -103,31 +103,4 @@ func For(workers, n int, fn func(i int) error) error {
 		panic(panicVal)
 	}
 	return firstErr
-}
-
-// ForChunks partitions [0, n) into at most workers contiguous chunks of
-// near-equal size and runs fn(lo, hi) for each chunk, following the same
-// error and panic semantics as For. It suits loops whose per-index work
-// is too cheap to schedule individually (e.g. the sharded gain scans of
-// the parallel greedy engine).
-func ForChunks(workers, n int, fn func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	return For(workers, workers, func(w int) error {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			return nil
-		}
-		return fn(lo, hi)
-	})
 }

@@ -78,39 +78,3 @@ func TestForPanicPropagates(t *testing.T) {
 		return nil
 	})
 }
-
-func TestForChunksCoversRangeExactly(t *testing.T) {
-	for _, workers := range []int{1, 3, 7, 16} {
-		const n = 103
-		var hits [n]atomic.Int32
-		if err := ForChunks(workers, n, func(lo, hi int) error {
-			if lo >= hi {
-				t.Errorf("empty chunk [%d,%d)", lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				hits[i].Add(1)
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range hits {
-			if c := hits[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d covered %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestForChunksError(t *testing.T) {
-	errBoom := errors.New("boom")
-	err := ForChunks(4, 100, func(lo, hi int) error {
-		if lo <= 50 && 50 < hi {
-			return errBoom
-		}
-		return nil
-	})
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("got %v, want errBoom", err)
-	}
-}

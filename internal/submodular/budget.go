@@ -72,7 +72,6 @@ var (
 	_ RemovalOracle = (*BudgetAdditiveOracle)(nil)
 	_ BulkGainer    = (*BudgetAdditiveOracle)(nil)
 	_ BulkLosser    = (*BudgetAdditiveOracle)(nil)
-	_ StateCopier   = (*BudgetAdditiveOracle)(nil)
 )
 
 // capped clamps a running sum into [0, budget]; the lower clamp absorbs
@@ -173,14 +172,4 @@ func (o *BudgetAdditiveOracle) ConcurrentReadSafe() bool { return true }
 // Clone implements Oracle.
 func (o *BudgetAdditiveOracle) Clone() Oracle {
 	return &BudgetAdditiveOracle{u: o.u, in: o.in.Clone(), sum: o.sum}
-}
-
-// CopyStateFrom implements StateCopier.
-func (o *BudgetAdditiveOracle) CopyStateFrom(src Oracle) bool {
-	s, ok := src.(*BudgetAdditiveOracle)
-	if !ok || s.u != o.u || !o.in.CopyFrom(s.in) {
-		return false
-	}
-	o.sum = s.sum
-	return true
 }

@@ -172,7 +172,7 @@ type CoverageOracle struct {
 	counts []int32
 	value  float64
 	// mark/epoch are the sparse-refresh dedup scratch (see
-	// DetectionOracle); pure scratch, never copied by CopyStateFrom.
+	// DetectionOracle).
 	mark  []uint32
 	epoch uint32
 }
@@ -181,7 +181,6 @@ var (
 	_ RemovalOracle            = (*CoverageOracle)(nil)
 	_ BulkGainer               = (*CoverageOracle)(nil)
 	_ BulkLosser               = (*CoverageOracle)(nil)
-	_ StateCopier              = (*CoverageOracle)(nil)
 	_ ConcurrentReadSafe       = (*CoverageOracle)(nil)
 	_ SparseGainRefresher      = (*CoverageOracle)(nil)
 	_ SparseLossRefresher      = (*CoverageOracle)(nil)
@@ -465,20 +464,4 @@ func (o *CoverageOracle) Clone() Oracle {
 		value:  o.value,
 		mark:   make([]uint32, len(o.mark)),
 	}
-}
-
-// CopyStateFrom implements StateCopier: it overwrites the oracle's set
-// state with src's without allocating, provided src is a
-// CoverageOracle over the same utility.
-func (o *CoverageOracle) CopyStateFrom(src Oracle) bool {
-	s, ok := src.(*CoverageOracle)
-	if !ok || s.u != o.u {
-		return false
-	}
-	if !o.in.CopyFrom(s.in) {
-		return false
-	}
-	copy(o.counts, s.counts)
-	o.value = s.value
-	return true
 }

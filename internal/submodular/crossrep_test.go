@@ -183,52 +183,3 @@ func TestBulkMarginalsBitIdentical(t *testing.T) {
 		check("coverage", randomCoverage(rng, n, m).Oracle())
 	}
 }
-
-// TestCopyStateFrom verifies the replica-pool adoption contract: a
-// fresh oracle adopting another's state answers every query
-// identically, and incompatible sources are refused.
-func TestCopyStateFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n, m := 40, 60
-	du := randomDetection(rng, n, m)
-	src := du.Oracle()
-	for v := 0; v < n; v += 2 {
-		src.Add(v)
-	}
-	dst := du.Oracle()
-	if !dst.CopyStateFrom(src) {
-		t.Fatal("CopyStateFrom refused a compatible source")
-	}
-	for v := 0; v < n; v++ {
-		if dst.Gain(v) != src.Gain(v) || dst.Loss(v) != src.Loss(v) || dst.Contains(v) != src.Contains(v) {
-			t.Fatalf("adopted oracle diverges at %d", v)
-		}
-	}
-	if dst.Value() != src.Value() {
-		t.Fatalf("adopted Value %v != %v", dst.Value(), src.Value())
-	}
-	// Different utility → refused.
-	other := randomDetection(rng, n, m).Oracle()
-	if other.CopyStateFrom(src) {
-		t.Fatal("CopyStateFrom accepted an oracle of a different utility")
-	}
-	// Different concrete type → refused.
-	cu := randomCoverage(rng, n, m)
-	if cu.Oracle().CopyStateFrom(src) {
-		t.Fatal("CopyStateFrom accepted a different oracle type")
-	}
-	// EvalOracle: same Function value required.
-	e1 := NewEvalOracle(du)
-	e1.Add(3)
-	e2 := NewEvalOracle(du)
-	if !e2.CopyStateFrom(e1) {
-		t.Fatal("EvalOracle.CopyStateFrom refused same-function source")
-	}
-	if e2.Value() != e1.Value() || !e2.Contains(3) {
-		t.Fatal("EvalOracle adoption lost state")
-	}
-	e3 := NewEvalOracle(randomDetection(rng, n, m))
-	if e3.CopyStateFrom(e1) {
-		t.Fatal("EvalOracle.CopyStateFrom accepted a different function")
-	}
-}

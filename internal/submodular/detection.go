@@ -194,7 +194,7 @@ type DetectionOracle struct {
 	// mark/epoch are the sparse-refresh dedup scratch: mark[v] == epoch
 	// means sensor v was already recomputed during the current
 	// SparseGainRefresh/SparseLossRefresh sweep. Pure scratch — never
-	// part of the set state, never copied by CopyStateFrom.
+	// part of the set state.
 	mark  []uint32
 	epoch uint32
 }
@@ -203,7 +203,6 @@ var (
 	_ RemovalOracle            = (*DetectionOracle)(nil)
 	_ BulkGainer               = (*DetectionOracle)(nil)
 	_ BulkLosser               = (*DetectionOracle)(nil)
-	_ StateCopier              = (*DetectionOracle)(nil)
 	_ ConcurrentReadSafe       = (*DetectionOracle)(nil)
 	_ SparseGainRefresher      = (*DetectionOracle)(nil)
 	_ SparseLossRefresher      = (*DetectionOracle)(nil)
@@ -537,22 +536,4 @@ func (o *DetectionOracle) Clone() Oracle {
 		value: o.value,
 		mark:  make([]uint32, len(o.mark)),
 	}
-}
-
-// CopyStateFrom implements StateCopier: it overwrites the oracle's set
-// state with src's without allocating, provided src is a
-// DetectionOracle over the same utility.
-func (o *DetectionOracle) CopyStateFrom(src Oracle) bool {
-	s, ok := src.(*DetectionOracle)
-	if !ok || s.u != o.u {
-		return false
-	}
-	if !o.in.CopyFrom(s.in) {
-		return false
-	}
-	copy(o.surv, s.surv)
-	copy(o.eff, s.eff)
-	copy(o.zeros, s.zeros)
-	o.value = s.value
-	return true
 }

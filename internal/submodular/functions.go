@@ -61,7 +61,6 @@ var (
 	_ RemovalOracle = (*LogSumOracle)(nil)
 	_ BulkGainer    = (*LogSumOracle)(nil)
 	_ BulkLosser    = (*LogSumOracle)(nil)
-	_ StateCopier   = (*LogSumOracle)(nil)
 )
 
 // Value implements Oracle.
@@ -154,16 +153,6 @@ func (o *LogSumOracle) ConcurrentReadSafe() bool { return true }
 // Clone implements Oracle.
 func (o *LogSumOracle) Clone() Oracle {
 	return &LogSumOracle{u: o.u, in: o.in.Clone(), sum: o.sum}
-}
-
-// CopyStateFrom implements StateCopier.
-func (o *LogSumOracle) CopyStateFrom(src Oracle) bool {
-	s, ok := src.(*LogSumOracle)
-	if !ok || s.u != o.u || !o.in.CopyFrom(s.in) {
-		return false
-	}
-	o.sum = s.sum
-	return true
 }
 
 // ConcaveCardinalityUtility is U(S) = g(|S|) for a concave

@@ -12,7 +12,6 @@ package submodular
 import (
 	"fmt"
 	"math"
-	"reflect"
 
 	"cool/internal/bitset"
 )
@@ -33,11 +32,12 @@ type Function interface {
 // Concurrency contract: the read-only queries (Value, Gain, Loss,
 // Contains) must not mutate oracle state. Implementations additionally
 // advertise via ConcurrentReadSafe whether those queries may run from
-// multiple goroutines at once; every oracle in this package does. The
-// mutators (Add, Remove) are never safe to interleave with any other
-// call — the parallel scheduling engine serializes them between its
-// sharded read phases, and falls back to Clone-based per-worker oracle
-// replicas for implementations that do not advertise read-safety.
+// multiple goroutines at once; every oracle in this package except
+// EvalOracle does. The mutators (Add, Remove) are never safe to
+// interleave with any other call. The parallel scheduling engine only
+// reads during its sharded initial fill and mutates on one goroutine
+// after it; for implementations that do not advertise read-safety it
+// gives every further worker a Clone()-derived replica.
 type Oracle interface {
 	// Value returns U(S) for the current set S.
 	Value() float64
@@ -185,18 +185,6 @@ type AffectedLister interface {
 	AppendAffected(buf []int32, v int) []int32
 }
 
-// StateCopier is implemented by oracles that can adopt another
-// oracle's current set without allocating. CopyStateFrom overwrites
-// the receiver's state with src's and reports whether it succeeded;
-// false (receiver unchanged) means src is incompatible — a different
-// concrete type, a different underlying utility, or a different ground
-// size. The parallel engine's replica pool uses it to recycle
-// Clone()-derived per-worker oracle sets across runs instead of
-// allocating fresh ones.
-type StateCopier interface {
-	CopyStateFrom(src Oracle) bool
-}
-
 // EvalOracle builds an oracle for an arbitrary Function by re-evaluating
 // it on every query. It is the correctness yardstick the specialized
 // oracles are tested against, and the fallback for user-supplied
@@ -220,10 +208,7 @@ type EvalOracle struct {
 	cur     float64
 }
 
-var (
-	_ RemovalOracle = (*EvalOracle)(nil)
-	_ StateCopier   = (*EvalOracle)(nil)
-)
+var _ RemovalOracle = (*EvalOracle)(nil)
 
 // NewEvalOracle returns an oracle over fn representing the empty set.
 func NewEvalOracle(fn Function) *EvalOracle {
@@ -301,19 +286,6 @@ func (o *EvalOracle) Clone() Oracle {
 		scratch: make([]int, 0, o.set.Len()+1),
 		cur:     o.cur,
 	}
-}
-
-// CopyStateFrom implements StateCopier. Two EvalOracles are compatible
-// when they wrap the same Function value; the comparison is guarded so
-// uncomparable Function implementations degrade to "incompatible"
-// rather than panicking.
-func (o *EvalOracle) CopyStateFrom(src Oracle) bool {
-	s, ok := src.(*EvalOracle)
-	if !ok || !sameFunction(o.fn, s.fn) || !o.set.CopyFrom(s.set) {
-		return false
-	}
-	o.cur = s.cur
-	return true
 }
 
 // checkElem panics with a descriptive message when v is outside the
@@ -401,16 +373,4 @@ func maskSet(mask, n int) []int {
 		}
 	}
 	return s
-}
-
-// sameFunction reports whether two Function values are the same,
-// guarding the interface comparison so that uncomparable dynamic types
-// (e.g. struct functions containing slices) report false instead of
-// panicking.
-func sameFunction(a, b Function) bool {
-	ta := reflect.TypeOf(a)
-	if ta == nil || ta != reflect.TypeOf(b) || !ta.Comparable() {
-		return false
-	}
-	return a == b
 }

@@ -39,9 +39,8 @@ const (
 	// AlgorithmLazyGreedy is the same schedule via lazy marginal
 	// evaluation (CELF or its removal dual).
 	AlgorithmLazyGreedy Algorithm = "lazy-greedy"
-	// AlgorithmParallelGreedy shards the greedy scans across workers.
-	AlgorithmParallelGreedy Algorithm = "parallel-greedy"
-	// AlgorithmParallelLazyGreedy shards the lazy initialization.
+	// AlgorithmParallelLazyGreedy is the same schedule again, the lazy
+	// engine's initial marginal evaluation sharded across Workers.
 	AlgorithmParallelLazyGreedy Algorithm = "parallel-lazy-greedy"
 	// AlgorithmExact is the branch-and-bound optimum (small instances).
 	AlgorithmExact Algorithm = "exact"
@@ -75,8 +74,9 @@ type PlanRequest struct {
 	Algorithm Algorithm
 	// Objective selects what to optimize (zero = ObjectiveUtility).
 	Objective Objective
-	// Workers bounds the planning concurrency of the parallel engines
-	// (0 or negative = runtime.NumCPU); other engines ignore it.
+	// Workers bounds the planning concurrency of
+	// AlgorithmParallelLazyGreedy (0 or negative = runtime.NumCPU);
+	// other engines ignore it.
 	Workers int
 	// MaxNodes bounds the branch-and-bound search of AlgorithmExact
 	// (0 = default budget); other engines ignore it.
@@ -160,8 +160,6 @@ func (p *Planner) planUtility(req PlanRequest) (*PlanResult, error) {
 		res.Schedule, err = core.Greedy(p.inst)
 	case AlgorithmLazyGreedy:
 		res.Schedule, err = core.LazyGreedy(p.inst)
-	case AlgorithmParallelGreedy:
-		res.Schedule, err = core.ParallelGreedy(p.inst, req.Workers)
 	case AlgorithmParallelLazyGreedy:
 		res.Schedule, err = core.ParallelLazyGreedy(p.inst, req.Workers)
 	case AlgorithmExact:

@@ -155,7 +155,6 @@ func TestPlanWrapperBitIdentity(t *testing.T) {
 			for _, req := range []PlanRequest{
 				{Algorithm: AlgorithmGreedy},
 				{Algorithm: AlgorithmLazyGreedy},
-				{Algorithm: AlgorithmParallelGreedy, Workers: workers},
 				{Algorithm: AlgorithmParallelLazyGreedy, Workers: workers},
 			} {
 				res, err := p.Plan(req)
