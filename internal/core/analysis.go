@@ -1,73 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"cool/internal/submodular"
-)
-
-// GreedyStep records one step of the hill-climbing run: which sensor
-// went to which slot and the marginal utility it contributed.
-type GreedyStep struct {
-	// Sensor and Slot identify the placement.
-	Sensor, Slot int
-	// Gain is the marginal utility of the step.
-	Gain float64
-	// Cumulative is the total utility after the step.
-	Cumulative float64
-}
-
-// GreedyWithTrace runs the placement greedy and returns both the
-// schedule and the per-step gain trace — the "diminishing returns"
-// curve that drives the algorithm (and the spread-evenly behaviour the
-// paper describes). Only ρ ≥ 1 instances are supported.
-func GreedyWithTrace(in Instance) (*Schedule, []GreedyStep, error) {
-	if err := in.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if ModeFor(in.Period) != ModePlacement {
-		return nil, nil, fmt.Errorf("core: GreedyWithTrace requires a placement-mode period")
-	}
-	T := in.Period.Slots()
-	oracles := make([]submodular.RemovalOracle, T)
-	for t := range oracles {
-		oracles[t] = in.Factory()
-	}
-	assign := make([]int, in.N)
-	for v := range assign {
-		assign[v] = -1
-	}
-	steps := make([]GreedyStep, 0, in.N)
-	var cumulative float64
-	for step := 0; step < in.N; step++ {
-		bestV, bestT, bestGain := -1, -1, -1.0
-		for v := 0; v < in.N; v++ {
-			if assign[v] >= 0 {
-				continue
-			}
-			for t := 0; t < T; t++ {
-				if g := oracles[t].Gain(v); g > bestGain {
-					bestV, bestT, bestGain = v, t, g
-				}
-			}
-		}
-		if bestV < 0 {
-			return nil, nil, fmt.Errorf("core: greedy found no candidate at step %d", step)
-		}
-		oracles[bestT].Add(bestV)
-		assign[bestV] = bestT
-		cumulative += bestGain
-		steps = append(steps, GreedyStep{
-			Sensor: bestV, Slot: bestT, Gain: bestGain, Cumulative: cumulative,
-		})
-	}
-	s, err := NewSchedule(ModePlacement, T, assign)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, steps, nil
-}
-
 // ScheduleStats summarizes how a schedule distributes utility over the
 // slots of one period.
 type ScheduleStats struct {

@@ -3,72 +3,43 @@ package core
 import (
 	"math"
 	"testing"
-
-	"cool/internal/stats"
 )
 
-func TestGreedyWithTraceMatchesGreedy(t *testing.T) {
-	rng := stats.NewRNG(101)
-	in, _ := detectionInstance(t, rng, 10, 3, 3)
-	plain, err := Greedy(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, steps, err := GreedyWithTrace(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, ta := plain.Assignment(), traced.Assignment()
-	for i := range pa {
-		if pa[i] != ta[i] {
-			t.Fatal("traced greedy diverged from plain greedy")
-		}
-	}
-	if len(steps) != in.N {
-		t.Fatalf("steps = %d, want %d", len(steps), in.N)
-	}
-	// Cumulative sums are consistent and match the final utility.
-	var sum float64
-	for i, st := range steps {
-		sum += st.Gain
-		if math.Abs(st.Cumulative-sum) > 1e-9 {
-			t.Fatalf("step %d cumulative mismatch", i)
-		}
-		if st.Gain < -1e-12 {
-			t.Fatalf("step %d has negative gain %v", i, st.Gain)
-		}
-	}
-	if got := traced.PeriodUtility(in.Factory); math.Abs(got-sum) > 1e-9 {
-		t.Errorf("final utility %v != cumulative %v", got, sum)
-	}
-}
-
 // TestGreedyTraceDiminishingReturns: the symmetric single-target
-// instance exhibits a non-increasing gain sequence (the quantity the
-// submodular machinery exploits). Random instances can interleave slot
+// instance exhibits a non-increasing gain sequence along the climb's
+// steps (the quantity the submodular machinery exploits), and the
+// gains sum to the plan's utility. Random instances can interleave slot
 // choices, so the clean monotone statement is checked on the symmetric
 // workload.
 func TestGreedyTraceDiminishingReturns(t *testing.T) {
 	in, _ := symmetricInstance(t, 12, 1, 0.4, 3)
-	_, steps, err := GreedyWithTrace(in)
+	c, err := newClimb(in, ModePlacement, newAssignment(in.N))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(steps); i++ {
-		if steps[i].Gain > steps[i-1].Gain+1e-9 {
-			t.Errorf("gain increased at step %d: %v -> %v", i, steps[i-1].Gain, steps[i].Gain)
+	pending := make([]int, in.N)
+	for v := range pending {
+		pending[v] = v
+	}
+	c.begin(pending)
+	var prev, sum float64
+	for step := 0; step < in.N; step++ {
+		st, err := c.step()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if step > 0 && st.value > prev+1e-9 {
+			t.Errorf("gain increased at step %d: %v -> %v", step, prev, st.value)
+		}
+		prev = st.value
+		sum += st.value
 	}
-}
-
-func TestGreedyWithTraceValidation(t *testing.T) {
-	if _, _, err := GreedyWithTrace(Instance{}); err == nil {
-		t.Error("invalid instance accepted")
+	s, err := c.schedule()
+	if err != nil {
+		t.Fatal(err)
 	}
-	rng := stats.NewRNG(102)
-	in, _ := detectionInstance(t, rng, 4, 2, 0.5)
-	if _, _, err := GreedyWithTrace(in); err == nil {
-		t.Error("removal-mode instance accepted")
+	if got := s.PeriodUtility(in.Factory); math.Abs(got-sum) > 1e-9 {
+		t.Errorf("final utility %v != summed step gains %v", got, sum)
 	}
 }
 

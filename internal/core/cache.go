@@ -28,21 +28,8 @@ func (c *marginCache) at(v, t int) float64 { return c.vals[t*c.n+v] }
 
 // column returns slot t's whole cache column as a mutable slice — the
 // buffer the bulk marginal fast path (submodular.BulkGainer /
-// BulkLosser) writes into directly. Bulk fills overwrite the entries of
-// assigned sensors too; that is harmless because every scan skips them.
+// BulkLosser) and the sparse refresh write into directly.
 func (c *marginCache) column(t int) []float64 { return c.vals[t*c.n : (t+1)*c.n] }
-
-// fillSlot recomputes slot t's column for the still-unassigned sensors
-// using eval (an oracle's Gain or Loss method). Entries of assigned
-// sensors are left stale; every scan skips them.
-func (c *marginCache) fillSlot(t int, assign []int, eval func(v int) float64) {
-	base := t * c.n
-	for v := 0; v < c.n; v++ {
-		if assign[v] < 0 {
-			c.vals[base+v] = eval(v)
-		}
-	}
-}
 
 // candidate is one (sensor, slot, marginal) selection result. v < 0
 // means "no candidate".

@@ -5,113 +5,118 @@ import (
 	"testing"
 
 	"cool/internal/stats"
-	"cool/internal/submodular"
 )
 
 // TestMarginCachePlacementMatchesFresh is the dirty-slot property test:
-// drive the cached placement greedy step by step and, after every
-// refresh, compare each unassigned (sensor, slot) cache entry against a
-// from-scratch gain recomputation on fresh oracles replaying the
-// current assignment. The invariant under test: only the mutated slot's
-// column ever goes stale, and the refresh restores exactness
-// everywhere.
+// drive the climb's own step and, after every step, compare every
+// (sensor, slot) cache entry — assigned sensors included — against a
+// from-scratch recomputation on fresh oracles replaying the current
+// assignment, and each step's choice against a dense scan of the
+// cache. The invariant under test: only the mutated slot's column ever
+// goes stale, and the refresh restores exactness everywhere. The
+// detection and coverage oracles take the column-sparse refresh, the
+// EvalOracle the full per-sensor fill.
 func TestMarginCachePlacementMatchesFresh(t *testing.T) {
 	rng := stats.NewRNG(31)
 	in, _ := detectionInstance(t, rng, 10, 4, 3)
-	T := in.Period.Slots()
-	oracles := make([]submodular.RemovalOracle, T)
-	for tt := range oracles {
-		oracles[tt] = in.Factory()
-	}
-	assign := newAssignment(in.N)
-	cache := newMarginCache(in.N, T)
-	for tt := 0; tt < T; tt++ {
-		cache.fillSlot(tt, assign, oracles[tt].Gain)
-	}
-	checkAgainstFresh(t, in, cache, assign, false)
-	pending := newPending(in.N)
-	for step := 0; step < in.N; step++ {
-		best := columnArgmax(cache, pending)
-		if want := denseArgmax(cache, assign); best != want || best.v < 0 {
-			t.Fatalf("step %d: column scans chose %+v, dense scan %+v", step, best, want)
-		}
-		oracles[best.t].Add(best.v)
-		assign[best.v] = best.t
-		pending = dropPending(pending, best.v)
-		cache.fillSlot(best.t, assign, oracles[best.t].Gain)
-		checkAgainstFresh(t, in, cache, assign, false)
-	}
+	checkClimbAgainstFresh(t, in)
+	checkClimbAgainstFresh(t, coverageInstance(t, rng, 9, 5, 2))
+	checkClimbAgainstFresh(t, evalInstance(t, []float64{1, 2, 3, 4, 5, 6, 7}, 3))
 }
 
 // TestMarginCacheRemovalMatchesFresh is the removal-mode dual.
 func TestMarginCacheRemovalMatchesFresh(t *testing.T) {
 	rng := stats.NewRNG(32)
 	in, _ := detectionInstance(t, rng, 8, 3, 0.5)
-	T := in.Period.Slots()
-	oracles := make([]submodular.RemovalOracle, T)
-	for tt := range oracles {
-		o := in.Factory()
-		for v := 0; v < in.N; v++ {
-			o.Add(v)
-		}
-		oracles[tt] = o
+	checkClimbAgainstFresh(t, in)
+	checkClimbAgainstFresh(t, coverageInstance(t, rng, 9, 5, 1.0/3))
+	checkClimbAgainstFresh(t, evalInstance(t, []float64{1, 2, 3, 4, 5, 6, 7}, 0.5))
+}
+
+// checkClimbAgainstFresh runs a whole climb over in step by step,
+// checking the cache against fresh oracles before the first step and
+// after every step, and each step's choice against the dense scan.
+func checkClimbAgainstFresh(t *testing.T, in Instance) {
+	t.Helper()
+	c, err := newClimb(in, ModeFor(in.Period), newAssignment(in.N))
+	if err != nil {
+		t.Fatal(err)
 	}
-	assign := newAssignment(in.N)
-	cache := newMarginCache(in.N, T)
-	for tt := 0; tt < T; tt++ {
-		cache.fillSlot(tt, assign, oracles[tt].Loss)
+	checkAgainstFresh(t, in, c)
+	pending := make([]int, in.N)
+	for v := range pending {
+		pending[v] = v
 	}
-	checkAgainstFresh(t, in, cache, assign, true)
-	pending := newPending(in.N)
+	c.begin(pending)
 	for step := 0; step < in.N; step++ {
-		best := columnArgmin(cache, pending)
-		if want := denseArgmin(cache, assign); best != want || best.v < 0 {
-			t.Fatalf("step %d: column scans chose %+v, dense scan %+v", step, best, want)
+		want := denseArgmax(c.cache, c.assign)
+		if c.removal {
+			want = denseArgmin(c.cache, c.assign)
 		}
-		oracles[best.t].Remove(best.v)
-		assign[best.v] = best.t
-		pending = dropPending(pending, best.v)
-		cache.fillSlot(best.t, assign, oracles[best.t].Loss)
-		checkAgainstFresh(t, in, cache, assign, true)
+		got, err := c.step()
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if got != want {
+			t.Fatalf("step %d: climb chose %+v, dense scan %+v", step, got, want)
+		}
+		checkAgainstFresh(t, in, c)
+	}
+	if len(c.pending) != 0 {
+		t.Fatalf("%d sensors still pending after %d steps", len(c.pending), in.N)
 	}
 }
 
 // checkAgainstFresh rebuilds every slot's oracle from scratch by
-// replaying assign and compares fresh Gain/Loss values against the
-// cache for all unassigned sensors.
-func checkAgainstFresh(t *testing.T, in Instance, cache *marginCache, assign []int, removal bool) {
+// replaying the climb's assignment and compares fresh Gain/Loss values
+// against the cache for every sensor, assigned or not.
+func checkAgainstFresh(t *testing.T, in Instance, c *climb) {
 	t.Helper()
-	T := in.Period.Slots()
 	const tol = 1e-9
-	for tt := 0; tt < T; tt++ {
+	for tt := range c.oracles {
 		fresh := in.Factory()
-		if removal {
+		for v, a := range c.assign {
 			// Removal mode: slot t holds every sensor except those whose
-			// chosen passive slot is t.
-			for v := 0; v < in.N; v++ {
-				if assign[v] != tt {
-					fresh.Add(v)
-				}
-			}
-		} else {
-			for v := 0; v < in.N; v++ {
-				if assign[v] == tt {
-					fresh.Add(v)
-				}
+			// chosen passive slot is t; placement: those whose active
+			// slot it is.
+			if (a == tt) != c.removal {
+				fresh.Add(v)
 			}
 		}
 		for v := 0; v < in.N; v++ {
-			if assign[v] >= 0 {
-				continue // stale by design; scans skip assigned sensors
-			}
-			var want float64
-			if removal {
+			want := fresh.Gain(v)
+			if c.removal {
 				want = fresh.Loss(v)
-			} else {
-				want = fresh.Gain(v)
 			}
-			if got := cache.at(v, tt); math.Abs(got-want) > tol {
-				t.Fatalf("cache[%d,%d] = %v, fresh recomputation %v", v, tt, got, want)
+			if got := c.cache.at(v, tt); math.Abs(got-want) > tol {
+				t.Fatalf("cache[%d,%d] = %v (assigned %d), fresh recomputation %v", v, tt, got, c.assign[v], want)
+			}
+		}
+	}
+}
+
+// TestClimbCommitZeroAlloc gates the climb's per-step oracle work at
+// zero allocations on the detection and coverage oracles: commit and
+// lift each mutate one oracle and refresh its column through the batch
+// sparse contract with a one-element changed list, which must not
+// escape to the heap through the interface call.
+func TestClimbCommitZeroAlloc(t *testing.T) {
+	rng := stats.NewRNG(33)
+	for _, rho := range []float64{3, 1.0 / 3} {
+		det, _ := detectionInstance(t, rng, 40, 6, rho)
+		for name, in := range map[string]Instance{
+			"detection": det,
+			"coverage":  coverageInstance(t, rng, 40, 8, rho),
+		} {
+			c, err := newClimb(in, ModeFor(in.Period), newAssignment(in.N))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a := testing.AllocsPerRun(200, func() {
+				c.commit(2, 1)
+				c.lift(2, 1)
+			}); a != 0 {
+				t.Errorf("%s ρ=%v: commit+lift allocated %v times per run, want 0", name, rho, a)
 			}
 		}
 	}

@@ -93,9 +93,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 			"ParallelLazy-4":  func() (*Schedule, error) { return ParallelLazyGreedy(in, 4) },
 			"LazyGreedy":      func() (*Schedule, error) { return LazyGreedy(in) },
 		}
-		if ModeFor(p) == ModeRemoval {
-			engines["LazyGreedyRemoval"] = func() (*Schedule, error) { return LazyGreedyRemoval(in) }
-		}
 		for name, run := range engines {
 			got, err := run()
 			if err != nil {

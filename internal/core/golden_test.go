@@ -190,8 +190,8 @@ func buildGoldenInstance(t *testing.T, scn goldenScenario) Instance {
 	return Instance{N: scn.N, Period: p, Factory: factory}
 }
 
-// goldenEngines returns the named engines applicable to the instance's
-// regime. Every engine must produce the same schedule.
+// goldenEngines returns the named engines. Every engine must produce
+// the same schedule in both regimes.
 func goldenEngines(in Instance) map[string]func() (*Schedule, error) {
 	// Worker counts > 1 so the sharded fill actually runs.
 	engines := map[string]func() (*Schedule, error){
@@ -206,14 +206,11 @@ func goldenEngines(in Instance) map[string]func() (*Schedule, error) {
 			}})
 		},
 	}
-	if ModeFor(in.Period) == ModeRemoval {
-		engines["LazyGreedyRemoval"] = func() (*Schedule, error) { return LazyGreedyRemoval(in) }
-	}
 	return engines
 }
 
 // noSparseOracle hides the column-sparse refresh of a wrapped oracle
-// while forwarding its bulk marginals, forcing Greedy onto the
+// while forwarding its bulk marginals, forcing the climb onto the
 // full-column refresh path.
 type noSparseOracle struct {
 	submodular.RemovalOracle

@@ -185,8 +185,8 @@ func TestLazyGreedyMatchesEagerUtility(t *testing.T) {
 	}
 }
 
-// TestLazyGreedyRemovalMode pins LazyGreedy's removal-mode dispatch:
-// at ρ < 1 it returns LazyGreedyRemoval's schedule, which is Greedy's
+// TestLazyGreedyRemovalMode pins LazyGreedy's removal regime: at ρ < 1
+// it returns a removal-mode schedule, Greedy's and ReferenceGreedy's
 // bit for bit.
 func TestLazyGreedyRemovalMode(t *testing.T) {
 	rng := stats.NewRNG(14)
@@ -200,8 +200,8 @@ func TestLazyGreedyRemovalMode(t *testing.T) {
 			t.Fatalf("ρ=%v: mode %v, want removal", rho, lazy.Mode())
 		}
 		for name, run := range map[string]func(Instance) (*Schedule, error){
-			"LazyGreedyRemoval": LazyGreedyRemoval,
-			"Greedy":            Greedy,
+			"ReferenceGreedy": ReferenceGreedy,
+			"Greedy":          Greedy,
 		} {
 			want, err := run(in)
 			if err != nil {
@@ -400,7 +400,7 @@ func TestLazyGreedyRemovalMatchesEager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, err := LazyGreedyRemoval(in)
+		lazy, err := LazyGreedy(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,17 +412,6 @@ func TestLazyGreedyRemovalMatchesEager(t *testing.T) {
 		if err := lazy.CheckFeasible(in.Period); err != nil {
 			t.Error(err)
 		}
-	}
-}
-
-func TestLazyGreedyRemovalRejectsPlacement(t *testing.T) {
-	rng := stats.NewRNG(19)
-	in, _ := detectionInstance(t, rng, 4, 2, 3)
-	if _, err := LazyGreedyRemoval(in); err == nil {
-		t.Error("placement-mode instance accepted")
-	}
-	if _, err := LazyGreedyRemoval(Instance{}); err == nil {
-		t.Error("invalid instance accepted")
 	}
 }
 

@@ -145,7 +145,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 				}
 			case 2: // rho drift
 				newRho := rhos[param%len(rhos)]
-				prevAssign := r.assign
+				prevAssign := append([]int(nil), r.c.assign...)
 				prevShape := r.Period()
 				st, err := r.UpdateRho(newRho)
 				if err != nil {
@@ -157,7 +157,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 					if st.Full || st.Changed != 0 || st.Moves != 0 {
 						t.Fatalf("same-shape UpdateRho not a no-op: %+v", st)
 					}
-					if !assignmentsEqual(r.assign, prevAssign) {
+					if !assignmentsEqual(r.c.assign, prevAssign) {
 						t.Fatal("same-shape UpdateRho changed the assignment")
 					}
 				} else {

@@ -12,8 +12,8 @@ import (
 // dominant cost — sharded across worker goroutines.
 //
 // Determinism contract: for every instance and every worker count,
-// ParallelLazyGreedy returns a schedule bit-identical to LazyGreedy /
-// LazyGreedyRemoval, and so to Greedy. Two properties make this hold:
+// ParallelLazyGreedy returns a schedule bit-identical to LazyGreedy,
+// and so to Greedy. Two properties make this hold:
 //
 //  1. Workers own static, contiguous, disjoint sensor ranges of the
 //     initial entry slice, so every marginal is computed by exactly one
@@ -46,41 +46,26 @@ func ParallelLazyGreedy(in Instance, workers int) (*Schedule, error) {
 	if workers <= 1 {
 		return LazyGreedy(in)
 	}
-	removal := ModeFor(in.Period) == ModeRemoval
-	sets, err := workerOracles(in, workers, removal)
+	mode := ModeFor(in.Period)
+	sets, err := workerOracles(in, mode, workers)
 	if err != nil {
 		return nil, err
 	}
-	entries, err := parallelLazyFill(in, sets, removal)
+	entries, err := parallelLazyFill(in, sets, mode == ModeRemoval)
 	if err != nil {
 		return nil, err
 	}
-	T := in.Period.Slots()
-	if removal {
-		return runLazyRemoval(sets[0], lossHeap(entries), newAssignment(in.N), in.N, T)
-	}
-	return runLazyPlacement(sets[0], gainHeap(entries), newAssignment(in.N), in.N, T)
+	return runLazy(sets[0], entries, mode)
 }
 
-// workerOracles returns one oracle set per worker (sets[w][t]). Worker
-// 0 owns the base set the coordinator climbs on; the others alias it
-// when the oracles are concurrent-read-safe and hold Clone()-derived
-// replicas otherwise. full selects removal-mode initialization (every
-// sensor active in every slot).
-func workerOracles(in Instance, workers int, full bool) ([][]submodular.RemovalOracle, error) {
-	T := in.Period.Slots()
-	base := make([]submodular.RemovalOracle, T)
-	for t := range base {
-		o := in.Factory()
-		if o == nil {
-			return nil, fmt.Errorf("core: oracle factory returned nil for slot %d", t)
-		}
-		if full {
-			for v := 0; v < in.N; v++ {
-				o.Add(v)
-			}
-		}
-		base[t] = o
+// workerOracles returns one oracle set per worker (sets[w][t]), each
+// the empty plan's slot oracles under mode. Worker 0 owns the base set
+// the coordinator climbs on; the others alias it when the oracles are
+// concurrent-read-safe and hold Clone()-derived replicas otherwise.
+func workerOracles(in Instance, mode Mode, workers int) ([][]submodular.RemovalOracle, error) {
+	base, err := SlotOracles(in, mode, newAssignment(in.N))
+	if err != nil {
+		return nil, err
 	}
 	shared := submodular.ReadsAreConcurrentSafe(base[0])
 	sets := make([][]submodular.RemovalOracle, workers)
@@ -90,7 +75,7 @@ func workerOracles(in Instance, workers int, full bool) ([][]submodular.RemovalO
 			sets[w] = base
 			continue
 		}
-		replica := make([]submodular.RemovalOracle, T)
+		replica := make([]submodular.RemovalOracle, len(base))
 		for t, o := range base {
 			c, ok := o.Clone().(submodular.RemovalOracle)
 			if !ok {
@@ -114,13 +99,7 @@ func parallelLazyFill(in Instance, sets [][]submodular.RemovalOracle, removal bo
 	err := parallel.For(len(bounds)-1, len(bounds)-1, func(w int) error {
 		for v := bounds[w]; v < bounds[w+1]; v++ {
 			for t, o := range sets[w] {
-				var m float64
-				if removal {
-					m = o.Loss(v)
-				} else {
-					m = o.Gain(v)
-				}
-				entries[v*T+t] = gainEntry{v: v, t: t, gain: m, stamp: 0}
+				entries[v*T+t] = gainEntry{v: v, t: t, key: lazyKey(o, v, removal)}
 			}
 		}
 		return nil

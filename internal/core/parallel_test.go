@@ -120,7 +120,7 @@ func TestParallelGreedySharedPath(t *testing.T) {
 	if !submodular.ReadsAreConcurrentSafe(in.Factory()) {
 		t.Fatal("detection oracle stopped advertising read-safety; shared path untested")
 	}
-	sets, err := workerOracles(in, 3, false)
+	sets, err := workerOracles(in, ModePlacement, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestParallelGreedySharedPath(t *testing.T) {
 	}
 
 	ev := evalInstance(t, []float64{1, 2, 3, 4, 5, 6}, 0.5)
-	sets, err = workerOracles(ev, 3, true)
+	sets, err = workerOracles(ev, ModeRemoval, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,17 +25,15 @@ import (
 // SparseLossRefreshAll), plus a bounded strict-improvement sweep over
 // the damage front.
 //
-// Cache discipline: unlike the one-shot greedy engines — whose cache
-// only needs exact entries for *unassigned* sensors — the Repairer
-// maintains cache[v][t] == oracles[t].Gain(v) (placement) or .Loss(v)
-// (removal) bit-exactly for every sensor, members included. The sparse
-// refreshers already recompute member entries (members yield marginal
-// 0 for non-members' arithmetic to stay exact), and the fallback for
-// oracles without the sparse contract is fillColumnAll, which never
-// skips by assignment. The repair sweep reads moves straight from the
-// cache, so its decisions are bit-identical to querying the oracles
-// directly — the same move discipline as the sharded planner's
-// border-correction sweep (shard.correctionSweep).
+// Engine: the Repairer keeps the greedy climb that planned its
+// schedule (see climb) alive between operations, so its margin cache
+// holds cache[v][t] == oracles[t].Gain(v) (placement) or .Loss(v)
+// (removal) bit-exactly for every sensor, members included. A batch
+// insertion runs the climb's own greedy loop, and the repair sweep
+// reads moves straight from the cache, so its decisions are
+// bit-identical to querying the oracles directly — the same move
+// discipline as the sharded planner's border-correction sweep
+// (shard.correctionSweep).
 
 // DefaultRepairRounds bounds the strict-improvement sweep after a
 // perturbation, mirroring the sharded correction sweep's default: each
@@ -88,14 +86,9 @@ type Repairer struct {
 	MaxRounds int
 
 	in       Instance
-	mode     Mode
-	T        int
-	removal  bool
-	oracles  []submodular.RemovalOracle
-	assign   []int
+	c        *climb
 	present  []bool
 	nPresent int
-	cache    *marginCache
 
 	// Damage-front scratch: epoch-marked dedup over AppendAffected
 	// output, reused across operations.
@@ -108,122 +101,36 @@ type Repairer struct {
 }
 
 // NewRepairer validates the instance, plans the initial schedule over
-// the full ground set — bit-identical to Greedy(in), via the same
-// runPlacementLoop/runRemovalLoop machinery — and returns the live
-// engine holding the committed schedule.
+// the full ground set — with the same climb as Greedy, so bit-identical
+// to it — and returns the live engine holding the committed schedule.
 func NewRepairer(in Instance) (*Repairer, error) {
-	if err := in.Validate(); err != nil {
+	c, err := planClimb(in, nil)
+	if err != nil {
 		return nil, err
 	}
 	r := &Repairer{
-		in:       in,
-		mode:     ModeFor(in.Period),
-		T:        in.Period.Slots(),
-		assign:   newAssignment(in.N),
 		present:  make([]bool, in.N),
 		nPresent: in.N,
 		mark:     make([]int32, in.N),
 	}
-	r.removal = r.mode == ModeRemoval
 	for v := range r.present {
 		r.present[v] = true
 	}
-	r.oracles = make([]submodular.RemovalOracle, r.T)
-	for t := range r.oracles {
-		o := in.Factory()
-		if r.removal {
-			for v := 0; v < in.N; v++ {
-				o.Add(v)
-			}
-		}
-		r.oracles[t] = o
-	}
-	r.cache = newMarginCache(in.N, r.T)
-	r.colTouched = make([]bool, r.T)
-	for t := 0; t < r.T; t++ {
-		r.fillColumnAll(t)
-	}
-	if err := r.runLoop(newPending(in.N)); err != nil {
-		return nil, err
-	}
+	r.adopt(in, c)
 	return r, nil
 }
 
-// runLoop drives the mode-appropriate greedy insertion loop over
-// pending, with the Repairer's all-sensor cache refresh discipline.
-func (r *Repairer) runLoop(pending []int) error {
-	refresh := func(t, changed int) { r.refreshOne(t, changed) }
-	if r.removal {
-		return runRemovalLoop(r.oracles, r.cache, r.assign, pending, refresh)
-	}
-	return runPlacementLoop(r.oracles, r.cache, r.assign, pending, refresh)
-}
-
-// fillColumnAll recomputes slot t's entire cache column — every sensor,
-// assigned or not — restoring the Repairer's exact-for-all invariant.
-func (r *Repairer) fillColumnAll(t int) {
-	o := r.oracles[t]
-	col := r.cache.column(t)
-	if r.removal {
-		if b, ok := o.(submodular.BulkLosser); ok {
-			b.BulkLoss(col)
-			return
-		}
-		for v := range col {
-			col[v] = o.Loss(v)
-		}
-		return
-	}
-	if b, ok := o.(submodular.BulkGainer); ok {
-		b.BulkGain(col)
-		return
-	}
-	for v := range col {
-		col[v] = o.Gain(v)
-	}
-}
-
-// refreshOne restores column t after its oracle absorbed a mutation of
-// a single sensor, via the column-sparse refresher when available.
-func (r *Repairer) refreshOne(t, changed int) {
-	o := r.oracles[t]
-	if r.removal {
-		if sr, ok := o.(submodular.SparseLossRefresher); ok {
-			sr.SparseLossRefresh(changed, r.cache.column(t))
-			return
-		}
-	} else if sr, ok := o.(submodular.SparseGainRefresher); ok {
-		sr.SparseGainRefresh(changed, r.cache.column(t))
-		return
-	}
-	r.fillColumnAll(t)
-}
-
-// refreshBatch restores column t after its oracle absorbed mutations
-// confined to the changed set — one epoch-dedup sweep over the union of
-// the changed sensors' CSR rows (SparseGainRefreshAll /
-// SparseLossRefreshAll). changed may be a superset of the sensors
-// actually mutated in this column; recompute-not-delta makes the extra
-// rows harmless.
-func (r *Repairer) refreshBatch(t int, changed []int) {
-	o := r.oracles[t]
-	if r.removal {
-		if sr, ok := o.(submodular.SparseLossBatchRefresher); ok {
-			sr.SparseLossRefreshAll(changed, r.cache.column(t))
-			return
-		}
-	} else if sr, ok := o.(submodular.SparseGainBatchRefresher); ok {
-		sr.SparseGainRefreshAll(changed, r.cache.column(t))
-		return
-	}
-	r.fillColumnAll(t)
+// adopt makes c, planned for in, the committed engine state.
+func (r *Repairer) adopt(in Instance, c *climb) {
+	r.in, r.c = in, c
+	r.colTouched = make([]bool, len(c.oracles))
 }
 
 // utility returns the committed schedule's period utility Σ_t U(S_t)
 // from the live oracles, in O(T).
 func (r *Repairer) utility() float64 {
 	var total float64
-	for _, o := range r.oracles {
+	for _, o := range r.c.oracles {
 		total += o.Value()
 	}
 	return total
@@ -234,7 +141,7 @@ func (r *Repairer) Utility() float64 { return r.utility() }
 
 // Mode returns the current regime (it can flip when UpdateRho crosses
 // ρ = 1).
-func (r *Repairer) Mode() Mode { return r.mode }
+func (r *Repairer) Mode() Mode { return r.c.mode() }
 
 // Period returns the current charging period.
 func (r *Repairer) Period() energy.Period { return r.in.Period }
@@ -250,7 +157,7 @@ func (r *Repairer) Present(v int) bool {
 // Schedule materializes the committed schedule. Absent sensors carry
 // the Absent marker (inactive in every slot).
 func (r *Repairer) Schedule() (*Schedule, error) {
-	return NewSchedule(r.mode, r.T, r.assign)
+	return r.c.schedule()
 }
 
 // FullReplan computes the from-scratch ground truth for the current
@@ -322,27 +229,28 @@ func (r *Repairer) AddSensors(ids []int) (RepairStats, error) {
 		stats.Utility = stats.UtilityBefore
 		return stats, nil
 	}
-	if r.removal {
+	c := r.c
+	if c.removal {
 		// A live removal-mode sensor is a member of every slot except
 		// its passive one; the insertion loop picks the passive slot by
 		// Remove, so start from member-everywhere — the same state the
 		// full plan starts its sensors from.
 		for _, v := range sorted {
-			for t := 0; t < r.T; t++ {
-				r.oracles[t].Add(v)
+			for _, o := range c.oracles {
+				o.Add(v)
 			}
 		}
-		for t := 0; t < r.T; t++ {
-			r.refreshBatch(t, sorted)
+		for t := range c.oracles {
+			c.refresh(t, sorted)
 		}
 	}
 	for _, v := range sorted {
-		r.assign[v] = -1
+		c.assign[v] = -1
 		r.present[v] = true
 	}
 	r.nPresent += len(sorted)
 	r.pendingBuf = append(r.pendingBuf[:0], sorted...)
-	if err := r.runLoop(r.pendingBuf); err != nil {
+	if err := c.run(r.pendingBuf); err != nil {
 		return RepairStats{}, err
 	}
 	dirty := r.damageFront(sorted)
@@ -371,30 +279,31 @@ func (r *Repairer) RemoveSensors(ids []int) (RepairStats, error) {
 	// still known; their incidence is static so before/after is
 	// equivalent, but the front excludes non-present sensors, so take
 	// it first and filter later.
+	c := r.c
 	for t := range r.colTouched {
 		r.colTouched[t] = false
 	}
 	for _, v := range sorted {
-		old := r.assign[v]
-		if r.removal {
+		old := c.assign[v]
+		if c.removal {
 			// Member of every slot except the passive one.
-			for t := 0; t < r.T; t++ {
+			for t, o := range c.oracles {
 				if t != old {
-					r.oracles[t].Remove(v)
+					o.Remove(v)
 					r.colTouched[t] = true
 				}
 			}
 		} else if old >= 0 {
-			r.oracles[old].Remove(v)
+			c.oracles[old].Remove(v)
 			r.colTouched[old] = true
 		}
-		r.assign[v] = Absent
+		c.assign[v] = Absent
 		r.present[v] = false
 	}
 	r.nPresent -= len(sorted)
-	for t := 0; t < r.T; t++ {
-		if r.colTouched[t] {
-			r.refreshBatch(t, sorted)
+	for t, touched := range r.colTouched {
+		if touched {
+			c.refresh(t, sorted)
 		}
 	}
 	dirty := r.damageFront(sorted)
@@ -410,49 +319,27 @@ func (r *Repairer) RemoveSensors(ids []int) (RepairStats, error) {
 // rebuilds the plan from scratch over the present fleet (the period
 // change invalidates every column at once, so there is nothing to
 // localize; Full is set and the result equals GreedySubset exactly).
+// The rebuild is committed only when it succeeds: on error the
+// Repairer keeps its period, mode and schedule.
 func (r *Repairer) UpdateRho(rho float64) (RepairStats, error) {
 	p, err := energy.PeriodFromRho(rho)
 	if err != nil {
 		return RepairStats{}, err
 	}
 	stats := RepairStats{UtilityBefore: r.utility()}
-	if p.Slots() == r.T && p.ActiveSlots == r.in.Period.ActiveSlots {
+	if p.Slots() == r.in.Period.Slots() && p.ActiveSlots == r.in.Period.ActiveSlots {
 		stats.Utility = stats.UtilityBefore
 		return stats, nil
 	}
-	stats.Changed = r.nPresent
-	stats.Full = true
-	r.in.Period = p
-	r.mode = ModeFor(p)
-	r.removal = r.mode == ModeRemoval
-	r.T = p.Slots()
-	r.pendingBuf = r.pendingBuf[:0]
-	for v := 0; v < r.in.N; v++ {
-		if r.present[v] {
-			r.assign[v] = -1
-			r.pendingBuf = append(r.pendingBuf, v)
-		} else {
-			r.assign[v] = Absent
-		}
-	}
-	r.oracles = make([]submodular.RemovalOracle, r.T)
-	for t := range r.oracles {
-		o := r.in.Factory()
-		if r.removal {
-			for _, v := range r.pendingBuf {
-				o.Add(v)
-			}
-		}
-		r.oracles[t] = o
-	}
-	r.cache = newMarginCache(r.in.N, r.T)
-	r.colTouched = make([]bool, r.T)
-	for t := 0; t < r.T; t++ {
-		r.fillColumnAll(t)
-	}
-	if err := r.runLoop(r.pendingBuf); err != nil {
+	in := r.in
+	in.Period = p
+	c, err := planClimb(in, r.present)
+	if err != nil {
 		return RepairStats{}, err
 	}
+	r.adopt(in, c)
+	stats.Changed = r.nPresent
+	stats.Full = true
 	stats.Utility = r.utility()
 	return stats, nil
 }
@@ -483,7 +370,7 @@ func (r *Repairer) RepairAll() RepairStats {
 // fleet goes dirty — correct, just not localized.
 func (r *Repairer) damageFront(changed []int) []int {
 	r.dirtyBuf = r.dirtyBuf[:0]
-	al, ok := r.oracles[0].(submodular.AffectedLister)
+	al, ok := r.c.oracles[0].(submodular.AffectedLister)
 	if !ok {
 		for v := 0; v < r.in.N; v++ {
 			if r.present[v] {
@@ -544,59 +431,32 @@ func (r *Repairer) sweep(dirty []int) (rounds, moves int) {
 }
 
 // sweepOnce lifts every dirty sensor out of its slot, in ascending ID
-// order, and re-commits it at the strict argmax (placement: max gain;
-// removal: min loss picks the passive slot). Ties favor the current
-// slot, so every applied move strictly improves the period utility and
-// the sweep is a monotone hill-climber.
+// order, and re-commits it at the strict best slot (placement: max
+// gain; removal: min loss picks the passive slot). Ties favor the
+// current slot, so every applied move strictly improves the period
+// utility and the sweep is a monotone hill-climber.
 func (r *Repairer) sweepOnce(dirty []int) int {
+	c := r.c
 	moves := 0
 	for _, v := range dirty {
-		if !r.present[v] {
-			continue
-		}
-		old := r.assign[v]
+		old := c.assign[v]
 		if old < 0 {
-			continue
+			continue // absent
 		}
-		if r.removal {
-			// Re-insert v into its passive slot, then go passive where
-			// the loss is strictly smallest.
-			r.oracles[old].Add(v)
-			r.refreshOne(old, v)
-			bestT, bestL := old, r.cache.at(v, old)
-			for t := 0; t < r.T; t++ {
-				if t == old {
-					continue
-				}
-				if l := r.cache.at(v, t); l < bestL {
-					bestT, bestL = t, l
-				}
-			}
-			r.oracles[bestT].Remove(v)
-			r.refreshOne(bestT, v)
-			if bestT != old {
-				r.assign[v] = bestT
-				moves++
-			}
-			continue
-		}
-		// Placement: lift v out; its gain back at the old slot is the
-		// bar to beat strictly.
-		r.oracles[old].Remove(v)
-		r.refreshOne(old, v)
-		bestT, bestG := old, r.cache.at(v, old)
-		for t := 0; t < r.T; t++ {
+		// v's marginal back at the old slot is the bar to beat strictly.
+		c.lift(v, old)
+		bestT, bestM := old, c.cache.at(v, old)
+		for t := range c.oracles {
 			if t == old {
 				continue
 			}
-			if g := r.cache.at(v, t); g > bestG {
-				bestT, bestG = t, g
+			if m := c.cache.at(v, t); c.better(m, bestM) {
+				bestT, bestM = t, m
 			}
 		}
-		r.oracles[bestT].Add(v)
-		r.refreshOne(bestT, v)
+		c.commit(v, bestT)
 		if bestT != old {
-			r.assign[v] = bestT
+			c.assign[v] = bestT
 			moves++
 		}
 	}

@@ -548,6 +548,80 @@ func TestRepairHeteroInstance(t *testing.T) {
 	}
 }
 
+// nanGainOracle wraps an oracle so that Gain returns NaN: no placement
+// candidate beats the climb's floor, so every ρ ≥ 1 plan fails, while
+// the removal regime, which only asks Loss, still plans. Embedding the
+// interface hides the bulk and sparse contracts of the wrapped oracle.
+type nanGainOracle struct {
+	submodular.RemovalOracle
+}
+
+func (nanGainOracle) Gain(int) float64 { return math.NaN() }
+
+// TestUpdateRhoFailureKeepsRepairer: a ρ update whose rebuild fails
+// returns the error and leaves the Repairer as it was — period, mode,
+// committed schedule and live utility — and still usable.
+func TestUpdateRhoFailureKeepsRepairer(t *testing.T) {
+	rng := stats.NewRNG(311)
+	base := coverageInstance(t, rng, 6, 4, 1.0/3)
+	in := Instance{N: base.N, Period: base.Period, Factory: func() submodular.RemovalOracle {
+		return nanGainOracle{base.Factory()}
+	}}
+	r, err := NewRepairer(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := checkRepairerConsistency(t, r, in)
+	period, mode, util := r.Period(), r.Mode(), r.Utility()
+	if _, err := r.UpdateRho(3); err == nil {
+		t.Fatal("UpdateRho(3) succeeded although every gain is NaN")
+	}
+	if r.Period() != period || r.Mode() != mode {
+		t.Fatalf("failed UpdateRho left period %+v mode %v, want %+v %v", r.Period(), r.Mode(), period, mode)
+	}
+	after := checkRepairerConsistency(t, r, in)
+	if !assignmentsEqual(after.Assignment(), before.Assignment()) {
+		t.Fatalf("failed UpdateRho changed the schedule\n got %v\nwant %v", after.Assignment(), before.Assignment())
+	}
+	if r.Utility() != util {
+		t.Fatalf("failed UpdateRho moved the utility %v -> %v", util, r.Utility())
+	}
+	if _, err := r.RemoveSensors([]int{0}); err != nil {
+		t.Fatalf("RemoveSensors after failed UpdateRho: %v", err)
+	}
+	checkRepairerConsistency(t, r, in)
+}
+
+// TestRepairSweepTiesKeepIncumbent pins the sweep's strict comparison
+// in both regimes: a move must strictly improve, so a sensor whose
+// marginal ties across slots (sensor 3 covers nothing, so its marginal
+// is 0 everywhere) keeps its slot and RepairAll reaches a fixed point.
+// A non-strict comparison would shuttle it between tied slots forever.
+func TestRepairSweepTiesKeepIncumbent(t *testing.T) {
+	u, err := submodular.NewCoverageUtility(4, []submodular.CoverageItem{
+		{Value: 1, CoveredBy: []int{0, 1}},
+		{Value: 2, CoveredBy: []int{1, 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rho := range []float64{3, 1.0 / 3} {
+		in := Instance{N: 4, Period: period(t, rho), Factory: func() submodular.RemovalOracle { return u.Oracle() }}
+		r, err := NewRepairer(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := checkRepairerConsistency(t, r, in)
+		if !convergeRepairer(r) {
+			t.Fatalf("ρ=%v: RepairAll reached no fixed point", rho)
+		}
+		after := checkRepairerConsistency(t, r, in)
+		if got, want := after.Assignment()[3], before.Assignment()[3]; got != want {
+			t.Fatalf("ρ=%v: tied sensor moved from slot %d to %d", rho, want, got)
+		}
+	}
+}
+
 // pickRandom draws k distinct elements from pool without replacement.
 func pickRandom(rng *stats.RNG, pool []int, k int) []int {
 	idx := append([]int(nil), pool...)

@@ -15,9 +15,11 @@ import (
 // floating-point state of each oracle is a deterministic function of
 // the assignment.
 //
-// The sharded planner's border-correction sweep uses this to rebuild
-// the merged global per-slot state once, then repairs it incrementally
-// with Add/Remove as halo sensors are re-argmaxed.
+// It is the one place an engine builds slot oracles: the eager climb
+// and the lazy engines start from the empty plan's oracles, and the
+// sharded planner's border-correction sweep rebuilds the merged global
+// per-slot state once, then repairs it incrementally with Add/Remove
+// as halo sensors are re-argmaxed.
 func SlotOracles(in Instance, mode Mode, assign []int) ([]submodular.RemovalOracle, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -31,34 +33,33 @@ func SlotOracles(in Instance, mode Mode, assign []int) ([]submodular.RemovalOrac
 			return nil, fmt.Errorf("core: sensor %d assigned to slot %d outside [0,%d)", v, t, T)
 		}
 	}
+	if mode != ModePlacement && mode != ModeRemoval {
+		return nil, fmt.Errorf("core: invalid mode %v", mode)
+	}
 	oracles := make([]submodular.RemovalOracle, T)
-	switch mode {
-	case ModePlacement:
-		for t := range oracles {
-			oracles[t] = in.Factory()
+	for t := range oracles {
+		o := in.Factory()
+		if o == nil {
+			return nil, fmt.Errorf("core: oracle factory returned nil for slot %d", t)
 		}
-		for v, t := range assign {
-			if t >= 0 {
-				oracles[t].Add(v)
-			}
-		}
-	case ModeRemoval:
-		for t := range oracles {
-			o := in.Factory()
-			for v := 0; v < in.N; v++ {
-				if assign[v] != Absent {
+		if mode == ModeRemoval {
+			for v, a := range assign {
+				if a != Absent {
 					o.Add(v)
 				}
 			}
-			oracles[t] = o
 		}
-		for v, t := range assign {
-			if t >= 0 {
-				oracles[t].Remove(v)
-			}
+		oracles[t] = o
+	}
+	for v, t := range assign {
+		if t < 0 {
+			continue
 		}
-	default:
-		return nil, fmt.Errorf("core: invalid mode %v", mode)
+		if mode == ModeRemoval {
+			oracles[t].Remove(v)
+		} else {
+			oracles[t].Add(v)
+		}
 	}
 	return oracles, nil
 }

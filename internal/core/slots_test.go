@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"cool/internal/submodular"
 )
 
 // TestSlotOraclesMatchesSchedule cross-checks SlotOracles against the
@@ -62,5 +64,28 @@ func TestSlotOraclesValidation(t *testing.T) {
 	}
 	if _, err := SlotOracles(in, Mode(0), make([]int, in.N)); err == nil {
 		t.Fatal("invalid mode accepted")
+	}
+	// SlotOracles is where every engine builds its oracles, so a factory
+	// returning nil surfaces as an error from each of them.
+	nilFactory := Instance{N: in.N, Period: in.Period, Factory: func() submodular.RemovalOracle { return nil }}
+	if _, err := SlotOracles(nilFactory, ModePlacement, newAssignment(in.N)); err == nil {
+		t.Fatal("nil oracle accepted")
+	}
+	for name, plan := range map[string]func(Instance) (*Schedule, error){
+		"Greedy":     Greedy,
+		"LazyGreedy": LazyGreedy,
+		"ParallelLazyGreedy": func(in Instance) (*Schedule, error) {
+			return ParallelLazyGreedy(in, 2)
+		},
+	} {
+		if _, err := plan(nilFactory); err == nil {
+			t.Errorf("%s accepted a nil oracle", name)
+		}
+	}
+	if _, err := NewRepairer(nilFactory); err == nil {
+		t.Error("NewRepairer accepted a nil oracle")
+	}
+	if _, err := GreedySubset(in, make([]bool, in.N+1)); err == nil {
+		t.Error("GreedySubset accepted a mask of the wrong length")
 	}
 }

@@ -84,9 +84,8 @@ type Options struct {
 	// MaxRounds bounds the border-correction sweep: 0 selects the
 	// default (4), negative disables the sweep entirely.
 	MaxRounds int
-	// Lazy selects the CELF lazy engine (LazyGreedy /
-	// LazyGreedyRemoval) instead of the cached eager Greedy, per shard
-	// and for the k=1 global path alike.
+	// Lazy selects the CELF lazy engine (LazyGreedy) instead of the
+	// cached eager Greedy, per shard and for the k=1 global path alike.
 	Lazy bool
 }
 

@@ -110,37 +110,15 @@ func TestOracleHotPathAllocations(t *testing.T) {
 				t.Errorf("Add+Remove allocated %v times per run, want ≤ 1", a)
 			}
 		})
-		t.Run(name+"/SparseRefresh", func(t *testing.T) {
-			sg, okG := o.(SparseGainRefresher)
-			sl, okL := o.(SparseLossRefresher)
-			if !okG && !okL {
-				t.Skip("oracle has no sparse refresh (dense-coupling utility)")
-			}
-			// The sparse contract forbids allocation: the dedup scratch
-			// (mark/epoch) lives in the oracle and is reused per call.
-			out := make([]float64, n)
-			if okG {
-				o.(BulkGainer).BulkGain(out)
-				if a := testing.AllocsPerRun(200, func() { sg.SparseGainRefresh(2, out) }); a != 0 {
-					t.Errorf("SparseGainRefresh allocated %v times per run, want 0", a)
-				}
-			}
-			if okL {
-				o.(BulkLosser).BulkLoss(out)
-				if a := testing.AllocsPerRun(200, func() { sl.SparseLossRefresh(2, out) }); a != 0 {
-					t.Errorf("SparseLossRefresh allocated %v times per run, want 0", a)
-				}
-			}
-		})
 		t.Run(name+"/SparseBatchRefresh", func(t *testing.T) {
 			sg, okG := o.(SparseGainBatchRefresher)
 			sl, okL := o.(SparseLossBatchRefresher)
 			if !okG && !okL {
 				t.Skip("oracle has no batch sparse refresh (dense-coupling utility)")
 			}
-			// Same 0-alloc contract as the single-mutation form: the
-			// epoch-dedup scratch lives in the oracle, the changed list
-			// and column belong to the caller.
+			// The sparse contract forbids allocation: the epoch-dedup
+			// scratch lives in the oracle and is reused per call, the
+			// changed list and column belong to the caller.
 			out := make([]float64, n)
 			changed := []int{2, 5, 11}
 			if okG {

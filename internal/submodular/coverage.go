@@ -182,8 +182,6 @@ var (
 	_ BulkGainer               = (*CoverageOracle)(nil)
 	_ BulkLosser               = (*CoverageOracle)(nil)
 	_ ConcurrentReadSafe       = (*CoverageOracle)(nil)
-	_ SparseGainRefresher      = (*CoverageOracle)(nil)
-	_ SparseLossRefresher      = (*CoverageOracle)(nil)
 	_ SparseGainBatchRefresher = (*CoverageOracle)(nil)
 	_ SparseLossBatchRefresher = (*CoverageOracle)(nil)
 	_ AffectedLister           = (*CoverageOracle)(nil)
@@ -247,63 +245,14 @@ func (o *CoverageOracle) bumpEpoch() {
 	}
 }
 
-// SparseGainRefresh implements SparseGainRefresher: it repairs a gain
-// column after the most recent Add(changed) / Remove(changed) by
-// recomputing only the sensors that share an item with changed. A
-// sensor sharing no item with changed sums its gain over coverage
-// counters the mutation did not touch, so its entry is exact by
-// definition; touched sensors are recomputed via Gain, bit-identical
-// to a full BulkGain sweep by the Bulk contract.
-func (o *CoverageOracle) SparseGainRefresh(changed int, out []float64) {
-	u := o.u
-	checkElem(changed, u.n)
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseGainRefresh buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	items, _ := u.sensorItems.Row(changed)
-	for _, item := range items {
-		sensors, _ := u.itemSensors.Row(int(item))
-		for _, v := range sensors {
-			if o.mark[v] == o.epoch {
-				continue
-			}
-			o.mark[v] = o.epoch
-			out[v] = o.Gain(int(v))
-		}
-	}
-	out[changed] = o.Gain(changed)
-}
-
-// SparseLossRefresh implements SparseLossRefresher: the removal-side
-// dual of SparseGainRefresh.
-func (o *CoverageOracle) SparseLossRefresh(changed int, out []float64) {
-	u := o.u
-	checkElem(changed, u.n)
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseLossRefresh buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	items, _ := u.sensorItems.Row(changed)
-	for _, item := range items {
-		sensors, _ := u.itemSensors.Row(int(item))
-		for _, v := range sensors {
-			if o.mark[v] == o.epoch {
-				continue
-			}
-			o.mark[v] = o.epoch
-			out[v] = o.Loss(int(v))
-		}
-	}
-	out[changed] = o.Loss(changed)
-}
-
 // SparseGainRefreshAll implements SparseGainBatchRefresher: one epoch,
 // one sweep over the union of the changed sensors' item rows — a
 // sensor covered by items of several changed sensors is recomputed
-// exactly once. Recompute-not-delta keeps every touched entry
-// bit-identical to a fresh Gain under the current state regardless of
-// how many mutations the batch applied.
+// exactly once. A sensor sharing no item with a changed sensor sums its
+// gain over coverage counters none of the mutations touched, so its
+// entry is exact by definition; touched sensors are recomputed via
+// Gain (recompute, not delta), bit-identical to a full BulkGain sweep
+// however many mutations the batch applied.
 func (o *CoverageOracle) SparseGainRefreshAll(changed []int, out []float64) {
 	u := o.u
 	if len(out) != u.n {

@@ -193,7 +193,7 @@ type DetectionOracle struct {
 	value float64
 	// mark/epoch are the sparse-refresh dedup scratch: mark[v] == epoch
 	// means sensor v was already recomputed during the current
-	// SparseGainRefresh/SparseLossRefresh sweep. Pure scratch — never
+	// SparseGainRefreshAll/SparseLossRefreshAll sweep. Pure scratch — never
 	// part of the set state.
 	mark  []uint32
 	epoch uint32
@@ -204,8 +204,6 @@ var (
 	_ BulkGainer               = (*DetectionOracle)(nil)
 	_ BulkLosser               = (*DetectionOracle)(nil)
 	_ ConcurrentReadSafe       = (*DetectionOracle)(nil)
-	_ SparseGainRefresher      = (*DetectionOracle)(nil)
-	_ SparseLossRefresher      = (*DetectionOracle)(nil)
 	_ SparseGainBatchRefresher = (*DetectionOracle)(nil)
 	_ SparseLossBatchRefresher = (*DetectionOracle)(nil)
 	_ AffectedLister           = (*DetectionOracle)(nil)
@@ -282,74 +280,15 @@ func (o *DetectionOracle) bumpEpoch() {
 	}
 }
 
-// SparseGainRefresh implements SparseGainRefresher: given out holding
-// per-sensor gains that were exact immediately before the most recent
-// Add(changed) / Remove(changed) on this oracle, it rewrites out so
-// every entry is exact for the current state, touching only the CSR
-// rows of the targets sensor changed covers. Exactness of the
-// untouched entries is definitional: a sensor sharing no target with
-// changed has a gain summing over per-target survivals none of which
-// the mutation altered, so a fresh query would return the same floats.
-// Touched sensors are recomputed via Gain, which the Bulk contract
-// keeps bit-identical to a full BulkGain sweep.
-func (o *DetectionOracle) SparseGainRefresh(changed int, out []float64) {
-	u := o.u
-	checkElem(changed, u.n)
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseGainRefresh buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	ts, _ := u.sensorTargets.Row(changed)
-	for _, t := range ts {
-		vs, _ := u.targetSensors.Row(int(t))
-		for _, v := range vs {
-			if o.mark[v] == o.epoch {
-				continue
-			}
-			o.mark[v] = o.epoch
-			out[v] = o.Gain(int(v))
-		}
-	}
-	// changed itself covers exactly the swept targets, so it was
-	// recomputed above whenever it has any; a degree-0 sensor's gain is
-	// identically 0 either way. The explicit write keeps the
-	// member-entries-are-zero invariant robust without a branch.
-	out[changed] = o.Gain(changed)
-}
-
-// SparseLossRefresh implements SparseLossRefresher: the removal-side
-// dual of SparseGainRefresh, refreshing per-sensor losses after the
-// most recent Add(changed) / Remove(changed) by sweeping only the
-// affected targets' CSR rows. Untouched entries are exact by the same
-// definitional argument; touched entries are recomputed via Loss,
-// bit-identical to a full BulkLoss sweep.
-func (o *DetectionOracle) SparseLossRefresh(changed int, out []float64) {
-	u := o.u
-	checkElem(changed, u.n)
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseLossRefresh buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	ts, _ := u.sensorTargets.Row(changed)
-	for _, t := range ts {
-		vs, _ := u.targetSensors.Row(int(t))
-		for _, v := range vs {
-			if o.mark[v] == o.epoch {
-				continue
-			}
-			o.mark[v] = o.epoch
-			out[v] = o.Loss(int(v))
-		}
-	}
-	out[changed] = o.Loss(changed)
-}
-
 // SparseGainRefreshAll implements SparseGainBatchRefresher: one epoch,
 // one sweep over the union of the changed sensors' target rows — a
 // sensor reachable from several changed sensors' footprints is
-// recomputed exactly once. Recompute-not-delta keeps every touched
-// entry bit-identical to a fresh Gain under the current state
-// regardless of how many mutations the batch applied.
+// recomputed exactly once. Exactness of the untouched entries is
+// definitional: a sensor sharing no target with a changed sensor has a
+// gain summing over per-target survivals none of the mutations
+// altered. Touched sensors are recomputed via Gain (recompute, not
+// delta), which the Bulk contract keeps bit-identical to a full
+// BulkGain sweep however many mutations the batch applied.
 func (o *DetectionOracle) SparseGainRefreshAll(changed []int, out []float64) {
 	u := o.u
 	if len(out) != u.n {

@@ -60,6 +60,9 @@ func BenchmarkKernelEvalScalar(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSparseGainRefresh times the batch sparse refresh with a
+// one-element changed list (k = 1), the form the greedy climb runs after
+// every step.
 func BenchmarkKernelSparseGainRefresh(b *testing.B) {
 	u := kernelBenchUtility(b)
 	o := u.Oracle()
@@ -68,10 +71,12 @@ func BenchmarkKernelSparseGainRefresh(b *testing.B) {
 	}
 	out := make([]float64, u.GroundSize())
 	o.BulkGain(out)
+	one := make([]int, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.SparseGainRefresh(i%u.GroundSize(), out)
+		one[0] = i % u.GroundSize()
+		o.SparseGainRefreshAll(one, out)
 	}
 }
 

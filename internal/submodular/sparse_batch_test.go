@@ -11,8 +11,8 @@ import (
 // sweep must restore a previously-exact marginal column to bit-identity
 // with a fresh BulkGain/BulkLoss of the current state. These tests walk
 // randomized mutation batches on both CSR oracles and hold the columns
-// to Float64bits equality, the same discipline as the single-mutation
-// sparse tests of PR 5.
+// to Float64bits equality, the same discipline as the one-element walk
+// of sparse_test.go.
 
 func batchTestOracles(tb testing.TB, n, m int, seed int64) []RemovalOracle {
 	tb.Helper()

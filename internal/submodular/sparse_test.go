@@ -9,11 +9,12 @@ import (
 )
 
 // This file locks down the column-sparse refresh contract
-// (SparseGainRefresher / SparseLossRefresher): starting from a
-// pre-mutation bulk snapshot, a sparse refresh after any single
-// Add/Remove must leave the buffer bit-identical to a from-scratch
-// BulkGain/BulkLoss sweep — on every entry, member or not. The greedy
-// engines' determinism rests on exactly this equality.
+// (SparseGainBatchRefresher / SparseLossBatchRefresher) in the form the
+// greedy climb uses it every step: starting from a pre-mutation bulk
+// snapshot, a refresh with the one-element changed list after any
+// single Add/Remove must leave the buffer bit-identical to a
+// from-scratch BulkGain/BulkLoss sweep — on every entry, member or
+// not. The greedy engines' determinism rests on exactly this equality.
 
 // sparseDetectionUtility derives a detection utility from an RNG: n in
 // [4, 36], m in [1, 8], random incidence (possibly leaving some sensors
@@ -74,8 +75,8 @@ type sparseOracle interface {
 	RemovalOracle
 	BulkGainer
 	BulkLosser
-	SparseGainRefresher
-	SparseLossRefresher
+	SparseGainBatchRefresher
+	SparseLossBatchRefresher
 }
 
 // checkSparseAgainstBulk drives o through a random Add/Remove walk. At
@@ -90,6 +91,7 @@ func checkSparseAgainstBulk(t testing.TB, o sparseOracle, n int, rng *stats.RNG,
 	o.BulkGain(gainBuf)
 	o.BulkLoss(lossBuf)
 	member := make([]bool, n)
+	one := make([]int, 1)
 	for step := 0; step < steps; step++ {
 		v := rng.Intn(n)
 		if member[v] {
@@ -98,8 +100,9 @@ func checkSparseAgainstBulk(t testing.TB, o sparseOracle, n int, rng *stats.RNG,
 			o.Add(v)
 		}
 		member[v] = !member[v]
-		o.SparseGainRefresh(v, gainBuf)
-		o.SparseLossRefresh(v, lossBuf)
+		one[0] = v
+		o.SparseGainRefreshAll(one, gainBuf)
+		o.SparseLossRefreshAll(one, lossBuf)
 
 		o.BulkGain(fresh)
 		for i := range fresh {
@@ -157,7 +160,7 @@ func TestSparseRefreshOnClone(t *testing.T) {
 	buf := make([]float64, n)
 	parent.BulkGain(buf)
 	parent.Add(0)
-	parent.SparseGainRefresh(0, buf)
+	parent.SparseGainRefreshAll([]int{0}, buf)
 	clone := parent.Clone().(sparseOracle)
 	if !checkSparseAgainstBulk(t, clone, n, rng, 4*n) {
 		t.Fatal("clone sparse refresh diverged from bulk")

@@ -108,64 +108,41 @@ type BulkLosser interface {
 	BulkLoss(out []float64)
 }
 
-// SparseGainRefresher is implemented by oracles that can repair a
-// per-sensor gain column incrementally after a single mutation,
-// touching only the entries the mutation could have changed.
+// SparseGainBatchRefresher is implemented by oracles that can repair a
+// per-sensor gain column incrementally after mutations, touching only
+// the entries the mutations could have changed.
 //
 // Contract: let out hold, for every ground-set element u, a value
-// bit-identical to Gain(u) under the oracle state immediately before
-// the most recent Add(changed) or Remove(changed) (equivalently, a
-// BulkGain snapshot of that state). SparseGainRefresh(changed, out)
-// must rewrite out in place so that out[u] is bit-identical to Gain(u)
-// under the *current* state for every u — while it may read or write
-// only entries whose gain the mutation could have affected (for the
-// incidence-backed oracles: sensors sharing at least one target/item
-// with changed, plus changed itself). Elements outside that set are
-// exact by definition — their marginals sum over per-target state the
-// mutation did not touch — which is what makes the sparse sweep an
-// exactness-preserving replacement for a full column refresh, not an
-// approximation.
-//
-// SparseGainRefresh may use internal scratch (it is NOT a concurrent
-// read in the ConcurrentReadSafe sense) and must not allocate. The
-// sequential greedy engine uses it to refresh the dirty slot column
-// after each step in O(affected) instead of O(n + edges).
-type SparseGainRefresher interface {
-	SparseGainRefresh(changed int, out []float64)
-}
-
-// SparseLossRefresher is the removal-side dual of SparseGainRefresher:
-// the same contract with Loss/BulkLoss in place of Gain/BulkGain
-// (member entries carry losses, non-members 0).
-type SparseLossRefresher interface {
-	SparseLossRefresh(changed int, out []float64)
-}
-
-// SparseGainBatchRefresher is the k-mutation form of
-// SparseGainRefresher, built for incremental replanning where a
-// perturbation touches several sensors at once.
-//
-// Contract: let out hold, for every ground-set element u, a value
-// bit-identical to Gain(u) under some earlier oracle state, and let
-// every mutation (Add/Remove) applied since that state involve only
-// elements of changed (each element any number of times).
+// bit-identical to Gain(u) under some earlier oracle state (for
+// example a BulkGain snapshot of it), and let every mutation
+// (Add/Remove) applied since that state involve only elements of
+// changed (each element any number of times).
 // SparseGainRefreshAll(changed, out) must rewrite out in place so that
 // out[u] is bit-identical to Gain(u) under the *current* state for
-// every u, sweeping the union of the changed elements' incidence rows
-// exactly once (epoch-deduplicated): an element sharing no target/item
-// with any changed element sums its marginal over per-target state
-// none of the mutations touched, so its entry is exact by definition.
-// Cost is one sweep over the union of the changed rows — O(Σ affected)
-// for a k-element perturbation instead of k separate sparse sweeps
-// with re-deduplication. Like the single-mutation form it may use
-// internal scratch and must not allocate.
+// every u — while it may read or write only entries whose gain the
+// mutations could have affected (for the incidence-backed oracles:
+// elements sharing at least one target/item with a changed element,
+// plus the changed elements themselves). Elements outside that set are
+// exact by definition — their marginals sum over per-target state the
+// mutations did not touch — which is what makes the sparse sweep an
+// exactness-preserving replacement for a full column refresh, not an
+// approximation. The union of the changed elements' incidence rows is
+// swept exactly once (epoch-deduplicated), so a k-element perturbation
+// costs O(Σ affected) instead of k separate sweeps.
+//
+// SparseGainRefreshAll may use internal scratch (it is NOT a concurrent
+// read in the ConcurrentReadSafe sense) and must not allocate. The
+// greedy climb calls it with a one-element changed list after every
+// step, refreshing the dirty slot column in O(affected) instead of
+// O(n + edges); the incremental replanner calls it with a whole
+// perturbation batch.
 type SparseGainBatchRefresher interface {
 	SparseGainRefreshAll(changed []int, out []float64)
 }
 
 // SparseLossBatchRefresher is the removal-side dual of
-// SparseGainBatchRefresher: the same contract with Loss in place of
-// Gain (member entries carry losses, non-members 0).
+// SparseGainBatchRefresher: the same contract with Loss/BulkLoss in
+// place of Gain/BulkGain (member entries carry losses, non-members 0).
 type SparseLossBatchRefresher interface {
 	SparseLossRefreshAll(changed []int, out []float64)
 }
