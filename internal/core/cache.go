@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // marginCache caches the marginal utility of every (sensor, slot) pair
 // against the current per-slot oracle states: gains (U(S∪{v})−U(S)) for
 // the placement greedy, losses (U(S)−U(S∖{v})) for the removal greedy.
@@ -9,10 +11,10 @@ package core
 // slot are untouched, so their cached marginals remain *exactly* equal
 // to what a fresh query would return — no submodular upper/lower-bound
 // argument is needed, the values simply cannot have changed. Refreshing
-// the single dirty column costs O(n) oracle calls, dropping the greedy
-// hill-climb from O(n·T) oracle calls per step (the seed's
-// ReferenceGreedy) to O(n), while the argmax/argmin selection becomes a
-// pure O(n·T) array scan.
+// the single dirty column costs at most O(n) oracle calls — only the
+// affected sensors' with the column-sparse contract — instead of the
+// O(n·T) of the seed's ReferenceGreedy. Selection does not scan the
+// cache: the climb indexes each column with a winner tree (see climb).
 type marginCache struct {
 	n, T int
 	// vals[t*n+v] is the cached marginal of sensor v at slot t.
@@ -38,52 +40,75 @@ type candidate struct {
 	value float64
 }
 
-// argmaxColumn returns slot t's best candidate among the sensors in
-// pending — the engine's compacted, ascending list of still-unassigned
-// sensors — with a strict > comparison (ties to the lowest v). Because
-// pending preserves ascending sensor order, the scan visits exactly the
-// sensors the full 0..n loop would have visited, in the same order,
-// minus the assigned ones it would have skipped; the result is
-// therefore identical while the per-sensor assigned-check branch and
-// the dead iterations disappear from the hot loop. It is the
-// per-column piece of the sequential engine's incremental selection:
-// the engine keeps one such candidate per slot and only rescans the
-// columns a greedy step can actually change.
-func (c *marginCache) argmaxColumn(t int, pending []int) candidate {
-	best := candidate{v: -1, t: -1, value: -1}
-	col := c.column(t)
-	for _, v := range pending {
-		if g := col[v]; g > best.value {
-			best = candidate{v: v, t: t, value: g}
-		}
-	}
-	return best
+// node is one winner-tree node (see climb): the winning sensor v of
+// its subtree and that sensor's cached marginal. v is noSensor when no
+// leaf below is eligible.
+type node struct {
+	value float64
+	v     int32
 }
 
-// argminColumn is the removal-mode dual of argmaxColumn.
-func (c *marginCache) argminColumn(t int, pending []int) candidate {
-	best := candidate{v: -1, t: -1}
-	found := false
-	col := c.column(t)
-	for _, v := range pending {
-		if l := col[v]; !found || l < best.value {
-			best = candidate{v: v, t: t, value: l}
-			found = true
-		}
-	}
-	return best
+// noSensor marks a subtree without an eligible pending sensor.
+const noSensor int32 = -1
+
+// same reports whether a and b hold the same winner with the same
+// marginal bits (== would equate −0 and +0).
+func (a node) same(b node) bool {
+	return a.v == b.v && math.Float64bits(a.value) == math.Float64bits(b.value)
 }
 
-// dropPending removes sensor v from the ascending pending list in
-// place, returning the shortened slice. Order is preserved, so later
-// column scans keep the exact tie-break order of the full loop.
-func dropPending(pending []int, v int) []int {
-	for i, p := range pending {
-		if p == v {
-			return append(pending[:i], pending[i+1:]...)
-		}
+// maxLeaf is placement's leaf for marginal m of pending sensor v: only
+// m > −1 competes, the floor the strict scan starts from, so a NaN, a
+// gain at or below −1, and a dead leaf (v = noSensor, m = NaN) all
+// become the floor node, which every eligible leaf strictly beats.
+func maxLeaf(m float64, v int32) node {
+	if m > -1 {
+		return node{value: m, v: v}
 	}
-	return pending
+	return node{value: -1, v: noSensor}
+}
+
+// maxNode recomputes inner node i of a placement tree from its two
+// children and reports whether its winner moved: the right child wins
+// only with a strictly larger gain, so ties go to the left subtree —
+// the lower sensor IDs.
+func maxNode(tr []node, i int) bool {
+	w := tr[2*i]
+	if r := tr[2*i+1]; r.value > w.value {
+		w = r
+	}
+	if w.same(tr[i]) {
+		return false
+	}
+	tr[i] = w
+	return true
+}
+
+// minLeaf is removal's leaf for marginal m of pending sensor v: every
+// loss but NaN competes, ±Inf included. NaN losses and dead leaves
+// become noSensor; the first-pending rule that lets a NaN win is
+// applied at the root (climb.winner), not in the tree.
+func minLeaf(m float64, v int32) node {
+	if m == m {
+		return node{value: m, v: v}
+	}
+	return node{value: math.Inf(1), v: noSensor}
+}
+
+// minNode is the removal dual of maxNode: the right child wins when
+// the left subtree is empty or on a strictly smaller loss. The explicit
+// empty test keeps an eligible +Inf loss ahead of an empty left
+// subtree.
+func minNode(tr []node, i int) bool {
+	w := tr[2*i]
+	if r := tr[2*i+1]; w.v < 0 || r.value < w.value {
+		w = r
+	}
+	if w.same(tr[i]) {
+		return false
+	}
+	tr[i] = w
+	return true
 }
 
 // bestOfColumnsMax merges per-column argmax candidates into the global

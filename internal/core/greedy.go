@@ -29,16 +29,17 @@ func newAssignment(n int) []int {
 // sensors with present[v] == false receive the Absent assignment and
 // never enter any oracle, and the greedy runs over the survivors
 // exactly as Greedy would on a compacted instance (same floats, same
-// lowest-(v, t) tie-breaks — the pending-list scans simply skip the
-// absent IDs). A nil present schedules everyone. This is the
-// incremental Repairer's ground truth: the from-scratch plan for the
-// current fleet, with stable sensor IDs.
+// lowest-(v, t) tie-breaks — the winner trees index only the present
+// IDs). A nil present schedules everyone. This is the incremental
+// Repairer's ground truth: the from-scratch plan for the current
+// fleet, with stable sensor IDs.
 //
 // The engine is the cached climb (see climb): a dirty-slot margin
-// cache (see marginCache) plus one best candidate per slot, so a step
-// refreshes one column — column-sparse when the oracle supports it —
-// and rescans only the columns the step could have changed, while the
-// schedule stays bit-identical to ReferenceGreedy's eager O(n·T) scan.
+// cache (see marginCache) indexed by one winner tree per slot, so a
+// step selects in O(T), refreshes one column — column-sparse when the
+// oracle supports it — and updates only the tree leaves the refresh
+// rewrote, in O(log n) each, while the schedule stays bit-identical to
+// ReferenceGreedy's eager O(n·T) scan.
 func GreedySubset(in Instance, present []bool) (*Schedule, error) {
 	c, err := planClimb(in, present)
 	if err != nil {

@@ -1,33 +1,53 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"cool/internal/submodular"
 )
 
-// These tests pin the sequential engine's selection — one argmax (or
-// argmin) per column over the compacted pending list, merged by
-// bestOfColumnsMax (Min) — to a dense v-major scan of the whole cache:
-// identical results, including every lowest-(v, t) tie-break, on
-// random caches, and zero allocations in the column scans the engine
-// runs every step.
+// These tests pin the climb's indexed selection — one winner tree per
+// column over the run's pending list, merged by bestOfColumnsMax (Min)
+// — to the column scans it replaced (scanColumnMax/Min): identical
+// picks per column and merged, including every lowest-(v, t)
+// tie-break, the placement floor, NaN and ±Inf, on random caches and
+// across random leaf updates; and zero allocations in the tree updates
+// a step runs. checkClimbAgainstFresh holds whole runs to the dense
+// v-major scan.
+
+// edgeMarginals are the values that stress the selection rules: the
+// placement floor and values below it, NaN, and both infinities.
+var edgeMarginals = []float64{-1, -1.5, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// randomMarginal draws a coarse value — frequent exact ties stress the
+// lowest-(v, t) rule — or, one time in four, an edge value.
+func randomMarginal(rng *rand.Rand) float64 {
+	if rng.Intn(4) == 0 {
+		return edgeMarginals[rng.Intn(len(edgeMarginals))]
+	}
+	return float64(rng.Intn(8))
+}
 
 // randomCacheState builds a cache with random marginals, a random
-// assignment, and the matching compacted ascending pending list.
+// assignment (assigned, absent and unassigned sensors), and the
+// ascending list of the unassigned ones.
 func randomCacheState(rng *rand.Rand, n, T int) (*marginCache, []int, []int) {
 	cache := newMarginCache(n, T)
 	for i := range cache.vals {
-		// Coarse quantization forces frequent exact ties, stressing the
-		// lowest-(v, t) rule.
-		cache.vals[i] = float64(rng.Intn(8))
+		cache.vals[i] = randomMarginal(rng)
 	}
 	assign := make([]int, n)
 	var pending []int
 	for v := range assign {
-		assign[v] = -1
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			assign[v] = rng.Intn(T)
-		} else {
+		case 1:
+			assign[v] = Absent
+		default:
+			assign[v] = -1
 			pending = append(pending, v)
 		}
 	}
@@ -36,12 +56,12 @@ func randomCacheState(rng *rand.Rand, n, T int) (*marginCache, []int, []int) {
 
 // denseArgmax is the seed's eager selection over a cache: the
 // maximum-gain candidate among unassigned sensors, scanning sensors
-// then slots in ascending order with a strict > comparison, so ties
-// resolve to the lowest (v, t).
+// then slots in ascending order with a strict > comparison from the −1
+// floor, so ties resolve to the lowest (v, t) and NaN never wins.
 func denseArgmax(c *marginCache, assign []int) candidate {
 	best := candidate{v: -1, t: -1, value: -1}
 	for v := 0; v < c.n; v++ {
-		if assign[v] >= 0 {
+		if assign[v] != -1 {
 			continue
 		}
 		for t := 0; t < c.T; t++ {
@@ -53,12 +73,14 @@ func denseArgmax(c *marginCache, assign []int) candidate {
 	return best
 }
 
-// denseArgmin is the removal-mode dual of denseArgmax.
+// denseArgmin is the removal-mode dual of denseArgmax. It takes the
+// first unassigned pair whatever its loss and replaces it only on a
+// strictly smaller one, so a NaN on that first pair wins.
 func denseArgmin(c *marginCache, assign []int) candidate {
 	best := candidate{v: -1, t: -1}
 	found := false
 	for v := 0; v < c.n; v++ {
-		if assign[v] >= 0 {
+		if assign[v] != -1 {
 			continue
 		}
 		for t := 0; t < c.T; t++ {
@@ -71,68 +93,168 @@ func denseArgmin(c *marginCache, assign []int) candidate {
 	return best
 }
 
-// columnArgmax and columnArgmin run the sequential engine's selection
-// from scratch: one scan per column, merged across columns.
-func columnArgmax(c *marginCache, pending []int) candidate {
-	cols := make([]candidate, c.T)
-	for t := range cols {
-		cols[t] = c.argmaxColumn(t, pending)
+// scanColumnMax is the column scan the winner trees replaced: slot t's
+// best candidate among the ascending pending list, with a strict >
+// comparison from the −1 floor, so ties go to the lowest v and NaN
+// never wins.
+func scanColumnMax(c *marginCache, t int, pending []int) candidate {
+	best := candidate{v: -1, t: -1, value: -1}
+	for _, v := range pending {
+		if g := c.at(v, t); g > best.value {
+			best = candidate{v: v, t: t, value: g}
+		}
 	}
-	return bestOfColumnsMax(cols)
+	return best
 }
 
-func columnArgmin(c *marginCache, pending []int) candidate {
-	cols := make([]candidate, c.T)
-	for t := range cols {
-		cols[t] = c.argminColumn(t, pending)
+// scanColumnMin is the removal dual: it takes the first pending sensor
+// whatever its loss and replaces it only on a strictly smaller one, so
+// a NaN on the first pending sensor wins the column. The dense scan
+// applies that rule to the first (sensor, slot) pair only, so the two
+// can differ when the first pending sensor's loss is NaN in some slots
+// but not in slot 0; no oracle in this repository produces NaN.
+func scanColumnMin(c *marginCache, t int, pending []int) candidate {
+	best := candidate{v: -1, t: -1}
+	found := false
+	for _, v := range pending {
+		if l := c.at(v, t); !found || l < best.value {
+			best = candidate{v: v, t: t, value: l}
+			found = true
+		}
 	}
-	return bestOfColumnsMin(cols)
+	return best
 }
 
+// scanColumns is the selection the winner trees replaced: one column
+// scan per slot over the still-unassigned sensors of pending.
+func scanColumns(c *climb) []candidate {
+	var live []int
+	for _, v := range c.pending {
+		if c.assign[v] == -1 {
+			live = append(live, v)
+		}
+	}
+	cols := make([]candidate, len(c.oracles))
+	for t := range cols {
+		if c.removal {
+			cols[t] = scanColumnMin(c.cache, t, live)
+		} else {
+			cols[t] = scanColumnMax(c.cache, t, live)
+		}
+	}
+	return cols
+}
+
+// hasNaN reports whether any cache entry is NaN.
+func hasNaN(c *marginCache) bool {
+	for _, m := range c.vals {
+		if math.IsNaN(m) {
+			return true
+		}
+	}
+	return false
+}
+
+// denseBest is the dense scan of c's regime.
+func denseBest(c *climb) candidate {
+	if c.removal {
+		return denseArgmin(c.cache, c.assign)
+	}
+	return denseArgmax(c.cache, c.assign)
+}
+
+// sameCandidate compares two picks bit for bit; every empty pick is
+// the same.
+func sameCandidate(a, b candidate) bool {
+	if a.v < 0 || b.v < 0 {
+		return a.v < 0 && b.v < 0
+	}
+	return a.v == b.v && a.t == b.t && math.Float64bits(a.value) == math.Float64bits(b.value)
+}
+
+// treeClimb starts a run over pending on a climb that has only a
+// cache, an assignment and a regime — all the trees read.
+func treeClimb(cache *marginCache, assign, pending []int, removal bool) *climb {
+	c := &climb{
+		oracles: make([]submodular.RemovalOracle, cache.T),
+		cache:   cache,
+		assign:  assign,
+		removal: removal,
+		cands:   make([]candidate, cache.T),
+	}
+	c.begin(pending)
+	return c
+}
+
+// TestPendingScansMatchRangeScans holds each tree's winner and the
+// merged pick to the column scans on random tie-heavy caches with edge
+// values, in both regimes, after the build and after every random
+// update: a batch of rewritten entries in one column, reported as rows
+// and reindexed, or a pending sensor retired (assigned, its leaf killed
+// in every tree). On caches without NaN the merged pick must also be the
+// dense scan's.
 func TestPendingScansMatchRangeScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(40)
 		T := 1 + rng.Intn(6)
-		cache, assign, pending := randomCacheState(rng, n, T)
-
-		if got, want := columnArgmax(cache, pending), denseArgmax(cache, assign); got != want {
-			t.Fatalf("trial %d: column argmax %+v != dense scan %+v", trial, got, want)
-		}
-		if got, want := columnArgmin(cache, pending), denseArgmin(cache, assign); got != want {
-			t.Fatalf("trial %d: column argmin %+v != dense scan %+v", trial, got, want)
+		for _, removal := range []bool{false, true} {
+			cache, assign, pending := randomCacheState(rng, n, T)
+			c := treeClimb(cache, assign, pending, removal)
+			for round := 0; round < 12; round++ {
+				got, cols := c.best(), scanColumns(c)
+				for col, w := range cols {
+					if !sameCandidate(c.cands[col], w) {
+						t.Fatalf("trial %d removal=%v round %d: column %d tree winner %+v != scan %+v", trial, removal, round, col, c.cands[col], w)
+					}
+				}
+				want := bestOfColumnsMax(cols)
+				if removal {
+					want = bestOfColumnsMin(cols)
+				}
+				if !sameCandidate(got, want) {
+					t.Fatalf("trial %d removal=%v round %d: tree pick %+v != column scans %+v", trial, removal, round, got, want)
+				}
+				if !hasNaN(cache) && !sameCandidate(got, denseBest(c)) {
+					t.Fatalf("trial %d removal=%v round %d: tree pick %+v != dense scan %+v", trial, removal, round, got, denseBest(c))
+				}
+				if rng.Intn(3) == 0 && c.left > 0 {
+					v := pending[rng.Intn(len(pending))]
+					if c.assign[v] != -1 {
+						continue
+					}
+					c.retire(v, rng.Intn(T))
+					continue
+				}
+				col := rng.Intn(T)
+				var rows []int32
+				for _, v := range rng.Perm(n)[:1+rng.Intn(n)] {
+					cache.column(col)[v] = randomMarginal(rng)
+					rows = append(rows, int32(v))
+				}
+				c.reindex(col, rows)
+			}
 		}
 	}
 }
 
-func TestDropPendingPreservesOrder(t *testing.T) {
-	pending := []int{2, 5, 7, 11, 13}
-	pending = dropPending(pending, 7)
-	want := []int{2, 5, 11, 13}
-	if len(pending) != len(want) {
-		t.Fatalf("got %v, want %v", pending, want)
-	}
-	for i := range want {
-		if pending[i] != want[i] {
-			t.Fatalf("got %v, want %v", pending, want)
-		}
-	}
-	// Dropping an absent sensor is a no-op.
-	if got := dropPending(pending, 99); len(got) != len(want) {
-		t.Fatalf("dropPending of absent sensor changed the list: %v", got)
-	}
-}
-
-// TestPendingScanZeroAlloc gates the sequential engine's steady-state
-// column scans at zero allocations.
+// TestPendingScanZeroAlloc gates the tree work of a step at zero
+// allocations: reindexing a refresh's reported rows and merging the
+// column winners.
 func TestPendingScanZeroAlloc(t *testing.T) {
 	const n, T = 512, 6
 	rng := rand.New(rand.NewSource(5))
-	cache, _, pending := randomCacheState(rng, n, T)
-	if a := testing.AllocsPerRun(100, func() {
-		_ = cache.argmaxColumn(1, pending)
-		_ = cache.argminColumn(1, pending)
-	}); a != 0 {
-		t.Fatalf("pending-list scan allocated %v times per run, want 0", a)
+	for _, removal := range []bool{false, true} {
+		cache, assign, pending := randomCacheState(rng, n, T)
+		c := treeClimb(cache, assign, pending, removal)
+		report := []int32{3, 40, 41, 200, 511, 7}
+		rows := make([]int32, len(report))
+		if a := testing.AllocsPerRun(100, func() {
+			copy(rows, report)
+			c.reindex(1, rows)
+			_ = c.best()
+		}); a != 0 {
+			t.Fatalf("removal=%v: tree update and selection allocated %v times per run, want 0", removal, a)
+		}
 	}
 }

@@ -96,7 +96,6 @@ type Repairer struct {
 	epoch      int32
 	affected   []int32
 	dirtyBuf   []int
-	pendingBuf []int
 	colTouched []bool
 }
 
@@ -229,28 +228,12 @@ func (r *Repairer) AddSensors(ids []int) (RepairStats, error) {
 		stats.Utility = stats.UtilityBefore
 		return stats, nil
 	}
-	c := r.c
-	if c.removal {
-		// A live removal-mode sensor is a member of every slot except
-		// its passive one; the insertion loop picks the passive slot by
-		// Remove, so start from member-everywhere — the same state the
-		// full plan starts its sensors from.
-		for _, v := range sorted {
-			for _, o := range c.oracles {
-				o.Add(v)
-			}
-		}
-		for t := range c.oracles {
-			c.refresh(t, sorted)
-		}
-	}
+	r.c.admit(sorted)
 	for _, v := range sorted {
-		c.assign[v] = -1
 		r.present[v] = true
 	}
 	r.nPresent += len(sorted)
-	r.pendingBuf = append(r.pendingBuf[:0], sorted...)
-	if err := c.run(r.pendingBuf); err != nil {
+	if err := r.c.run(sorted); err != nil {
 		return RepairStats{}, err
 	}
 	dirty := r.damageFront(sorted)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cool/internal/stats"
@@ -637,4 +638,53 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// sparseCoverageInstance builds a coverage instance in which every item
+// is covered by deg random sensors, so a perturbation touches a few
+// columns' worth of rows, as on a deployed field.
+func sparseCoverageInstance(t *testing.T, rng *stats.RNG, n, m, deg int, rho float64) Instance {
+	t.Helper()
+	items := make([]submodular.CoverageItem, m)
+	for i := range items {
+		var covered []int
+		for len(covered) < deg {
+			if v := rng.Intn(n); !slices.Contains(covered, v) {
+				covered = append(covered, v)
+			}
+		}
+		items[i] = submodular.CoverageItem{Value: rng.UniformRange(0.1, 2), CoveredBy: covered}
+	}
+	u, err := submodular.NewCoverageUtility(n, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Instance{N: n, Period: period(t, rho), Factory: func() submodular.RemovalOracle { return u.Oracle() }}
+}
+
+// TestReplanCycleAllocs pins the allocations of a kill and redeploy of
+// four sensors on a small sparse field, in both regimes, at the two
+// sorted copies checkIDs makes. The redeploy's batch insertion reuses
+// the climb's winner trees and refresh scratch, so an engine that
+// allocated them per run would fail here.
+func TestReplanCycleAllocs(t *testing.T) {
+	rng := stats.NewRNG(409)
+	for _, rho := range []float64{3, 1.0 / 3} {
+		in := sparseCoverageInstance(t, rng, 400, 120, 4, rho)
+		r, err := NewRepairer(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := []int{342, 17, 211, 90}
+		if a := testing.AllocsPerRun(50, func() {
+			if _, err := r.RemoveSensors(ids); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.AddSensors(ids); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 2 {
+			t.Errorf("ρ=%v: kill+deploy of %d sensors allocated %v times per cycle, want 2", rho, len(ids), a)
+		}
+	}
 }

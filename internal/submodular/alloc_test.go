@@ -117,19 +117,21 @@ func TestOracleHotPathAllocations(t *testing.T) {
 				t.Skip("oracle has no batch sparse refresh (dense-coupling utility)")
 			}
 			// The sparse contract forbids allocation: the epoch-dedup
-			// scratch lives in the oracle and is reused per call, the
-			// changed list and column belong to the caller.
+			// scratch lives in the oracle and is reused per call; the
+			// changed list, the column and the row-report buffer belong
+			// to the caller, and a grown buffer is reused in place.
 			out := make([]float64, n)
+			rows := make([]int32, 0, n)
 			changed := []int{2, 5, 11}
 			if okG {
 				o.(BulkGainer).BulkGain(out)
-				if a := testing.AllocsPerRun(200, func() { sg.SparseGainRefreshAll(changed, out) }); a != 0 {
+				if a := testing.AllocsPerRun(200, func() { rows = sg.SparseGainRefreshAll(changed, out, rows[:0]) }); a != 0 {
 					t.Errorf("SparseGainRefreshAll allocated %v times per run, want 0", a)
 				}
 			}
 			if okL {
 				o.(BulkLosser).BulkLoss(out)
-				if a := testing.AllocsPerRun(200, func() { sl.SparseLossRefreshAll(changed, out) }); a != 0 {
+				if a := testing.AllocsPerRun(200, func() { rows = sl.SparseLossRefreshAll(changed, out, rows[:0]) }); a != 0 {
 					t.Errorf("SparseLossRefreshAll allocated %v times per run, want 0", a)
 				}
 			}

@@ -252,8 +252,9 @@ func (o *CoverageOracle) bumpEpoch() {
 // gain over coverage counters none of the mutations touched, so its
 // entry is exact by definition; touched sensors are recomputed via
 // Gain (recompute, not delta), bit-identical to a full BulkGain sweep
-// however many mutations the batch applied.
-func (o *CoverageOracle) SparseGainRefreshAll(changed []int, out []float64) {
+// however many mutations the batch applied. Each recomputed sensor is
+// appended to rows exactly once, deduplicated by the same epoch mark.
+func (o *CoverageOracle) SparseGainRefreshAll(changed []int, out []float64, rows []int32) []int32 {
 	u := o.u
 	if len(out) != u.n {
 		panic(fmt.Sprintf("submodular: SparseGainRefreshAll buffer %d != ground size %d", len(out), u.n))
@@ -270,6 +271,7 @@ func (o *CoverageOracle) SparseGainRefreshAll(changed []int, out []float64) {
 				}
 				o.mark[v] = o.epoch
 				out[v] = o.Gain(int(v))
+				rows = append(rows, v)
 			}
 		}
 	}
@@ -277,13 +279,15 @@ func (o *CoverageOracle) SparseGainRefreshAll(changed []int, out []float64) {
 		if o.mark[c] != o.epoch {
 			o.mark[c] = o.epoch
 			out[c] = o.Gain(c)
+			rows = append(rows, int32(c))
 		}
 	}
+	return rows
 }
 
 // SparseLossRefreshAll implements SparseLossBatchRefresher: the
 // removal-side dual of SparseGainRefreshAll.
-func (o *CoverageOracle) SparseLossRefreshAll(changed []int, out []float64) {
+func (o *CoverageOracle) SparseLossRefreshAll(changed []int, out []float64, rows []int32) []int32 {
 	u := o.u
 	if len(out) != u.n {
 		panic(fmt.Sprintf("submodular: SparseLossRefreshAll buffer %d != ground size %d", len(out), u.n))
@@ -300,6 +304,7 @@ func (o *CoverageOracle) SparseLossRefreshAll(changed []int, out []float64) {
 				}
 				o.mark[v] = o.epoch
 				out[v] = o.Loss(int(v))
+				rows = append(rows, v)
 			}
 		}
 	}
@@ -307,8 +312,10 @@ func (o *CoverageOracle) SparseLossRefreshAll(changed []int, out []float64) {
 		if o.mark[c] != o.epoch {
 			o.mark[c] = o.epoch
 			out[c] = o.Loss(c)
+			rows = append(rows, int32(c))
 		}
 	}
+	return rows
 }
 
 // AppendAffected implements AffectedLister: every sensor sharing an

@@ -288,8 +288,10 @@ func (o *DetectionOracle) bumpEpoch() {
 // gain summing over per-target survivals none of the mutations
 // altered. Touched sensors are recomputed via Gain (recompute, not
 // delta), which the Bulk contract keeps bit-identical to a full
-// BulkGain sweep however many mutations the batch applied.
-func (o *DetectionOracle) SparseGainRefreshAll(changed []int, out []float64) {
+// BulkGain sweep however many mutations the batch applied. The epoch
+// mark that dedups the recompute also dedups the row report: each
+// recomputed sensor is appended to rows exactly once.
+func (o *DetectionOracle) SparseGainRefreshAll(changed []int, out []float64, rows []int32) []int32 {
 	u := o.u
 	if len(out) != u.n {
 		panic(fmt.Sprintf("submodular: SparseGainRefreshAll buffer %d != ground size %d", len(out), u.n))
@@ -306,6 +308,7 @@ func (o *DetectionOracle) SparseGainRefreshAll(changed []int, out []float64) {
 				}
 				o.mark[v] = o.epoch
 				out[v] = o.Gain(int(v))
+				rows = append(rows, v)
 			}
 		}
 	}
@@ -315,13 +318,15 @@ func (o *DetectionOracle) SparseGainRefreshAll(changed []int, out []float64) {
 		if o.mark[c] != o.epoch {
 			o.mark[c] = o.epoch
 			out[c] = o.Gain(c)
+			rows = append(rows, int32(c))
 		}
 	}
+	return rows
 }
 
 // SparseLossRefreshAll implements SparseLossBatchRefresher: the
 // removal-side dual of SparseGainRefreshAll.
-func (o *DetectionOracle) SparseLossRefreshAll(changed []int, out []float64) {
+func (o *DetectionOracle) SparseLossRefreshAll(changed []int, out []float64, rows []int32) []int32 {
 	u := o.u
 	if len(out) != u.n {
 		panic(fmt.Sprintf("submodular: SparseLossRefreshAll buffer %d != ground size %d", len(out), u.n))
@@ -338,6 +343,7 @@ func (o *DetectionOracle) SparseLossRefreshAll(changed []int, out []float64) {
 				}
 				o.mark[v] = o.epoch
 				out[v] = o.Loss(int(v))
+				rows = append(rows, v)
 			}
 		}
 	}
@@ -345,8 +351,10 @@ func (o *DetectionOracle) SparseLossRefreshAll(changed []int, out []float64) {
 		if o.mark[c] != o.epoch {
 			o.mark[c] = o.epoch
 			out[c] = o.Loss(c)
+			rows = append(rows, int32(c))
 		}
 	}
+	return rows
 }
 
 // AppendAffected implements AffectedLister: every sensor sharing a

@@ -72,11 +72,12 @@ func BenchmarkKernelSparseGainRefresh(b *testing.B) {
 	out := make([]float64, u.GroundSize())
 	o.BulkGain(out)
 	one := make([]int, 1)
+	var rows []int32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		one[0] = i % u.GroundSize()
-		o.SparseGainRefreshAll(one, out)
+		rows = o.SparseGainRefreshAll(one, out, rows[:0])
 	}
 }
 

@@ -45,6 +45,44 @@ func batchTestOracles(tb testing.TB, n, m int, seed int64) []RemovalOracle {
 	return []RemovalOracle{du.Oracle(), cu.Oracle()}
 }
 
+// seedMembers adds a random third of the ground set to o.
+func seedMembers(rng *rand.Rand, o RemovalOracle, n int) {
+	for v := 0; v < n; v++ {
+		if rng.Intn(3) == 0 {
+			o.Add(v)
+		}
+	}
+}
+
+// mutateBatch applies a random batch of mutations confined to a
+// changed-set of 1–8 distinct elements, toggling some of them twice,
+// and returns the changed-set.
+func mutateBatch(rng *rand.Rand, o RemovalOracle, n int) []int {
+	toggle := func(v int) {
+		if o.Contains(v) {
+			o.Remove(v)
+		} else {
+			o.Add(v)
+		}
+	}
+	k := 1 + rng.Intn(8)
+	changed := make([]int, 0, k)
+	seen := map[int]bool{}
+	for len(changed) < k {
+		v := rng.Intn(n)
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		changed = append(changed, v)
+		toggle(v)
+		if rng.Intn(4) == 0 { // mutate some elements twice
+			toggle(v)
+		}
+	}
+	return changed
+}
+
 func TestSparseBatchRefreshMatchesBulk(t *testing.T) {
 	const n, m = 120, 60
 	for trial := int64(0); trial < 40; trial++ {
@@ -54,42 +92,14 @@ func TestSparseBatchRefreshMatchesBulk(t *testing.T) {
 			bl := o.(BulkLosser)
 			sg := o.(SparseGainBatchRefresher)
 			sl := o.(SparseLossBatchRefresher)
-			// Seed a random member set.
-			for v := 0; v < n; v++ {
-				if rng.Intn(3) == 0 {
-					o.Add(v)
-				}
-			}
+			seedMembers(rng, o, n)
 			gains := make([]float64, n)
 			losses := make([]float64, n)
 			bg.BulkGain(gains)
 			bl.BulkLoss(losses)
-			// Apply a batch of mutations confined to a changed-set.
-			k := 1 + rng.Intn(8)
-			changed := make([]int, 0, k)
-			seen := map[int]bool{}
-			for len(changed) < k {
-				v := rng.Intn(n)
-				if seen[v] {
-					continue
-				}
-				seen[v] = true
-				changed = append(changed, v)
-				if o.Contains(v) {
-					o.Remove(v)
-				} else {
-					o.Add(v)
-				}
-				if rng.Intn(4) == 0 { // mutate some elements twice
-					if o.Contains(v) {
-						o.Remove(v)
-					} else {
-						o.Add(v)
-					}
-				}
-			}
-			sg.SparseGainRefreshAll(changed, gains)
-			sl.SparseLossRefreshAll(changed, losses)
+			changed := mutateBatch(rng, o, n)
+			sg.SparseGainRefreshAll(changed, gains, nil)
+			sl.SparseLossRefreshAll(changed, losses, nil)
 			wantG := make([]float64, n)
 			wantL := make([]float64, n)
 			bg.BulkGain(wantG)
@@ -102,6 +112,69 @@ func TestSparseBatchRefreshMatchesBulk(t *testing.T) {
 				if math.Float64bits(losses[v]) != math.Float64bits(wantL[v]) {
 					t.Fatalf("trial %d: loss[%d] = %v after batch refresh, bulk says %v (changed %v)",
 						trial, v, losses[v], wantL[v], changed)
+				}
+			}
+		}
+	}
+}
+
+// TestSparseBatchRowReport pins the row report the greedy climb's
+// winner trees rely on: after a random batch, the reported rows hold
+// no duplicate and include every changed element and every entry
+// whose bits moved, and every entry not reported is bit-identical to a
+// fresh bulk sweep — so a caller that updates only the reported rows
+// sees the whole refreshed column. Rows are appended after whatever
+// the buffer already holds.
+func TestSparseBatchRowReport(t *testing.T) {
+	const n, m = 120, 60
+	for trial := int64(0); trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(2000 + trial))
+		for _, o := range batchTestOracles(t, n, m, trial) {
+			seedMembers(rng, o, n)
+			for _, removal := range []bool{false, true} {
+				col := make([]float64, n)
+				fresh := make([]float64, n)
+				bulk := func(out []float64) {
+					if removal {
+						o.(BulkLosser).BulkLoss(out)
+					} else {
+						o.(BulkGainer).BulkGain(out)
+					}
+				}
+				bulk(col)
+				before := append([]float64(nil), col...)
+				changed := mutateBatch(rng, o, n)
+				prefix := []int32{-7}
+				var rows []int32
+				if removal {
+					rows = o.(SparseLossBatchRefresher).SparseLossRefreshAll(changed, col, prefix)
+				} else {
+					rows = o.(SparseGainBatchRefresher).SparseGainRefreshAll(changed, col, prefix)
+				}
+				if len(rows) == 0 || rows[0] != -7 {
+					t.Fatalf("trial %d removal=%v: report overwrote the buffer's prefix: %v", trial, removal, rows)
+				}
+				rows = rows[1:]
+				reported := make([]bool, n)
+				for _, v := range rows {
+					if reported[v] {
+						t.Fatalf("trial %d removal=%v: row %d reported twice in %v", trial, removal, v, rows)
+					}
+					reported[v] = true
+				}
+				for _, c := range changed {
+					if !reported[c] {
+						t.Fatalf("trial %d removal=%v: changed element %d not reported", trial, removal, c)
+					}
+				}
+				bulk(fresh)
+				for v := 0; v < n; v++ {
+					if math.Float64bits(col[v]) != math.Float64bits(before[v]) && !reported[v] {
+						t.Fatalf("trial %d removal=%v: entry %d moved %v -> %v unreported", trial, removal, v, before[v], col[v])
+					}
+					if !reported[v] && math.Float64bits(col[v]) != math.Float64bits(fresh[v]) {
+						t.Fatalf("trial %d removal=%v: unreported entry %d = %v, bulk says %v", trial, removal, v, col[v], fresh[v])
+					}
 				}
 			}
 		}

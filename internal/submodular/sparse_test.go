@@ -92,6 +92,7 @@ func checkSparseAgainstBulk(t testing.TB, o sparseOracle, n int, rng *stats.RNG,
 	o.BulkLoss(lossBuf)
 	member := make([]bool, n)
 	one := make([]int, 1)
+	var rows []int32
 	for step := 0; step < steps; step++ {
 		v := rng.Intn(n)
 		if member[v] {
@@ -101,8 +102,8 @@ func checkSparseAgainstBulk(t testing.TB, o sparseOracle, n int, rng *stats.RNG,
 		}
 		member[v] = !member[v]
 		one[0] = v
-		o.SparseGainRefreshAll(one, gainBuf)
-		o.SparseLossRefreshAll(one, lossBuf)
+		rows = o.SparseGainRefreshAll(one, gainBuf, rows[:0])
+		rows = o.SparseLossRefreshAll(one, lossBuf, rows[:0])
 
 		o.BulkGain(fresh)
 		for i := range fresh {
@@ -160,7 +161,7 @@ func TestSparseRefreshOnClone(t *testing.T) {
 	buf := make([]float64, n)
 	parent.BulkGain(buf)
 	parent.Add(0)
-	parent.SparseGainRefreshAll([]int{0}, buf)
+	parent.SparseGainRefreshAll([]int{0}, buf, nil)
 	clone := parent.Clone().(sparseOracle)
 	if !checkSparseAgainstBulk(t, clone, n, rng, 4*n) {
 		t.Fatal("clone sparse refresh diverged from bulk")

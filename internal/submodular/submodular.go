@@ -117,9 +117,9 @@ type BulkLosser interface {
 // example a BulkGain snapshot of it), and let every mutation
 // (Add/Remove) applied since that state involve only elements of
 // changed (each element any number of times).
-// SparseGainRefreshAll(changed, out) must rewrite out in place so that
-// out[u] is bit-identical to Gain(u) under the *current* state for
-// every u — while it may read or write only entries whose gain the
+// SparseGainRefreshAll(changed, out, rows) must rewrite out in place so
+// that out[u] is bit-identical to Gain(u) under the *current* state
+// for every u — while it may read or write only entries whose gain the
 // mutations could have affected (for the incidence-backed oracles:
 // elements sharing at least one target/item with a changed element,
 // plus the changed elements themselves). Elements outside that set are
@@ -130,21 +130,30 @@ type BulkLosser interface {
 // swept exactly once (epoch-deduplicated), so a k-element perturbation
 // costs O(Σ affected) instead of k separate sweeps.
 //
+// Row report: every element whose entry it rewrote — the changed
+// elements always among them — is appended to rows exactly once, in
+// no particular order, and the extended slice is returned. An entry
+// not reported is bit-identical to its value before the call, so a
+// caller indexing the column (the greedy climb's winner trees) updates
+// only the reported rows.
+//
 // SparseGainRefreshAll may use internal scratch (it is NOT a concurrent
-// read in the ConcurrentReadSafe sense) and must not allocate. The
-// greedy climb calls it with a one-element changed list after every
-// step, refreshing the dirty slot column in O(affected) instead of
-// O(n + edges); the incremental replanner calls it with a whole
-// perturbation batch.
+// read in the ConcurrentReadSafe sense) and must not allocate beyond
+// growing rows, which the caller owns and reuses. The greedy climb
+// calls it with the committed sensor after every step and the
+// incremental replanner with a whole perturbation batch; either way the
+// dirty slot column is refreshed in O(affected) instead of
+// O(n + edges).
 type SparseGainBatchRefresher interface {
-	SparseGainRefreshAll(changed []int, out []float64)
+	SparseGainRefreshAll(changed []int, out []float64, rows []int32) []int32
 }
 
 // SparseLossBatchRefresher is the removal-side dual of
-// SparseGainBatchRefresher: the same contract with Loss/BulkLoss in
-// place of Gain/BulkGain (member entries carry losses, non-members 0).
+// SparseGainBatchRefresher: the same contract, row report included,
+// with Loss/BulkLoss in place of Gain/BulkGain (member entries carry
+// losses, non-members 0).
 type SparseLossBatchRefresher interface {
-	SparseLossRefreshAll(changed []int, out []float64)
+	SparseLossRefreshAll(changed []int, out []float64, rows []int32) []int32
 }
 
 // AffectedLister is implemented by incidence-backed oracles that can
