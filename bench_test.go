@@ -136,28 +136,6 @@ func BenchmarkGreedyVsExact(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLazyGreedy (A1): eager vs CELF-lazy greedy across
-// instance sizes.
-func BenchmarkAblationLazyGreedy(b *testing.B) {
-	for _, n := range []int{100, 200, 400} {
-		p := benchPlanner(b, n, n/10, 3)
-		b.Run(fmt.Sprintf("eager/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Plan(PlanRequest{Algorithm: AlgorithmGreedy}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("lazy/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Plan(PlanRequest{Algorithm: AlgorithmLazyGreedy}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPolicies (A2): every scheduling policy on the same
 // workload.
 func BenchmarkAblationPolicies(b *testing.B) {
@@ -192,7 +170,7 @@ func BenchmarkAblationRho(b *testing.B) {
 // through the slotted simulator.
 func BenchmarkRandomCharging(b *testing.B) {
 	p := benchPlanner(b, 100, 10, 3)
-	sched := mustPlan(b, p, PlanRequest{Algorithm: AlgorithmLazyGreedy}).Schedule
+	sched := mustPlan(b, p, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 	u := benchUtility(b, 100, 10, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -301,7 +279,7 @@ func BenchmarkSubdivision(b *testing.B) {
 // deterministic simulator.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	p := benchPlanner(b, 200, 20, 3)
-	sched := mustPlan(b, p, PlanRequest{Algorithm: AlgorithmLazyGreedy}).Schedule
+	sched := mustPlan(b, p, PlanRequest{Algorithm: AlgorithmGreedy}).Schedule
 	u := benchUtility(b, 200, 20, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -436,26 +414,6 @@ func BenchmarkSensitivitySweeps(b *testing.B) {
 	}
 }
 
-// BenchmarkLazyGreedyRemoval measures the loss-side lazy greedy on a
-// ρ < 1 instance.
-func BenchmarkLazyGreedyRemoval(b *testing.B) {
-	p := benchPlanner(b, 150, 15, 0.5)
-	b.Run("eager", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Plan(PlanRequest{Algorithm: AlgorithmGreedy}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lazy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Plan(PlanRequest{Algorithm: AlgorithmLazyGreedy}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // benchInstance builds a core.Instance on the Figure-9-style workload
 // (n sensors and m targets in a 500×500 field, range 100, p = 0.4) for
 // the engine benches. ρ = 7 gives T = 8 slots.
@@ -505,47 +463,31 @@ func deployBenchInstance(b *testing.B, cfg wsn.DeployConfig, seed uint64, rho fl
 	}
 }
 
-// BenchmarkGreedyParallel times the utility engines on a dense and a
-// sparse workload, so the choice of parallel engine can be rechecked
-// on any host: the n = 240, T = 8 instance, where every sensor sees
-// most targets, with the seed's uncached reference scan as yardstick;
-// and the n = 10⁴ BENCH_replan.json field at ρ = 3 and ρ = 1/3. The
-// parallel lazy engine runs at 2, 4 and NumCPU workers. DESIGN.md
+// BenchmarkEngineMatrix times the greedy climb on a dense and a sparse
+// workload: the n = 240, T = 8 instance, where every sensor sees most
+// targets, with the seed's uncached reference scan as yardstick; and
+// the n = 10⁴ BENCH_replan.json field at ρ = 3 and ρ = 1/3. DESIGN.md
 // §5.11 records the measured rows. Rerun with
 //
-//	go test -run xxx -bench GreedyParallel -benchtime 3x -count 3 .
-func BenchmarkGreedyParallel(b *testing.B) {
-	type engine struct {
-		name string
-		plan func(core.Instance) (*core.Schedule, error)
-	}
-	engines := []engine{{"greedy", core.Greedy}, {"lazy", core.LazyGreedy}}
-	for _, w := range []int{2, 4, 0} {
-		name := fmt.Sprintf("parallel-lazy-w%d", w)
-		if w == 0 {
-			name = "parallel-lazy-numcpu"
-		}
-		engines = append(engines, engine{name, func(in core.Instance) (*core.Schedule, error) {
-			return core.ParallelLazyGreedy(in, w)
-		}})
-	}
-	run := func(b *testing.B, in core.Instance, engines []engine) {
-		for _, e := range engines {
-			b.Run(e.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := e.plan(in); err != nil {
-						b.Fatal(err)
-					}
+//	go test -run xxx -bench EngineMatrix -benchtime 3x -count 5 .
+func BenchmarkEngineMatrix(b *testing.B) {
+	timePlan := func(b *testing.B, name string, plan func(core.Instance) (*core.Schedule, error), in core.Instance) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := plan(in); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 	b.Run("dense-n240", func(b *testing.B) {
-		run(b, benchInstance(b, 240, 24, 7), append([]engine{{"reference", core.ReferenceGreedy}}, engines...))
+		in := benchInstance(b, 240, 24, 7)
+		timePlan(b, "reference", core.ReferenceGreedy, in)
+		timePlan(b, "greedy", core.Greedy, in)
 	})
 	for _, rho := range []float64{3, 1.0 / 3} {
 		b.Run(fmt.Sprintf("sparse-n10000-rho%.3g", rho), func(b *testing.B) {
-			run(b, sparseBenchInstance(b, 10000, rho), engines)
+			timePlan(b, "greedy", core.Greedy, sparseBenchInstance(b, 10000, rho))
 		})
 	}
 }

@@ -144,9 +144,6 @@ func collect(which string, quick bool, seed uint64, workers int) ([]*experiments
 		if err := add(experiments.AblationRho(cfg)); err != nil {
 			return nil, nil, err
 		}
-		if err := add(experiments.AblationLazy(cfg)); err != nil {
-			return nil, nil, err
-		}
 	}
 	if want("random") {
 		cfg := experiments.AblationConfig{Seed: seed, Workers: workers}

@@ -15,7 +15,7 @@ func TestRunQuickAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"ablation-policies", "ablation-rho", "ablation-lazy"} {
+	for _, want := range []string{"ablation-policies", "ablation-rho"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 		rho       = fs.Float64("rho", 3, "charging ratio Tr/Td")
 		days      = fs.Int("days", 30, "working days (the paper ran 30); each day is 48 slots of 15 min")
 		policy    = fs.String("policy", "greedy", "policy: greedy|lazy|parallel|all-ready|random|round-robin|first-slot|sorted-stride")
-		shards    = fs.Int("shards", 0, "plan with the sharded decomposition over this many geometric strips (0 disables; greedy/lazy policies only)")
+		shards    = fs.Int("shards", 0, "plan with the sharded decomposition over this many geometric strips (0 disables; greedy|lazy|parallel policies only)")
 		charging  = fs.String("charging", "deterministic", "charging model: deterministic|random")
 		eventRate = fs.Float64("event-rate", 1, "random charging: Poisson event rate per slot")
 		eventDur  = fs.Float64("event-duration", 1, "random charging: mean event duration in slots")
@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 		kcov      = fs.Int("k", 1, "lifetime mode: per-target coverage requirement")
 		battery   = fs.Float64("battery", 1, "lifetime mode: per-sensor battery capacity in active-slot units")
 		reps      = fs.Int("reps", 1, "Monte-Carlo replications (>1 reports a mean with a 95% CI)")
-		workers   = fs.Int("workers", 0, "worker goroutines for planning and Monte-Carlo runs (<=0 selects NumCPU)")
+		workers   = fs.Int("workers", 0, "worker goroutines for sharded planning and Monte-Carlo runs (<=0 selects NumCPU)")
 		radio     = fs.Bool("radio", false, "disseminate the schedule over the simulated lossy radio network before running")
 		radioLoss = fs.Float64("radio-loss", 0.1, "radio mode: per-link drop probability in [0,1)")
 		radioRng  = fs.Float64("radio-range", 0, "radio mode: transmission range (0 selects 35% of the field side)")
@@ -130,13 +130,12 @@ func run(args []string, out io.Writer) error {
 		*policy = "file:" + *schedFile
 	}
 	if pol == nil && *shards > 0 {
-		if *policy != "greedy" && *policy != "lazy" {
-			return fmt.Errorf("-shards requires the greedy or lazy policy, not %q", *policy)
+		if _, planned := policyAlgorithms[*policy]; !planned {
+			return fmt.Errorf("-shards requires the greedy, lazy or parallel policy, not %q", *policy)
 		}
 		res, err := cool.ShardedDetectionPlan(net, cool.FixedProb(*p), period, cool.ShardedOptions{
 			Shards:  *shards,
 			Workers: *workers,
-			Lazy:    *policy == "lazy",
 		})
 		if err != nil {
 			return err
@@ -151,7 +150,7 @@ func run(args []string, out io.Writer) error {
 		case *policy == "all-ready":
 			pol = cool.AllReadyPolicy{}
 		case planned:
-			res, err := planner.Plan(cool.PlanRequest{Algorithm: alg, Workers: *workers})
+			res, err := planner.Plan(cool.PlanRequest{Algorithm: alg})
 			if err != nil {
 				return err
 			}

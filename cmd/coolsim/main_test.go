@@ -124,12 +124,40 @@ func TestRunParallelPolicyMatchesGreedy(t *testing.T) {
 	if err := run([]string{"-n", "20", "-m", "4", "-days", "1", "-policy", "parallel", "-workers", "4"}, &par); err != nil {
 		t.Fatal(err)
 	}
-	// The parallel planner is bit-identical to greedy, so the simulated
-	// outcome must match line for line (modulo the policy name).
+	// The parallel policy plans through the greedy engine, so the
+	// simulated outcome must match line for line (modulo the policy
+	// name).
 	sq := strings.Replace(seq.String(), "policy=greedy", "", 1)
 	pr := strings.Replace(par.String(), "policy=parallel", "", 1)
 	if sq != pr {
 		t.Errorf("parallel policy diverged:\n%s\nvs\n%s", seq.String(), par.String())
+	}
+}
+
+// TestRunShardedPolicies checks that -shards accepts every policy a
+// facade engine plans — all three plan the same strips with the same
+// engine, so the output matches line for line modulo the policy name —
+// and rejects the others.
+func TestRunShardedPolicies(t *testing.T) {
+	var want string
+	for _, policy := range []string{"greedy", "lazy", "parallel"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-n", "40", "-m", "6", "-days", "1", "-shards", "2", "-policy", policy}, &buf); err != nil {
+			t.Fatalf("policy %s: %v", policy, err)
+		}
+		if !strings.Contains(buf.String(), "sharded plan:") {
+			t.Fatalf("policy %s: missing sharded plan report:\n%s", policy, buf.String())
+		}
+		got := strings.Replace(buf.String(), "policy="+policy, "", 1)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("policy %s diverged from greedy:\n%s\nvs\n%s", policy, got, want)
+		}
+	}
+	err := run([]string{"-n", "40", "-m", "6", "-days", "1", "-shards", "2", "-policy", "round-robin"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "-shards requires") {
+		t.Errorf("-shards with round-robin: got %v, want a -shards policy error", err)
 	}
 }
 

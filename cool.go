@@ -12,10 +12,10 @@
 // active set of each time-slot. Its scheduling algorithms compute
 // periodic activation schedules:
 //
-//   - Greedy / LazyGreedy — the paper's greedy hill-climbing scheme
-//     (Algorithm 1 for ρ ≥ 1, the passive-slot removal form for
-//     ρ ≤ 1), with a proven 1/2-approximation of the optimal average
-//     utility.
+//   - Greedy — the paper's greedy hill-climbing scheme (Algorithm 1
+//     for ρ ≥ 1, the passive-slot removal form for ρ ≤ 1), with a
+//     proven 1/2-approximation of the optimal average utility. The
+//     lazy-greedy and parallel-lazy-greedy names plan through it too.
 //   - Exact — branch-and-bound optimum for small instances, the
 //     evaluation's enumeration yardstick.
 //   - LPRound — the LP-relaxation + randomized-rounding baseline for

@@ -50,7 +50,7 @@ func run() error {
 		return err
 	}
 
-	plan, err := planner.Plan(cool.PlanRequest{Algorithm: cool.AlgorithmLazyGreedy})
+	plan, err := planner.Plan(cool.PlanRequest{Algorithm: cool.AlgorithmGreedy})
 	if err != nil {
 		return err
 	}

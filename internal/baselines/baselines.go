@@ -99,7 +99,9 @@ const (
 	NameFirstSlot    Name = "first-slot"
 	NameSortedStride Name = "sorted-stride"
 	NameGreedy       Name = "greedy"
-	NameLazyGreedy   Name = "lazy-greedy"
+	// NameLazyGreedy plans through core.Greedy like NameGreedy; the
+	// name stays so that callers requesting it keep working.
+	NameLazyGreedy Name = "lazy-greedy"
 )
 
 // Build computes the named baseline (or the paper's greedy) schedule.
@@ -113,10 +115,8 @@ func Build(name Name, in core.Instance, rng *stats.RNG) (*core.Schedule, error) 
 		return FirstSlot(in)
 	case NameSortedStride:
 		return SortedStride(in)
-	case NameGreedy:
+	case NameGreedy, NameLazyGreedy:
 		return core.Greedy(in)
-	case NameLazyGreedy:
-		return core.LazyGreedy(in)
 	default:
 		return nil, fmt.Errorf("baselines: unknown policy %q", name)
 	}

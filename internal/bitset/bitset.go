@@ -3,15 +3,13 @@
 //
 // It is the membership representation of the submodular-oracle hot path
 // (see internal/submodular): Add/Remove/Contains are single-word
-// bit operations with zero allocations, Count is a popcount sweep, and
-// Clone copies n/64 contiguous words instead of rehashing a
-// map[int]bool. All operations are O(1) or O(n/64) with perfectly
-// predictable, cache-friendly memory access.
+// bit operations with zero allocations and Count is a popcount sweep.
+// All operations are O(1) or O(n/64) with perfectly predictable,
+// cache-friendly memory access.
 //
 // A Bitset is not safe for concurrent mutation; concurrent Contains /
 // Count / Members calls are safe provided no Add, Remove, Clear or Fill
-// runs at the same time — the same contract as the oracle reads they
-// back.
+// runs at the same time.
 package bitset
 
 import (
@@ -110,13 +108,6 @@ func (s Bitset) Fill() {
 	if tail := uint(s.n) & 63; tail != 0 {
 		s.words[len(s.words)-1] = (1 << tail) - 1
 	}
-}
-
-// Clone returns an independent copy.
-func (s Bitset) Clone() Bitset {
-	c := Bitset{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
 }
 
 // Equal reports whether both sets have the same universe and members.

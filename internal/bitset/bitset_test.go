@@ -53,17 +53,18 @@ func TestFillClearMembers(t *testing.T) {
 	}
 }
 
-func TestCloneCopyEqual(t *testing.T) {
-	s := New(100)
-	s.Add(3)
-	s.Add(77)
-	c := s.Clone()
+func TestEqual(t *testing.T) {
+	s, c := New(100), New(100)
+	for _, v := range []int{3, 77} {
+		s.Add(v)
+		c.Add(v)
+	}
 	if !c.Equal(s) {
-		t.Fatal("clone not equal to source")
+		t.Fatal("sets with the same members not equal")
 	}
 	c.Add(50)
-	if s.Contains(50) {
-		t.Fatal("clone mutation leaked into source")
+	if c.Equal(s) {
+		t.Fatal("sets with different members equal")
 	}
 	e := New(101)
 	if s.Equal(e) {

@@ -148,7 +148,7 @@ func Run(cfg Config) (*Result, error) {
 		rho := pattern.Rho()
 		replanned := sched == nil || period != prevPeriod
 		if replanned {
-			sched, err = core.LazyGreedy(core.Instance{
+			sched, err = core.Greedy(core.Instance{
 				N:       cfg.NumSensors,
 				Period:  period,
 				Factory: cfg.Factory,

@@ -172,12 +172,12 @@ const (
 	// EngineGreedy is the one-shot paper greedy
 	// (cool.AlgorithmGreedy).
 	EngineGreedy = "greedy"
-	// EngineLazy is the one-shot CELF lazy greedy
-	// (cool.AlgorithmLazyGreedy).
+	// EngineLazy (cool.AlgorithmLazyGreedy) plans through the
+	// EngineGreedy engine and returns its schedule; the name stays so
+	// that clients requesting it keep working.
 	EngineLazy = "lazy"
-	// EngineParallel is the lazy greedy with its initial marginal
-	// evaluation sharded across Workers goroutines
-	// (cool.AlgorithmParallelLazyGreedy), bit-identical to EngineGreedy.
+	// EngineParallel (cool.AlgorithmParallelLazyGreedy), like
+	// EngineLazy, plans through the EngineGreedy engine.
 	EngineParallel = "parallel"
 
 	// EngineHEF is the high-energy-first lifetime scheduler
@@ -207,8 +207,9 @@ type PlanRequest struct {
 	// EngineIncremental under the utility objective and EngineHEF
 	// under the lifetime objective.
 	Engine string `json:"engine,omitempty"`
-	// Workers bounds EngineParallel's fill concurrency (<= 0 NumCPU);
-	// other engines ignore it.
+	// Workers is decoded and ignored: no engine plans a schedule on
+	// several goroutines. The field stays so that requests carrying it
+	// (such as a worker count for EngineParallel) still decode.
 	Workers int `json:"workers,omitempty"`
 	// Objective selects what to optimize: "" or ObjectiveUtility for
 	// the per-period submodular utility (the historical behavior), or

@@ -513,7 +513,6 @@ func (s *Server) handlePlan(tenant string, plan *PlanRequest) (*Response, *WireE
 		}
 		return nil, &WireError{Code: CodeBadRequest, Message: msg}
 	default:
-		req.Workers = plan.Workers
 		resp, err = d.planOneShot(engine, req)
 	}
 	if err != nil {

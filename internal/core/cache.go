@@ -86,7 +86,7 @@ func maxNode(tr []node, i int) bool {
 
 // minLeaf is removal's leaf for marginal m of pending sensor v: every
 // loss but NaN competes, ±Inf included. NaN losses and dead leaves
-// become noSensor; the first-pending rule that lets a NaN win is
+// become noSensor; the first-pair rule that lets a NaN win slot 0 is
 // applied at the root (climb.winner), not in the tree.
 func minLeaf(m float64, v int32) node {
 	if m == m {

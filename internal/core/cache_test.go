@@ -47,6 +47,22 @@ func TestMarginCacheRemovalMatchesFresh(t *testing.T) {
 	checkBatchAgainstFresh(t, rng, det)
 }
 
+// evalInstance builds an instance over EvalOracle, which has neither
+// the bulk nor the sparse contract, so the climb takes the per-sensor
+// fill and the full-column refresh.
+func evalInstance(t *testing.T, sizes []float64, rho float64) Instance {
+	t.Helper()
+	fn, err := submodular.NewLogSumUtility(sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Instance{
+		N:       len(sizes),
+		Period:  period(t, rho),
+		Factory: func() submodular.RemovalOracle { return submodular.NewEvalOracle(fn) },
+	}
+}
+
 // checkClimbAgainstFresh runs a whole climb over in step by step (see
 // checkRunAgainstFresh).
 func checkClimbAgainstFresh(t *testing.T, in Instance) int {
@@ -169,11 +185,10 @@ func checkAgainstFresh(t *testing.T, in Instance, c *climb) {
 // exact ties. The override is a pure function of the sensor and the
 // set's size, so a fresh oracle replaying the same set agrees bit for
 // bit. A mutation can move every marginal, so its sparse refresh
-// rewrites and reports every row. A NaN loss depends on the sensor
-// alone, so it is NaN in every slot at once: the removal climb's
-// first-pending rule applies per column (see scanColumnMin), the dense
-// scan's to slot 0 only, and the two agree when a NaN loss holds in
-// every slot.
+// rewrites and reports every row. A NaN loss depends on the set's size
+// too, so once the slots' sets differ in size a sensor's loss can be
+// NaN in some slots and finite in others — the case where the dense
+// scan's first-pair rule holds in slot 0 only (see climb.winner).
 type edgeOracle struct {
 	submodular.RemovalOracle
 	size int
@@ -210,7 +225,7 @@ func (o *edgeOracle) Gain(v int) float64 {
 }
 
 func (o *edgeOracle) Loss(v int) float64 {
-	if v%5 == 2 {
+	if (2*v+o.size)%5 == 2 {
 		return math.NaN()
 	}
 	return o.override(v, o.RemovalOracle.Loss(v))
@@ -228,10 +243,6 @@ func (o *edgeOracle) Remove(v int) {
 		o.size--
 	}
 	o.RemovalOracle.Remove(v)
-}
-
-func (o *edgeOracle) Clone() submodular.Oracle {
-	return &edgeOracle{RemovalOracle: o.RemovalOracle.Clone().(submodular.RemovalOracle), size: o.size}
 }
 
 func (o *edgeOracle) SparseGainRefreshAll(_ []int, out []float64, rows []int32) []int32 {
@@ -284,34 +295,6 @@ func TestClimbCommitZeroAlloc(t *testing.T) {
 					t.Errorf("%s ρ=%v in run %v: commit+lift allocated %v times per run, want 0", name, rho, inRun, a)
 				}
 			}
-		}
-	}
-}
-
-func TestChunkBounds(t *testing.T) {
-	cases := []struct{ n, k int }{
-		{10, 3}, {10, 1}, {10, 10}, {3, 8}, {1, 1}, {7, 2},
-	}
-	for _, c := range cases {
-		bounds := chunkBounds(c.n, c.k)
-		if bounds[0] != 0 || bounds[len(bounds)-1] != c.n {
-			t.Fatalf("chunkBounds(%d,%d) = %v: bad endpoints", c.n, c.k, bounds)
-		}
-		minSize, maxSize := c.n, 0
-		for w := 0; w+1 < len(bounds); w++ {
-			size := bounds[w+1] - bounds[w]
-			if size <= 0 {
-				t.Fatalf("chunkBounds(%d,%d) = %v: empty range", c.n, c.k, bounds)
-			}
-			if size < minSize {
-				minSize = size
-			}
-			if size > maxSize {
-				maxSize = size
-			}
-		}
-		if maxSize-minSize > 1 {
-			t.Errorf("chunkBounds(%d,%d) = %v: imbalanced", c.n, c.k, bounds)
 		}
 	}
 }

@@ -43,7 +43,7 @@ type climb struct {
 	// Run state, set by begin. pending is the run's ascending sensor
 	// list and is never compacted: an assigned sensor keeps its leaf,
 	// dead. left counts the still-unassigned sensors of pending, first
-	// indexes the lowest of them (removal's first-pending rule, see
+	// indexes the lowest of them (removal's first-pair rule, see
 	// winner), and pending is nil between runs.
 	pending     []int
 	left, first int
@@ -377,12 +377,14 @@ func (c *climb) propagate(tr []node, level []int32) {
 }
 
 // winner returns slot t's best pending candidate: the tree's root, or
-// none when no leaf is eligible. Removal adds the first-pending rule of
-// the column scan the trees replaced: it started from the lowest
-// pending sensor whatever its loss and replaced it only on a strictly
-// smaller one, so a NaN there was never displaced and wins the column.
+// none when no leaf is eligible. Removal adds the first-pair rule of
+// the dense scan (ReferenceGreedy): it starts from (lowest pending
+// sensor, slot 0) whatever that loss and replaces it only on a strictly
+// smaller one, so a NaN there is never displaced and wins. The rule
+// holds for slot 0 alone: a NaN loss of that sensor in a later slot is
+// skipped like any other NaN and must not hide the column's minimum.
 func (c *climb) winner(t int) candidate {
-	if c.removal && c.first < len(c.pending) {
+	if c.removal && t == 0 && c.first < len(c.pending) {
 		if v := c.pending[c.first]; math.IsNaN(c.cache.at(v, t)) {
 			return candidate{v: v, t: t, value: c.cache.at(v, t)}
 		}
@@ -399,7 +401,7 @@ func (c *climb) winner(t int) candidate {
 // Each column's winner is the pick of a strict ascending scan over that
 // column's pending sensors, and the merge compares (value, v) across
 // columns in ascending t, so the result is bit-identical to the dense
-// scan on every NaN-free cache.
+// scan on every cache, NaN and ±Inf included.
 func (c *climb) best() candidate {
 	if c.removal {
 		for c.first < len(c.pending) && c.assign[c.pending[c.first]] >= 0 {

@@ -4,11 +4,10 @@
 //
 // It contains the greedy hill-climbing schemes for ρ > 1 (placement
 // form, Algorithm 1) and ρ ≤ 1 (passive-slot removal form, Section
-// IV-B), a lazy-evaluation accelerated greedy, the LP relaxation with
-// randomized rounding (Section IV-A-1), an exact branch-and-bound
-// solver used as the evaluation's "optimal by enumeration" yardstick,
-// the closed-form utility upper bounds, and the Subset-Sum hardness
-// gadget of Theorem 3.1.
+// IV-B), the LP relaxation with randomized rounding (Section
+// IV-A-1), an exact branch-and-bound solver used as the evaluation's
+// "optimal by enumeration" yardstick, the closed-form utility upper
+// bounds, and the Subset-Sum hardness gadget of Theorem 3.1.
 package core
 
 import (

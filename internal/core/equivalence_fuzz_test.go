@@ -10,9 +10,13 @@ import (
 
 // FuzzEngineEquivalence is the fuzz-shaped form of the determinism
 // contract: for any seeded instance — either utility model, either ρ
-// regime, any incidence density the fuzzer reaches — every engine must
+// regime, any incidence density the fuzzer reaches — every path must
 // return the same assignment vector and the same (bit-identical)
-// period utility as the cached sequential Greedy. The committed seed
+// period utility as the indexed climb: the reference scan, and the
+// climb forced onto its full-column refresh. Over EvalOracle, which
+// answers every query by re-evaluating the utility and has neither the
+// bulk nor the sparse contract, the climb must match the reference
+// scan over the same oracle. The committed seed
 // corpus under testdata/fuzz/FuzzEngineEquivalence pins the structural
 // corners (both modes, zero-coverage sensors, single target, n < T);
 // `make fuzz` and the CI race job extend the search from there.
@@ -33,7 +37,10 @@ func FuzzEngineEquivalence(f *testing.F) {
 		cover := 0.02 + float64(int(coverRaw)%240)/250.0
 
 		rng := stats.NewRNG(seed)
-		var factory OracleFactory
+		var (
+			factory OracleFactory
+			fn      submodular.Function
+		)
 		if seed%2 == 0 {
 			targets := make([]submodular.DetectionTarget, m)
 			for i := range targets {
@@ -52,7 +59,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			factory = func() submodular.RemovalOracle { return u.Oracle() }
+			factory, fn = func() submodular.RemovalOracle { return u.Oracle() }, u
 		} else {
 			items := make([]submodular.CoverageItem, m)
 			for i := range items {
@@ -71,7 +78,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			factory = func() submodular.RemovalOracle { return u.Oracle() }
+			factory, fn = func() submodular.RemovalOracle { return u.Oracle() }, u
 		}
 		p, err := energy.PeriodFromRho(rho)
 		if err != nil {
@@ -87,11 +94,8 @@ func FuzzEngineEquivalence(f *testing.F) {
 		wantUtil := want.PeriodUtility(in.Factory)
 
 		engines := map[string]func() (*Schedule, error){
-			"ReferenceGreedy": func() (*Schedule, error) { return ReferenceGreedy(in) },
-			"ParallelLazy-2":  func() (*Schedule, error) { return ParallelLazyGreedy(in, 2) },
-			"ParallelLazy-3":  func() (*Schedule, error) { return ParallelLazyGreedy(in, 3) },
-			"ParallelLazy-4":  func() (*Schedule, error) { return ParallelLazyGreedy(in, 4) },
-			"LazyGreedy":      func() (*Schedule, error) { return LazyGreedy(in) },
+			"ReferenceGreedy":     func() (*Schedule, error) { return ReferenceGreedy(in) },
+			"Greedy-full-refresh": func() (*Schedule, error) { return Greedy(fullRefreshInstance(in)) },
 		}
 		for name, run := range engines {
 			got, err := run()
@@ -105,6 +109,20 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if gu := got.PeriodUtility(in.Factory); gu != wantUtil {
 				t.Fatalf("%s utility %v != Greedy %v", name, gu, wantUtil)
 			}
+		}
+
+		eval := Instance{N: n, Period: p, Factory: func() submodular.RemovalOracle { return submodular.NewEvalOracle(fn) }}
+		evalGreedy, err := Greedy(eval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evalRef, err := ReferenceGreedy(eval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !assignmentsEqual(evalGreedy.Assignment(), evalRef.Assignment()) {
+			t.Fatalf("EvalOracle: Greedy diverged from ReferenceGreedy\n got %v\nwant %v (n=%d m=%d rho=%v cover=%.3f seed=%d)",
+				evalGreedy.Assignment(), evalRef.Assignment(), n, m, rho, cover, seed)
 		}
 	})
 }

@@ -193,20 +193,18 @@ func buildGoldenInstance(t *testing.T, scn goldenScenario) Instance {
 // goldenEngines returns the named engines. Every engine must produce
 // the same schedule in both regimes.
 func goldenEngines(in Instance) map[string]func() (*Schedule, error) {
-	// Worker counts > 1 so the sharded fill actually runs.
-	engines := map[string]func() (*Schedule, error){
-		"Greedy":          func() (*Schedule, error) { return Greedy(in) },
-		"ReferenceGreedy": func() (*Schedule, error) { return ReferenceGreedy(in) },
-		"ParallelLazy":    func() (*Schedule, error) { return ParallelLazyGreedy(in, 3) },
-		"ParallelLazy-x5": func() (*Schedule, error) { return ParallelLazyGreedy(in, 5) },
-		"LazyGreedy":      func() (*Schedule, error) { return LazyGreedy(in) },
-		"Greedy-full-refresh": func() (*Schedule, error) {
-			return Greedy(Instance{N: in.N, Period: in.Period, Factory: func() submodular.RemovalOracle {
-				return noSparseOracle{in.Factory()}
-			}})
-		},
+	return map[string]func() (*Schedule, error){
+		"Greedy":              func() (*Schedule, error) { return Greedy(in) },
+		"ReferenceGreedy":     func() (*Schedule, error) { return ReferenceGreedy(in) },
+		"Greedy-full-refresh": func() (*Schedule, error) { return Greedy(fullRefreshInstance(in)) },
 	}
-	return engines
+}
+
+// fullRefreshInstance wraps every slot oracle of in in a noSparseOracle.
+func fullRefreshInstance(in Instance) Instance {
+	factory := in.Factory
+	in.Factory = func() submodular.RemovalOracle { return noSparseOracle{factory()} }
+	return in
 }
 
 // noSparseOracle hides the column-sparse refresh of a wrapped oracle

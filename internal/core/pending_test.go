@@ -107,17 +107,20 @@ func scanColumnMax(c *marginCache, t int, pending []int) candidate {
 	return best
 }
 
-// scanColumnMin is the removal dual: it takes the first pending sensor
-// whatever its loss and replaces it only on a strictly smaller one, so
-// a NaN on the first pending sensor wins the column. The dense scan
-// applies that rule to the first (sensor, slot) pair only, so the two
-// can differ when the first pending sensor's loss is NaN in some slots
-// but not in slot 0; no oracle in this repository produces NaN.
+// scanColumnMin is the removal dual. Slot 0 carries the dense scan's
+// first-pair rule: it takes the first pending sensor whatever its loss
+// and replaces it only on a strictly smaller one, so a NaN there wins
+// the column. Every later slot skips NaN losses, so a NaN of the first
+// pending sensor cannot hide that column's minimum.
 func scanColumnMin(c *marginCache, t int, pending []int) candidate {
 	best := candidate{v: -1, t: -1}
 	found := false
 	for _, v := range pending {
-		if l := c.at(v, t); !found || l < best.value {
+		l := c.at(v, t)
+		if t > 0 && math.IsNaN(l) {
+			continue
+		}
+		if !found || l < best.value {
 			best = candidate{v: v, t: t, value: l}
 			found = true
 		}
@@ -143,16 +146,6 @@ func scanColumns(c *climb) []candidate {
 		}
 	}
 	return cols
-}
-
-// hasNaN reports whether any cache entry is NaN.
-func hasNaN(c *marginCache) bool {
-	for _, m := range c.vals {
-		if math.IsNaN(m) {
-			return true
-		}
-	}
-	return false
 }
 
 // denseBest is the dense scan of c's regime.
@@ -191,8 +184,7 @@ func treeClimb(cache *marginCache, assign, pending []int, removal bool) *climb {
 // values, in both regimes, after the build and after every random
 // update: a batch of rewritten entries in one column, reported as rows
 // and reindexed, or a pending sensor retired (assigned, its leaf killed
-// in every tree). On caches without NaN the merged pick must also be the
-// dense scan's.
+// in every tree). The merged pick must also be the dense scan's.
 func TestPendingScansMatchRangeScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
@@ -215,7 +207,7 @@ func TestPendingScansMatchRangeScans(t *testing.T) {
 				if !sameCandidate(got, want) {
 					t.Fatalf("trial %d removal=%v round %d: tree pick %+v != column scans %+v", trial, removal, round, got, want)
 				}
-				if !hasNaN(cache) && !sameCandidate(got, denseBest(c)) {
+				if !sameCandidate(got, denseBest(c)) {
 					t.Fatalf("trial %d removal=%v round %d: tree pick %+v != dense scan %+v", trial, removal, round, got, denseBest(c))
 				}
 				if rng.Intn(3) == 0 && c.left > 0 {

@@ -15,11 +15,11 @@ import (
 // floating-point state of each oracle is a deterministic function of
 // the assignment.
 //
-// It is the one place an engine builds slot oracles: the eager climb
-// and the lazy engines start from the empty plan's oracles, and the
-// sharded planner's border-correction sweep rebuilds the merged global
-// per-slot state once, then repairs it incrementally with Add/Remove
-// as halo sensors are re-argmaxed.
+// It is the one place an engine builds slot oracles: the climb starts
+// from the empty plan's oracles, and the sharded planner's
+// border-correction sweep rebuilds the merged global per-slot state
+// once, then repairs it incrementally with Add/Remove as halo sensors
+// are re-argmaxed.
 func SlotOracles(in Instance, mode Mode, assign []int) ([]submodular.RemovalOracle, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err

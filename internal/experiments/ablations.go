@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"cool/internal/baselines"
 	"cool/internal/core"
@@ -133,52 +132,6 @@ func AblationRho(cfg AblationConfig) (*Figure, error) {
 	}, nil
 }
 
-// AblationLazy compares eager and lazy greedy wall time and utility on
-// growing instances (A1). Equal utility at a fraction of the time is
-// the expected outcome.
-func AblationLazy(cfg AblationConfig) (*Figure, error) {
-	cfg.defaults()
-	sizes := []int{50, 100, 200, 400}
-	eager := Series{Label: "eager-ms"}
-	lazy := Series{Label: "lazy-ms"}
-	var notes []string
-	for _, n := range sizes {
-		c := cfg
-		c.Sensors = n
-		in, err := c.instance(3)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		es, err := core.Greedy(in)
-		if err != nil {
-			return nil, err
-		}
-		eagerMS := float64(time.Since(t0).Microseconds()) / 1000
-		t0 = time.Now()
-		ls, err := core.LazyGreedy(in)
-		if err != nil {
-			return nil, err
-		}
-		lazyMS := float64(time.Since(t0).Microseconds()) / 1000
-		eager.X = append(eager.X, float64(n))
-		eager.Y = append(eager.Y, eagerMS)
-		lazy.X = append(lazy.X, float64(n))
-		lazy.Y = append(lazy.Y, lazyMS)
-		ev := es.PeriodUtility(in.Factory)
-		lv := ls.PeriodUtility(in.Factory)
-		notes = append(notes, fmt.Sprintf("n=%d: utilities eager=%.6f lazy=%.6f", n, ev, lv))
-	}
-	return &Figure{
-		ID:     "ablation-lazy",
-		Title:  "Eager vs lazy (CELF) greedy wall time",
-		XLabel: "sensors",
-		YLabel: "milliseconds",
-		Series: []Series{eager, lazy},
-		Notes:  notes,
-	}, nil
-}
-
 // RandomChargingExperiment runs the Section-V stochastic charging model
 // under the greedy schedule across event-load levels, reporting the
 // simulated average utility (normalized per target).
@@ -188,7 +141,7 @@ func RandomChargingExperiment(cfg AblationConfig) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := core.LazyGreedy(in)
+	sched, err := core.Greedy(in)
 	if err != nil {
 		return nil, err
 	}

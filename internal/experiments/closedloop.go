@@ -63,7 +63,7 @@ func ClosedLoopExperiment(cfg AblationConfig) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	static, err := core.LazyGreedy(core.Instance{
+	static, err := core.Greedy(core.Instance{
 		N: cfg.Sensors, Period: sunny, Factory: factory,
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -344,23 +343,6 @@ func TestAblationRhoMonotone(t *testing.T) {
 	}
 }
 
-func TestAblationLazyEqualUtility(t *testing.T) {
-	fig, err := AblationLazy(AblationConfig{Sensors: 50, Targets: 8, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, note := range fig.Notes {
-		var n int
-		var ev, lv float64
-		if _, err := fmtSscanf(note, "n=%d: utilities eager=%f lazy=%f", &n, &ev, &lv); err != nil {
-			t.Fatalf("unparseable note %q: %v", note, err)
-		}
-		if diff := ev - lv; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("n=%d: eager %v != lazy %v", n, ev, lv)
-		}
-	}
-}
-
 func TestRandomChargingExperiment(t *testing.T) {
 	fig, err := RandomChargingExperiment(AblationConfig{Sensors: 30, Targets: 5, Seed: 7})
 	if err != nil {
@@ -375,12 +357,6 @@ func TestRandomChargingExperiment(t *testing.T) {
 			t.Errorf("point %d utility %v out of (0,1]", i, y)
 		}
 	}
-}
-
-// fmtSscanf aliases fmt.Sscanf for use above (keeps the import local to
-// one helper).
-func fmtSscanf(str, format string, args ...any) (int, error) {
-	return fmt.Sscanf(str, format, args...)
 }
 
 // TestExperimentsDeterministic: every experiment is bit-for-bit

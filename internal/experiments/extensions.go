@@ -103,7 +103,7 @@ func AblationAdaptive(cfg AblationConfig) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := core.LazyGreedy(in)
+	sched, err := core.Greedy(in)
 	if err != nil {
 		return nil, err
 	}

@@ -123,7 +123,7 @@ func Fig8(cfg Fig8Config) (*Figure, error) {
 			Period:  period,
 			Factory: func() submodular.RemovalOracle { return u.Oracle() },
 		}
-		sched, err := core.LazyGreedy(in)
+		sched, err := core.Greedy(in)
 		if err != nil {
 			return err
 		}
@@ -231,7 +231,7 @@ func fig8Simulate(u *submodular.DetectionUtility, n int, cfg Fig8Config) (float6
 		if err != nil {
 			return 0, err
 		}
-		sched, err := core.LazyGreedy(core.Instance{N: n, Period: period, Factory: factory})
+		sched, err := core.Greedy(core.Instance{N: n, Period: period, Factory: factory})
 		if err != nil {
 			return 0, err
 		}

@@ -164,7 +164,7 @@ func fig9Point(
 		Period:  period,
 		Factory: func() submodular.RemovalOracle { return u.Oracle() },
 	}
-	sched, err := core.LazyGreedy(in)
+	sched, err := core.Greedy(in)
 	if err != nil {
 		return 0, err
 	}

@@ -77,7 +77,6 @@ func TestScheduleBitIdentityGridVsBrute(t *testing.T) {
 			for _, pl := range []planner{
 				{"ReferenceGreedy", core.ReferenceGreedy},
 				{"Greedy", core.Greedy},
-				{"LazyGreedy", core.LazyGreedy},
 			} {
 				g, err := pl.run(gridIn)
 				if err != nil {

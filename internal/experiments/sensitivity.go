@@ -44,7 +44,7 @@ func SensitivityP(cfg AblationConfig) (*Figure, error) {
 			Period:  period,
 			Factory: func() submodular.RemovalOracle { return u.Oracle() },
 		}
-		sched, err := core.LazyGreedy(in)
+		sched, err := core.Greedy(in)
 		if err != nil {
 			return err
 		}
@@ -96,7 +96,7 @@ func SensitivityRange(cfg AblationConfig) (*Figure, error) {
 			Period:  period,
 			Factory: func() submodular.RemovalOracle { return u.Oracle() },
 		}
-		sched, err := core.LazyGreedy(in)
+		sched, err := core.Greedy(in)
 		if err != nil {
 			return err
 		}

@@ -34,16 +34,16 @@ const ShardGapBoundPct = 2.0
 
 // ShardConfig parameterizes the sharded planner/netsim benchmark.
 type ShardConfig struct {
-	// PlanSizes lists the sensor counts benchmarked with the cached
-	// eager engine per shard (default 100000). Targets are Sensors/10.
+	// PlanSizes lists the sensor counts benchmarked (default 100000).
+	// Targets are Sensors/10.
 	PlanSizes []int
 	// PlanKs lists the shard counts swept at each plan size (default
 	// 1, 2, 4, 8, 16; 1 is required — it is the speedup baseline).
 	PlanKs []int
-	// BigSensors is the million-scale planning case run with the lazy
-	// engine per shard (default 1000000; negative disables).
+	// BigSensors is the million-scale planning case (default 1000000;
+	// negative disables).
 	BigSensors int
-	// BigKs lists the shard counts for the lazy million-sensor case
+	// BigKs lists the shard counts for the million-sensor case
 	// (default 1, 16).
 	BigKs []int
 	// NetNodes is the sharded radio-core fleet size (default 1000000;
@@ -141,9 +141,8 @@ type ShardPlanCase struct {
 
 // ShardPlanGroup is the k sweep at one deployment size.
 type ShardPlanGroup struct {
-	Sensors int    `json:"sensors"`
-	Targets int    `json:"targets"`
-	Engine  string `json:"engine"`
+	Sensors int `json:"sensors"`
+	Targets int `json:"targets"`
 	// K1Identical records that the k=1 sharded plan's assignment is
 	// bit-identical to the flat engine run directly on the global
 	// instance.
@@ -185,7 +184,7 @@ type ShardResult struct {
 // verdictErr names the first case whose verdict is false, if any.
 func (r *ShardResult) verdictErr() error {
 	for _, g := range r.PlanGroups {
-		where := fmt.Sprintf("plan n=%d engine=%s", g.Sensors, g.Engine)
+		where := fmt.Sprintf("plan n=%d", g.Sensors)
 		if !g.K1Identical {
 			return falseVerdict("shard", "k1_identical", where)
 		}
@@ -275,16 +274,12 @@ func identity(n int) []int {
 }
 
 // shardPlanGroup sweeps the configured shard counts at one size.
-func shardPlanGroup(n int, ks []int, lazy bool, cfg *ShardConfig, period energy.Period) (*ShardPlanGroup, error) {
+func shardPlanGroup(n int, ks []int, cfg *ShardConfig, period energy.Period) (*ShardPlanGroup, error) {
 	prob, err := shardPlanProblem(n, cfg, period, cfg.Seed+uint64(n))
 	if err != nil {
 		return nil, err
 	}
-	engine := "eager"
-	if lazy {
-		engine = "lazy"
-	}
-	group := &ShardPlanGroup{Sensors: n, Targets: n / 10, Engine: engine}
+	group := &ShardPlanGroup{Sensors: n, Targets: n / 10}
 
 	iters := cfg.Iters
 	if n > 10000 {
@@ -298,7 +293,7 @@ func shardPlanGroup(n int, ks []int, lazy bool, cfg *ShardConfig, period energy.
 			var res *shard.Result
 			ns, err := measureRun(func() error {
 				var err error
-				res, err = shard.Plan(prob, shard.Options{Shards: k, Workers: cfg.Workers, Lazy: lazy})
+				res, err = shard.Plan(prob, shard.Options{Shards: k, Workers: cfg.Workers})
 				return err
 			})
 			if err != nil {
@@ -312,11 +307,7 @@ func shardPlanGroup(n int, ks []int, lazy bool, cfg *ShardConfig, period energy.
 			k1 = best
 			group.K1NsOp = bestNs
 			// Bit-identity audit against the flat engine run directly.
-			flat := core.Greedy
-			if lazy {
-				flat = core.LazyGreedy
-			}
-			direct, err := flat(prob.Global)
+			direct, err := core.Greedy(prob.Global)
 			if err != nil {
 				return nil, err
 			}
@@ -491,38 +482,31 @@ func ShardBench(cfg ShardConfig) (*Figure, *ShardResult, error) {
 		YLabel: "plan seconds",
 	}
 
-	for _, n := range cfg.PlanSizes {
-		group, err := shardPlanGroup(n, cfg.PlanKs, false, &cfg, period)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.PlanGroups = append(res.PlanGroups, *group)
-		s := Series{Label: fmt.Sprintf("eager n=%d", n)}
-		for _, c := range group.Cases {
-			s.X = append(s.X, float64(c.K))
-			s.Y = append(s.Y, float64(c.NsOp)/1e9)
-			fig.Notes = append(fig.Notes, fmt.Sprintf(
-				"eager n=%d k=%d (eff %d): %.2fs, %.1f ns/sensor, %.2fx vs k=1 (eff %.0f%%), gap %.3f%%, halo %d, %d moves/%d rounds",
-				n, c.K, c.EffectiveK, float64(c.NsOp)/1e9, c.NsPerSensor, c.SpeedupVsK1,
-				100*c.ScalingEfficiency, c.GapPct, c.Halo, c.Moves, c.Rounds))
-		}
-		fig.Series = append(fig.Series, s)
+	type sweep struct {
+		n  int
+		ks []int
 	}
-
+	var sweeps []sweep
+	for _, n := range cfg.PlanSizes {
+		sweeps = append(sweeps, sweep{n, cfg.PlanKs})
+	}
 	if cfg.BigSensors > 0 {
-		group, err := shardPlanGroup(cfg.BigSensors, cfg.BigKs, true, &cfg, period)
+		sweeps = append(sweeps, sweep{cfg.BigSensors, cfg.BigKs})
+	}
+	for _, sw := range sweeps {
+		group, err := shardPlanGroup(sw.n, sw.ks, &cfg, period)
 		if err != nil {
 			return nil, nil, err
 		}
 		res.PlanGroups = append(res.PlanGroups, *group)
-		s := Series{Label: fmt.Sprintf("lazy n=%d", cfg.BigSensors)}
+		s := Series{Label: fmt.Sprintf("n=%d", sw.n)}
 		for _, c := range group.Cases {
 			s.X = append(s.X, float64(c.K))
 			s.Y = append(s.Y, float64(c.NsOp)/1e9)
 			fig.Notes = append(fig.Notes, fmt.Sprintf(
-				"lazy n=%d k=%d (eff %d): %.2fs, %.1f ns/sensor, %.2fx vs k=1, gap %.3f%%",
-				cfg.BigSensors, c.K, c.EffectiveK, float64(c.NsOp)/1e9, c.NsPerSensor,
-				c.SpeedupVsK1, c.GapPct))
+				"n=%d k=%d (eff %d): %.2fs, %.1f ns/sensor, %.2fx vs k=1 (eff %.0f%%), gap %.3f%%, halo %d, %d moves/%d rounds",
+				sw.n, c.K, c.EffectiveK, float64(c.NsOp)/1e9, c.NsPerSensor, c.SpeedupVsK1,
+				100*c.ScalingEfficiency, c.GapPct, c.Halo, c.Moves, c.Rounds))
 		}
 		fig.Series = append(fig.Series, s)
 	}

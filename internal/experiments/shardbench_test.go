@@ -38,7 +38,7 @@ func TestShardBenchQuick(t *testing.T) {
 	}
 	for _, g := range res.PlanGroups {
 		if !g.K1Identical {
-			t.Errorf("plan n=%d engine=%s: k=1 not bit-identical to the flat engine", g.Sensors, g.Engine)
+			t.Errorf("plan n=%d: k=1 not bit-identical to the flat engine", g.Sensors)
 		}
 		sawDecomposition := false
 		for _, c := range g.Cases {

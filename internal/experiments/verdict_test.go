@@ -11,7 +11,7 @@ import (
 func TestFalseVerdictIsError(t *testing.T) {
 	shard := func() *ShardResult {
 		return &ShardResult{
-			PlanGroups: []ShardPlanGroup{{Sensors: 1200, Engine: "eager", K1Identical: true,
+			PlanGroups: []ShardPlanGroup{{Sensors: 1200, K1Identical: true,
 				Cases: []ShardPlanCase{{K: 1, GapWithinBound: true}, {K: 4, GapWithinBound: true}}}},
 			NetNodes: 2000,
 			NetCases: []ShardNetCase{{K: 1, TraceIdentical: true}, {K: 4, TraceIdentical: true}},
@@ -37,12 +37,12 @@ func TestFalseVerdictIsError(t *testing.T) {
 		verdict, where string
 		bad            interface{ verdictErr() error }
 	}{
-		{"k1_identical", "plan n=1200 engine=eager", func() *ShardResult {
+		{"k1_identical", "plan n=1200", func() *ShardResult {
 			r := shard()
 			r.PlanGroups[0].K1Identical = false
 			return r
 		}()},
-		{"gap_within_bound", "plan n=1200 engine=eager k=4", func() *ShardResult {
+		{"gap_within_bound", "plan n=1200 k=4", func() *ShardResult {
 			r := shard()
 			r.PlanGroups[0].Cases[1].GapWithinBound = false
 			return r

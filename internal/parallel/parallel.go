@@ -1,11 +1,12 @@
 // Package parallel provides the repository's shared bounded worker-pool
 // primitives: deterministic parallel-for loops over index ranges.
 //
-// Every concurrent fan-out in the library (the sharded lazy-greedy fill
-// in internal/core, the Monte-Carlo simulator in internal/sim, and the
-// per-point experiment sweeps in internal/experiments) funnels through
-// this package so that worker-count normalization, error propagation,
-// and panic safety are implemented exactly once.
+// Every concurrent fan-out in the library (the per-strip planning and
+// radio steps in internal/shard, the Monte-Carlo simulator in
+// internal/sim, and the per-point experiment sweeps in
+// internal/experiments) funnels through this package so that
+// worker-count normalization, error propagation, and panic safety are
+// implemented exactly once.
 //
 // Determinism contract: For imposes no ordering between iterations, so
 // callers must make every iteration independent — write results to

@@ -12,8 +12,8 @@ import (
 // FuzzShardEquivalence drives randomized deployments through the whole
 // sharded stack and checks every cross-engine contract at once:
 //
-//   - k = 1 plans are bit-identical to the global engine (both the
-//     eager and the lazy path, both modes, both utility families);
+//   - k = 1 plans are bit-identical to the global engine (both modes,
+//     both utility families);
 //   - k > 1 plans are feasible, the correction sweep never loses
 //     utility, and the gap against the global greedy stays under a
 //     loose structural bound;
@@ -36,20 +36,18 @@ func FuzzShardEquivalence(f *testing.F) {
 		d := buildTestProblem(t, seed, n, m, 400, 120, 14, period, detect)
 
 		// k = 1: bit-identity against the global engine.
-		for _, lazy := range []bool{false, true} {
-			res, err := Plan(d.p, Options{Shards: 1, Lazy: lazy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := runEngine(d.p.Global, lazy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, exp := res.Schedule.Assignment(), want.Assignment()
-			for v := range exp {
-				if got[v] != exp[v] {
-					t.Fatalf("k=1 lazy=%v: sensor %d slot %d != global %d", lazy, v, got[v], exp[v])
-				}
+		res, err := Plan(d.p, Options{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Greedy(d.p.Global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, exp := res.Schedule.Assignment(), want.Assignment()
+		for v := range exp {
+			if got[v] != exp[v] {
+				t.Fatalf("k=1: sensor %d slot %d != global %d", v, got[v], exp[v])
 			}
 		}
 

@@ -9,17 +9,6 @@ import (
 	"cool/internal/parallel"
 )
 
-// runEngine dispatches a flat instance to the configured engine: the
-// cached eager Greedy or the CELF LazyGreedy. Both produce
-// bit-identical schedules on the same instance, so the choice only
-// affects speed.
-func runEngine(in core.Instance, lazy bool) (*core.Schedule, error) {
-	if lazy {
-		return core.LazyGreedy(in)
-	}
-	return core.Greedy(in)
-}
-
 // Plan computes an activation schedule by geometric sharding: partition
 // the field into k vertical strips, plan every strip independently with
 // the flat engine (concurrently over Options.Workers), merge the
@@ -51,7 +40,7 @@ func Plan(p *Problem, opts Options) (*Result, error) {
 	}
 
 	if k == 1 {
-		return planGlobal(p, opts, requested)
+		return planGlobal(p, requested)
 	}
 
 	pt := newPartition(p, k)
@@ -59,7 +48,7 @@ func Plan(p *Problem, opts Options) (*Result, error) {
 		// The populated geometry cannot host more than one strip (all
 		// sensors in one grid column, degenerate extents, ...): graceful
 		// degradation to the global engine.
-		return planGlobal(p, opts, requested)
+		return planGlobal(p, requested)
 	}
 	if p.BuildShard == nil {
 		return nil, errors.New("shard: Problem.BuildShard is nil")
@@ -80,7 +69,7 @@ func Plan(p *Problem, opts Options) (*Result, error) {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 		sub := core.Instance{N: len(sensors), Period: p.Period, Factory: factory}
-		sched, err := runEngine(sub, opts.Lazy)
+		sched, err := core.Greedy(sub)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -131,8 +120,8 @@ func Plan(p *Problem, opts Options) (*Result, error) {
 // planGlobal is the k = 1 path: the global engine on the full instance,
 // wrapped in the sharded Result shape with the decomposition fields
 // reporting the trivial partition.
-func planGlobal(p *Problem, opts Options, requested int) (*Result, error) {
-	sched, err := runEngine(p.Global, opts.Lazy)
+func planGlobal(p *Problem, requested int) (*Result, error) {
+	sched, err := core.Greedy(p.Global)
 	if err != nil {
 		return nil, err
 	}

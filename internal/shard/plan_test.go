@@ -11,26 +11,25 @@ import (
 
 // TestPlanK1BitIdentical pins the k = 1 contract: the sharded planner
 // with one shard returns exactly the global engine's schedule, for both
-// modes, both engines, and both utility families.
+// modes and both utility families.
 func TestPlanK1BitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		period energy.Period
 		detect bool
-		lazy   bool
 	}{
-		{"placement-detect-eager", placementPeriod(), true, false},
-		{"placement-count-lazy", placementPeriod(), false, true},
-		{"removal-detect-lazy", removalPeriod(), true, true},
-		{"removal-count-eager", removalPeriod(), false, false},
+		{"placement-detect-eager", placementPeriod(), true},
+		{"placement-count-eager", placementPeriod(), false},
+		{"removal-detect-eager", removalPeriod(), true},
+		{"removal-count-eager", removalPeriod(), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := buildTestProblem(t, 42, 180, 90, 200, 200, 25, tc.period, tc.detect)
-			res, err := Plan(d.p, Options{Shards: 1, Lazy: tc.lazy})
+			res, err := Plan(d.p, Options{Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := runEngine(d.p.Global, tc.lazy)
+			want, err := core.Greedy(d.p.Global)
 			if err != nil {
 				t.Fatal(err)
 			}

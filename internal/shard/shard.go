@@ -84,9 +84,6 @@ type Options struct {
 	// MaxRounds bounds the border-correction sweep: 0 selects the
 	// default (4), negative disables the sweep entirely.
 	MaxRounds int
-	// Lazy selects the CELF lazy engine (LazyGreedy) instead of the
-	// cached eager Greedy, per shard and for the k=1 global path alike.
-	Lazy bool
 }
 
 // DefaultMaxRounds is the border-correction round bound when

@@ -163,13 +163,3 @@ func (o *BudgetAdditiveOracle) Remove(v int) {
 	o.in.Remove(v)
 	o.sum -= o.u.weights[v]
 }
-
-// ConcurrentReadSafe reports that Value/Gain/Loss/Contains are pure
-// reads over the oracle's running sum and may run from many goroutines
-// concurrently (absent a concurrent Add/Remove).
-func (o *BudgetAdditiveOracle) ConcurrentReadSafe() bool { return true }
-
-// Clone implements Oracle.
-func (o *BudgetAdditiveOracle) Clone() Oracle {
-	return &BudgetAdditiveOracle{u: o.u, in: o.in.Clone(), sum: o.sum}
-}

@@ -181,7 +181,6 @@ var (
 	_ RemovalOracle            = (*CoverageOracle)(nil)
 	_ BulkGainer               = (*CoverageOracle)(nil)
 	_ BulkLosser               = (*CoverageOracle)(nil)
-	_ ConcurrentReadSafe       = (*CoverageOracle)(nil)
 	_ SparseGainBatchRefresher = (*CoverageOracle)(nil)
 	_ SparseLossBatchRefresher = (*CoverageOracle)(nil)
 	_ AffectedLister           = (*CoverageOracle)(nil)
@@ -401,23 +400,5 @@ func (o *CoverageOracle) Remove(v int) {
 		if o.counts[item] == 0 {
 			o.value -= o.u.values[item]
 		}
-	}
-}
-
-// ConcurrentReadSafe reports that Value/Gain/Loss/Contains (and the
-// bulk variants, which only write the caller's buffer) are pure reads
-// over the oracle's coverage counters and may run from many goroutines
-// concurrently (absent a concurrent Add/Remove).
-func (o *CoverageOracle) ConcurrentReadSafe() bool { return true }
-
-// Clone implements Oracle. The sparse-refresh scratch is per-oracle
-// and starts fresh in the clone.
-func (o *CoverageOracle) Clone() Oracle {
-	return &CoverageOracle{
-		u:      o.u,
-		in:     o.in.Clone(),
-		counts: append([]int32(nil), o.counts...),
-		value:  o.value,
-		mark:   make([]uint32, len(o.mark)),
 	}
 }

@@ -174,21 +174,6 @@ func TestCoverageOracleIdempotentOps(t *testing.T) {
 	}
 }
 
-func TestCoverageOracleClone(t *testing.T) {
-	rng := stats.NewRNG(44)
-	u := randomCoverageUtility(t, rng, 5, 8)
-	o := u.Oracle()
-	o.Add(2)
-	c := o.Clone()
-	c.Add(4)
-	if o.Contains(4) {
-		t.Error("clone mutation leaked")
-	}
-	if math.Abs(c.Value()-u.Eval([]int{2, 4})) > 1e-9 {
-		t.Error("clone value wrong")
-	}
-}
-
 func TestCoverageOraclePanicsOutOfRange(t *testing.T) {
 	u, err := NewCoverageUtility(1, []CoverageItem{{Value: 1, CoveredBy: []int{0}}})
 	if err != nil {

@@ -203,7 +203,6 @@ var (
 	_ RemovalOracle            = (*DetectionOracle)(nil)
 	_ BulkGainer               = (*DetectionOracle)(nil)
 	_ BulkLosser               = (*DetectionOracle)(nil)
-	_ ConcurrentReadSafe       = (*DetectionOracle)(nil)
 	_ SparseGainBatchRefresher = (*DetectionOracle)(nil)
 	_ SparseLossBatchRefresher = (*DetectionOracle)(nil)
 	_ AffectedLister           = (*DetectionOracle)(nil)
@@ -462,25 +461,5 @@ func (o *DetectionOracle) Remove(v int) {
 		}
 		o.refreshEff(t)
 		o.value -= o.u.weights[t] * (o.eff[t] - before)
-	}
-}
-
-// ConcurrentReadSafe reports that Value/Gain/Loss/Contains (and the
-// bulk variants, which only write the caller's buffer) are pure reads
-// over the oracle's survival-product state and may run from many
-// goroutines concurrently (absent a concurrent Add/Remove).
-func (o *DetectionOracle) ConcurrentReadSafe() bool { return true }
-
-// Clone implements Oracle. The sparse-refresh scratch is per-oracle
-// and starts fresh in the clone.
-func (o *DetectionOracle) Clone() Oracle {
-	return &DetectionOracle{
-		u:     o.u,
-		in:    o.in.Clone(),
-		surv:  append([]float64(nil), o.surv...),
-		eff:   append([]float64(nil), o.eff...),
-		zeros: append([]int32(nil), o.zeros...),
-		value: o.value,
-		mark:  make([]uint32, len(o.mark)),
 	}
 }

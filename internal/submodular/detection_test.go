@@ -252,25 +252,6 @@ func TestDetectionOracleIdempotentOps(t *testing.T) {
 	}
 }
 
-func TestDetectionOracleClone(t *testing.T) {
-	rng := stats.NewRNG(34)
-	u := randomDetectionUtility(t, rng, 6, 2)
-	o := u.Oracle()
-	o.Add(0)
-	o.Add(3)
-	c := o.Clone()
-	c.Add(1)
-	if o.Contains(1) {
-		t.Error("clone mutation leaked into original")
-	}
-	if math.Abs(o.Value()-u.Eval([]int{0, 3})) > 1e-9 {
-		t.Error("original value drifted after clone mutation")
-	}
-	if math.Abs(c.Value()-u.Eval([]int{0, 1, 3})) > 1e-9 {
-		t.Error("clone value wrong")
-	}
-}
-
 func TestDetectionOraclePanicsOutOfRange(t *testing.T) {
 	u, err := NewDetectionUtility(2, []DetectionTarget{{
 		Weight: 1, Probs: map[int]float64{0: 0.5},

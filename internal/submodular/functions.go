@@ -145,16 +145,6 @@ func (o *LogSumOracle) Remove(v int) {
 	o.sum -= o.u.sizes[v]
 }
 
-// ConcurrentReadSafe reports that Value/Gain/Loss/Contains are pure
-// reads over the oracle's running sum and may run from many goroutines
-// concurrently (absent a concurrent Add/Remove).
-func (o *LogSumOracle) ConcurrentReadSafe() bool { return true }
-
-// Clone implements Oracle.
-func (o *LogSumOracle) Clone() Oracle {
-	return &LogSumOracle{u: o.u, in: o.in.Clone(), sum: o.sum}
-}
-
 // ConcaveCardinalityUtility is U(S) = g(|S|) for a concave
 // non-decreasing g with g(0) = 0, supplied as the marginal sequence
 // g(k+1)−g(k). It models homogeneous-sensor utilities such as the

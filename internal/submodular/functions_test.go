@@ -264,17 +264,6 @@ func TestEvalOracleMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestEvalOracleClone(t *testing.T) {
-	u, _ := NewLogSumUtility([]float64{1, 2, 3})
-	o := NewEvalOracle(u)
-	o.Add(0)
-	c := o.Clone()
-	c.Add(1)
-	if o.Contains(1) {
-		t.Error("clone leaked")
-	}
-}
-
 func TestIsSubmodularCatchesViolation(t *testing.T) {
 	// A supermodular function: U(S) = |S|^2 (as g table: 0,1,4 violates
 	// concavity check, so craft via raw Function).

@@ -83,15 +83,6 @@ func (o *MapOracle) Remove(v int) {
 	o.cur = o.fn.Eval(o.members())
 }
 
-// Clone implements Oracle.
-func (o *MapOracle) Clone() Oracle {
-	c := &MapOracle{fn: o.fn, set: make(map[int]bool, len(o.set)), cur: o.cur}
-	for v := range o.set {
-		c.set[v] = true
-	}
-	return c
-}
-
 // EvalScalar is the pre-kernel scalar evaluation loop, kept as the
 // differential reference for Eval: the kernel tests require
 // Eval(set) == EvalScalar(set) bit for bit on every input.

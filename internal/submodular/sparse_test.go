@@ -149,29 +149,3 @@ func TestSparseRefreshMatchesBulkCoverageQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSparseRefreshOnClone guards the scratch state (mark/epoch) across
-// Clone: a clone must refresh independently of its parent, including
-// after enough refreshes to exercise the epoch counter repeatedly.
-func TestSparseRefreshOnClone(t *testing.T) {
-	rng := stats.NewRNG(99)
-	u := sparseDetectionUtility(t, rng)
-	parent := sparseOracle(u.Oracle())
-	n := u.GroundSize()
-	buf := make([]float64, n)
-	parent.BulkGain(buf)
-	parent.Add(0)
-	parent.SparseGainRefreshAll([]int{0}, buf, nil)
-	clone := parent.Clone().(sparseOracle)
-	if !checkSparseAgainstBulk(t, clone, n, rng, 4*n) {
-		t.Fatal("clone sparse refresh diverged from bulk")
-	}
-	// The parent must be unaffected by the clone's walk.
-	fresh := make([]float64, n)
-	parent.BulkGain(fresh)
-	for i := range fresh {
-		if math.Float64bits(buf[i]) != math.Float64bits(fresh[i]) {
-			t.Fatalf("parent gain[%d] drifted after clone walk: %v != %v", i, buf[i], fresh[i])
-		}
-	}
-}

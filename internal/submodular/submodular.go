@@ -29,15 +29,12 @@ type Function interface {
 // Oracle is an incremental evaluator of a submodular function for one
 // growing set. A fresh oracle represents the empty set.
 //
-// Concurrency contract: the read-only queries (Value, Gain, Loss,
-// Contains) must not mutate oracle state. Implementations additionally
-// advertise via ConcurrentReadSafe whether those queries may run from
-// multiple goroutines at once; every oracle in this package except
-// EvalOracle does. The mutators (Add, Remove) are never safe to
-// interleave with any other call. The parallel scheduling engine only
-// reads during its sharded initial fill and mutates on one goroutine
-// after it; for implementations that do not advertise read-safety it
-// gives every further worker a Clone()-derived replica.
+// Concurrency contract: an oracle belongs to one goroutine at a time.
+// The read-only queries (Value, Gain, Loss, Contains) must not mutate
+// the represented set, but may use internal scratch (EvalOracle
+// does), so no call is safe to interleave with any other. The
+// scheduling engines query and mutate every slot oracle from the one
+// goroutine that plans.
 type Oracle interface {
 	// Value returns U(S) for the current set S.
 	Value() float64
@@ -48,9 +45,6 @@ type Oracle interface {
 	Add(v int)
 	// Contains reports whether v is already in S.
 	Contains(v int) bool
-	// Clone returns an independent copy of the oracle with the same
-	// current set.
-	Clone() Oracle
 }
 
 // RemovalOracle extends Oracle with deletion support, used by the
@@ -63,25 +57,6 @@ type RemovalOracle interface {
 	// Remove deletes v from S. Removing an element not in S must be a
 	// no-op.
 	Remove(v int)
-}
-
-// ConcurrentReadSafe is implemented by oracles whose read-only queries
-// (Value, Gain, Loss, Contains) are safe to call concurrently from
-// multiple goroutines, provided no Add or Remove runs at the same time.
-// The parallel scheduling engine shares one oracle per slot across all
-// workers when the factory's oracles advertise read-safety, and
-// otherwise gives each worker its own Clone()-derived replica set.
-type ConcurrentReadSafe interface {
-	// ConcurrentReadSafe reports whether concurrent read-only queries
-	// are safe on this oracle.
-	ConcurrentReadSafe() bool
-}
-
-// ReadsAreConcurrentSafe reports whether o advertises the concurrent
-// read-safety contract.
-func ReadsAreConcurrentSafe(o Oracle) bool {
-	c, ok := o.(ConcurrentReadSafe)
-	return ok && c.ConcurrentReadSafe()
 }
 
 // BulkGainer is implemented by oracles that can evaluate the marginal
@@ -137,9 +112,8 @@ type BulkLosser interface {
 // caller indexing the column (the greedy climb's winner trees) updates
 // only the reported rows.
 //
-// SparseGainRefreshAll may use internal scratch (it is NOT a concurrent
-// read in the ConcurrentReadSafe sense) and must not allocate beyond
-// growing rows, which the caller owns and reuses. The greedy climb
+// SparseGainRefreshAll may use internal scratch and must not allocate
+// beyond growing rows, which the caller owns and reuses. The greedy climb
 // calls it with the committed sensor after every step and the
 // incremental replanner with a whole perturbation batch; either way the
 // dirty slot column is refreshed in O(affected) instead of
@@ -181,12 +155,7 @@ type AffectedLister interface {
 // the wrapped Function's Eval itself allocates. The tests keep the
 // original map[int]bool representation, MapOracle, as a cross-checking
 // reference.
-//
-// EvalOracle deliberately does not implement ConcurrentReadSafe: it
-// cannot vouch for the wrapped Function's Eval being safe under
-// concurrent calls, and its scratch buffer makes even its own queries
-// mutually exclusive; the parallel engine falls back to Clone-based
-// per-worker replicas for it.
+
 type EvalOracle struct {
 	fn      Function
 	set     bitset.Bitset
@@ -262,16 +231,6 @@ func (o *EvalOracle) Remove(v int) {
 	}
 	o.set.Remove(v)
 	o.cur = o.fn.Eval(o.members())
-}
-
-// Clone implements Oracle.
-func (o *EvalOracle) Clone() Oracle {
-	return &EvalOracle{
-		fn:      o.fn,
-		set:     o.set.Clone(),
-		scratch: make([]int, 0, o.set.Len()+1),
-		cur:     o.cur,
-	}
 }
 
 // checkElem panics with a descriptive message when v is outside the

@@ -36,11 +36,12 @@ const (
 	// (Algorithm 1 / its removal form), the default under
 	// ObjectiveUtility.
 	AlgorithmGreedy Algorithm = "greedy"
-	// AlgorithmLazyGreedy is the same schedule via lazy marginal
-	// evaluation (CELF or its removal dual).
+	// AlgorithmLazyGreedy plans through the AlgorithmGreedy engine and
+	// returns its schedule; the name stays so that callers requesting
+	// the lazy greedy keep working.
 	AlgorithmLazyGreedy Algorithm = "lazy-greedy"
-	// AlgorithmParallelLazyGreedy is the same schedule again, the lazy
-	// engine's initial marginal evaluation sharded across Workers.
+	// AlgorithmParallelLazyGreedy, like AlgorithmLazyGreedy, plans
+	// through the AlgorithmGreedy engine and returns its schedule.
 	AlgorithmParallelLazyGreedy Algorithm = "parallel-lazy-greedy"
 	// AlgorithmExact is the branch-and-bound optimum (small instances).
 	AlgorithmExact Algorithm = "exact"
@@ -74,10 +75,6 @@ type PlanRequest struct {
 	Algorithm Algorithm
 	// Objective selects what to optimize (zero = ObjectiveUtility).
 	Objective Objective
-	// Workers bounds the planning concurrency of
-	// AlgorithmParallelLazyGreedy (0 or negative = runtime.NumCPU);
-	// other engines ignore it.
-	Workers int
 	// MaxNodes bounds the branch-and-bound search of AlgorithmExact
 	// (0 = default budget); other engines ignore it.
 	MaxNodes int64
@@ -156,12 +153,8 @@ func (p *Planner) planUtility(req PlanRequest) (*PlanResult, error) {
 	res := &PlanResult{Algorithm: alg, Objective: ObjectiveUtility}
 	var err error
 	switch alg {
-	case AlgorithmGreedy:
+	case AlgorithmGreedy, AlgorithmLazyGreedy, AlgorithmParallelLazyGreedy:
 		res.Schedule, err = core.Greedy(p.inst)
-	case AlgorithmLazyGreedy:
-		res.Schedule, err = core.LazyGreedy(p.inst)
-	case AlgorithmParallelLazyGreedy:
-		res.Schedule, err = core.ParallelLazyGreedy(p.inst, req.Workers)
 	case AlgorithmExact:
 		res.Schedule, err = core.Exact(p.inst, core.ExactOptions{MaxNodes: req.MaxNodes})
 	case AlgorithmLPRound:

@@ -151,11 +151,10 @@ func TestPlanWrapperBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const workers = 3
 			for _, req := range []PlanRequest{
 				{Algorithm: AlgorithmGreedy},
 				{Algorithm: AlgorithmLazyGreedy},
-				{Algorithm: AlgorithmParallelLazyGreedy, Workers: workers},
+				{Algorithm: AlgorithmParallelLazyGreedy},
 			} {
 				res, err := p.Plan(req)
 				if err != nil {

@@ -132,9 +132,6 @@ type ShardedOptions struct {
 	Workers int
 	// MaxRounds bounds the correction sweep (0 = default, < 0 = off).
 	MaxRounds int
-	// Lazy selects the CELF lazy engine per strip instead of the cached
-	// eager greedy.
-	Lazy bool
 }
 
 // ShardedResult is a sharded plan together with its decomposition and
@@ -280,7 +277,6 @@ func shardedPlan(net *Network, global Utility, period Period,
 		Shards:    opts.Shards,
 		Workers:   opts.Workers,
 		MaxRounds: opts.MaxRounds,
-		Lazy:      opts.Lazy,
 	})
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ func TestShardedPlanK1Identity(t *testing.T) {
 			t.Fatalf("period %+v: k=1 utility %v != planner %v", period, res.Utility, pl.PeriodUtility(want))
 		}
 
-		cres, err := ShardedTargetCountPlan(net, period, ShardedOptions{Shards: 1, Lazy: true})
+		cres, err := ShardedTargetCountPlan(net, period, ShardedOptions{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestShardedPlanK1Identity(t *testing.T) {
 		cgot, cexp := cres.Schedule.Assignment(), cwant.Assignment()
 		for v := range cexp {
 			if cgot[v] != cexp[v] {
-				t.Fatalf("period %+v: count sensor %d sharded slot %d != lazy %d", period, v, cgot[v], cexp[v])
+				t.Fatalf("period %+v: count sensor %d sharded slot %d != lazy-greedy %d", period, v, cgot[v], cexp[v])
 			}
 		}
 	}
