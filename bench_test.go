@@ -12,6 +12,7 @@ package cool
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -488,6 +489,42 @@ func BenchmarkEngineMatrix(b *testing.B) {
 	for _, rho := range []float64{3, 1.0 / 3} {
 		b.Run(fmt.Sprintf("sparse-n10000-rho%.3g", rho), func(b *testing.B) {
 			timePlan(b, "greedy", core.Greedy, sparseBenchInstance(b, 10000, rho))
+		})
+	}
+}
+
+// BenchmarkReplanCycle times one incremental repair cycle of the
+// Repairer that planned the sparse n = 10⁴ engine-matrix field, at
+// ρ = 3 and ρ = 1/3: kill four random live sensors (RemoveSensors),
+// then deploy them back (AddSensors). DESIGN.md §5.7 records the
+// measured rows. Rerun with
+//
+//	go test -run xxx -bench ReplanCycle -benchtime 2000x -count 5 .
+func BenchmarkReplanCycle(b *testing.B) {
+	for _, rho := range []float64{3, 1.0 / 3} {
+		b.Run(fmt.Sprintf("sparse-n10000-rho%.3g", rho), func(b *testing.B) {
+			in := sparseBenchInstance(b, 10000, rho)
+			r, err := core.NewRepairer(in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := stats.NewRNG(11)
+			victims := make([]int, 4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < len(victims); {
+					if v := rng.Intn(in.N); !slices.Contains(victims[:k], v) {
+						victims[k] = v
+						k++
+					}
+				}
+				if _, err := r.RemoveSensors(victims); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.AddSensors(victims); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

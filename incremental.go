@@ -19,12 +19,8 @@ type RepairStats = core.RepairStats
 // period; Gap reports the utility distance from the from-scratch
 // ground truth. An Incremental is not safe for concurrent use.
 type Incremental struct {
-	r *Repairer
+	r *core.Repairer
 }
-
-// Repairer re-exports the core incremental engine for advanced
-// composition (per-shard repairers, custom sweep budgets).
-type Repairer = core.Repairer
 
 // Incremental plans an initial schedule over the planner's full ground
 // set and returns the live replanning handle.
@@ -93,6 +89,3 @@ func (inc *Incremental) NumPresent() int { return inc.r.NumPresent() }
 
 // Present reports whether sensor v is in the live fleet.
 func (inc *Incremental) Present(v int) bool { return inc.r.Present(v) }
-
-// Engine exposes the underlying core.Repairer (e.g. to tune MaxRounds).
-func (inc *Incremental) Engine() *Repairer { return inc.r }

@@ -119,15 +119,12 @@ func TestIncrementalPerturbationCycle(t *testing.T) {
 	}
 }
 
-// TestShardedRepairComposition is the follow-up stub pinned by the
-// ShardedResult doc note: a sharded initial plan and the incremental
-// Repairer speak the same move discipline, so a perturbation hitting
-// halo sensors of a sharded deployment can be absorbed by the global
-// incremental handle with the same quality accounting the border
-// sweep uses — the repaired schedule stays feasible and within the ½
-// bound of a fresh replan. (Per-strip Repairers living inside
-// shard.Plan are follow-up work; this pins the composition contract
-// they must meet.)
+// TestShardedRepairComposition pins the ShardedResult doc note: a
+// sharded initial plan and the incremental Repairer run the same sweep,
+// so a perturbation hitting halo sensors of a sharded deployment can be
+// absorbed by the global incremental handle with the same quality
+// accounting the border sweep uses — the repaired schedule stays
+// feasible and within the ½ bound of a fresh replan.
 func TestShardedRepairComposition(t *testing.T) {
 	net := shardedTestNetwork(t, 160, 80)
 	period := Period{ActiveSlots: 1, PassiveSlots: 3}

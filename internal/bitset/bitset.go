@@ -8,8 +8,8 @@
 // cache-friendly memory access.
 //
 // A Bitset is not safe for concurrent mutation; concurrent Contains /
-// Count / Members calls are safe provided no Add, Remove, Clear or Fill
-// runs at the same time.
+// Count / Members calls are safe provided no Add, Remove or Clear runs
+// at the same time.
 package bitset
 
 import (
@@ -70,57 +70,11 @@ func (s Bitset) Count() int {
 	return popcountWords(s.words)
 }
 
-// And intersects the receiver with o in place (s ← s ∩ o). It panics
-// when the universes differ.
-func (s Bitset) And(o Bitset) {
-	if s.n != o.n {
-		panic(fmt.Sprintf("bitset: And universe mismatch %d != %d", s.n, o.n))
-	}
-	andWords(s.words, o.words)
-}
-
-// AndCount returns |s ∩ o| without modifying either set — a fused
-// popcount over the word-wise intersection. It panics when the
-// universes differ.
-func (s Bitset) AndCount(o Bitset) int {
-	if s.n != o.n {
-		panic(fmt.Sprintf("bitset: AndCount universe mismatch %d != %d", s.n, o.n))
-	}
-	return popcountAndWords(s.words, o.words)
-}
-
 // Clear empties the set in place.
 func (s Bitset) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-}
-
-// Fill makes every element of the universe a member.
-func (s Bitset) Fill() {
-	if s.n == 0 {
-		return
-	}
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	// Mask the tail beyond n so Count and Members stay exact.
-	if tail := uint(s.n) & 63; tail != 0 {
-		s.words[len(s.words)-1] = (1 << tail) - 1
-	}
-}
-
-// Equal reports whether both sets have the same universe and members.
-func (s Bitset) Equal(o Bitset) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // AppendMembers appends the members in ascending order to dst and

@@ -30,16 +30,23 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
+// fill adds every element of s's universe.
+func fill(s Bitset) {
+	for v := 0; v < s.Len(); v++ {
+		s.Add(v)
+	}
+}
+
 func TestFillClearMembers(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 200} {
 		s := New(n)
-		s.Fill()
+		fill(s)
 		if s.Count() != n {
-			t.Fatalf("n=%d: Fill then Count = %d", n, s.Count())
+			t.Fatalf("n=%d: fill then Count = %d", n, s.Count())
 		}
 		members := s.AppendMembers(nil)
 		if len(members) != n {
-			t.Fatalf("n=%d: %d members after Fill", n, len(members))
+			t.Fatalf("n=%d: %d members after fill", n, len(members))
 		}
 		for i, v := range members {
 			if v != i {
@@ -50,25 +57,6 @@ func TestFillClearMembers(t *testing.T) {
 		if s.Count() != 0 {
 			t.Fatalf("n=%d: Clear left %d members", n, s.Count())
 		}
-	}
-}
-
-func TestEqual(t *testing.T) {
-	s, c := New(100), New(100)
-	for _, v := range []int{3, 77} {
-		s.Add(v)
-		c.Add(v)
-	}
-	if !c.Equal(s) {
-		t.Fatal("sets with the same members not equal")
-	}
-	c.Add(50)
-	if c.Equal(s) {
-		t.Fatal("sets with different members equal")
-	}
-	e := New(101)
-	if s.Equal(e) {
-		t.Fatal("Equal across different universes")
 	}
 }
 

@@ -12,8 +12,8 @@ import "math"
 // to what a fresh query would return — no submodular upper/lower-bound
 // argument is needed, the values simply cannot have changed. Refreshing
 // the single dirty column costs at most O(n) oracle calls — only the
-// affected sensors' with the column-sparse contract — instead of the
-// O(n·T) of the seed's ReferenceGreedy. Selection does not scan the
+// affected sensors' when the oracle lists them (the climb's walk) —
+// instead of the O(n·T) of the seed's ReferenceGreedy. Selection does not scan the
 // cache: the climb indexes each column with a winner tree (see climb).
 type marginCache struct {
 	n, T int
@@ -30,7 +30,7 @@ func (c *marginCache) at(v, t int) float64 { return c.vals[t*c.n+v] }
 
 // column returns slot t's whole cache column as a mutable slice — the
 // buffer the bulk marginal fast path (submodular.BulkGainer /
-// BulkLosser) and the sparse refresh write into directly.
+// BulkLosser) and the climb's refresh write into directly.
 func (c *marginCache) column(t int) []float64 { return c.vals[t*c.n : (t+1)*c.n] }
 
 // candidate is one (sensor, slot, marginal) selection result. v < 0

@@ -15,9 +15,9 @@ import (
 // assignment, and each step's choice against a dense scan of the
 // cache. The invariant under test: only the mutated slot's column ever
 // goes stale, and the refresh restores exactness everywhere. The
-// detection and coverage oracles take the column-sparse refresh, the
-// EvalOracle the full per-sensor fill, and edgeOracle feeds the winner
-// trees NaN, ±Inf, ties and values at and below the −1 floor.
+// detection and coverage oracles take the walk's column-sparse refresh,
+// the EvalOracle the full per-sensor fill, and edgeOracle feeds the
+// winner trees NaN, ±Inf, ties and values at and below the −1 floor.
 func TestMarginCachePlacementMatchesFresh(t *testing.T) {
 	rng := stats.NewRNG(31)
 	in, _ := detectionInstance(t, rng, 10, 4, 3)
@@ -48,8 +48,8 @@ func TestMarginCacheRemovalMatchesFresh(t *testing.T) {
 }
 
 // evalInstance builds an instance over EvalOracle, which has neither
-// the bulk nor the sparse contract, so the climb takes the per-sensor
-// fill and the full-column refresh.
+// the bulk contract nor an affected list, so the climb takes the
+// per-sensor fill and the full-column refresh.
 func evalInstance(t *testing.T, sizes []float64, rho float64) Instance {
 	t.Helper()
 	fn, err := submodular.NewLogSumUtility(sizes)
@@ -184,20 +184,21 @@ func checkAgainstFresh(t *testing.T, in Instance, c *climb) {
 // values that stress the winner trees: NaN, ±Inf, −1 and below, and
 // exact ties. The override is a pure function of the sensor and the
 // set's size, so a fresh oracle replaying the same set agrees bit for
-// bit. A mutation can move every marginal, so its sparse refresh
-// rewrites and reports every row. A NaN loss depends on the set's size
+// bit. A mutation can move every marginal, so it lists every sensor as
+// affected and the climb's walk rewrites and reports every row. A NaN
+// loss depends on the set's size
 // too, so once the slots' sets differ in size a sensor's loss can be
 // NaN in some slots and finite in others — the case where the dense
 // scan's first-pair rule holds in slot 0 only (see climb.winner).
 type edgeOracle struct {
 	submodular.RemovalOracle
-	size int
+	n, size int
 }
 
 // edgeInstance wraps every slot oracle of in in an edgeOracle.
 func edgeInstance(in Instance) Instance {
-	factory := in.Factory
-	in.Factory = func() submodular.RemovalOracle { return &edgeOracle{RemovalOracle: factory()} }
+	factory, n := in.Factory, in.N
+	in.Factory = func() submodular.RemovalOracle { return &edgeOracle{RemovalOracle: factory(), n: n} }
 	return in
 }
 
@@ -245,29 +246,19 @@ func (o *edgeOracle) Remove(v int) {
 	o.RemovalOracle.Remove(v)
 }
 
-func (o *edgeOracle) SparseGainRefreshAll(_ []int, out []float64, rows []int32) []int32 {
-	for v := range out {
-		out[v] = o.Gain(v)
-		rows = append(rows, int32(v))
+func (o *edgeOracle) AppendAffected(buf []int32, _ int) []int32 {
+	for v := 0; v < o.n; v++ {
+		buf = append(buf, int32(v))
 	}
-	return rows
-}
-
-func (o *edgeOracle) SparseLossRefreshAll(_ []int, out []float64, rows []int32) []int32 {
-	for v := range out {
-		out[v] = o.Loss(v)
-		rows = append(rows, int32(v))
-	}
-	return rows
+	return buf
 }
 
 // TestClimbCommitZeroAlloc gates the climb's per-step oracle work at
 // zero allocations on the detection and coverage oracles: commit and
-// lift each mutate one oracle and refresh its column through the batch
-// sparse contract with a one-element changed list, which must not
-// escape to the heap through the interface call — between runs, and
-// inside one, where the refresh's row report also updates the winner
-// trees.
+// lift each mutate one oracle, and a one-sensor refresh walks the
+// affected list through the interface call into the climb's reused
+// buffers — between runs, and inside one, where the walk's row report
+// also updates the winner trees.
 func TestClimbCommitZeroAlloc(t *testing.T) {
 	rng := stats.NewRNG(33)
 	for _, rho := range []float64{3, 1.0 / 3} {
@@ -288,9 +279,12 @@ func TestClimbCommitZeroAlloc(t *testing.T) {
 					}
 					c.begin(pending)
 				}
+				c.one[0] = 2
 				if a := testing.AllocsPerRun(200, func() {
 					c.commit(2, 1)
+					c.refresh(1, c.one[:])
 					c.lift(2, 1)
+					c.refresh(1, c.one[:])
 				}); a != 0 {
 					t.Errorf("%s ρ=%v in run %v: commit+lift allocated %v times per run, want 0", name, rho, inRun, a)
 				}

@@ -11,9 +11,11 @@ import (
 // climb is the cached greedy hill-climb behind every eager engine:
 // Greedy and GreedySubset run one to completion, and the incremental
 // Repairer keeps one alive to insert perturbation batches and sweep
-// damage fronts. It holds the per-slot oracles (built by SlotOracles),
+// damage fronts. It holds the per-slot oracles (built by slotOracles),
 // the assignment, and a margin cache kept bit-exact for every sensor —
-// assigned, pending and absent alike:
+// assigned, pending and absent alike — at every step of a run and
+// between Repairer operations (a sweep queries the oracles and leaves
+// the refresh to its caller):
 //
 //	cache[v][t] == oracles[t].Gain(v)  (placement)
 //	cache[v][t] == oracles[t].Loss(v)  (removal)
@@ -31,9 +33,14 @@ import (
 // ascending scan of the column, ties to the lowest v. A step merges the
 // T roots in O(T). Assigning a sensor kills its leaf in every tree, and
 // a refresh re-derives only the leaves of the rows it rewrote (the
-// sparse contract's row report), then their ancestors level by level,
-// each path ending at the first ancestor whose winner did not move:
-// O(log P) per rewritten entry where a column rescan cost O(P).
+// walk's row report), then their ancestors level by level, each path
+// ending at the first ancestor whose winner did not move: O(log P) per
+// rewritten entry where a column rescan cost O(P).
+//
+// The climb owns the incidence work. Oracles that list the sensors a
+// mutation can disturb (submodular.AffectedLister) get their columns
+// refreshed by walk, which also yields the Repairer's damage fronts;
+// other oracles get full-column fills.
 type climb struct {
 	oracles []submodular.RemovalOracle
 	cache   *marginCache
@@ -56,18 +63,24 @@ type climb struct {
 	trees []node
 	// cands holds the per-column winners a step merges.
 	cands []candidate
-	// rows is the row report of the last sparse refresh; kill is the
-	// one-leaf level of a single-path update; one is the changed list of
-	// a single-sensor refresh. All are reused, so no step allocates.
+	// rows is the row report of the last walk; kill is the one-leaf
+	// level of a single-path update; one is the changed list of a
+	// single-sensor refresh; near holds one sensor's affected list
+	// during a walk. All are reused, so no step allocates.
 	rows []int32
 	kill [1]int32
 	one  [1]int
+	near []int32
+	// mark and epoch deduplicate a walk: mark[v] == epoch once the
+	// current walk has reported v.
+	mark  []uint32
+	epoch uint32
 }
 
-// newClimb builds the slot oracles for assign under mode (SlotOracles)
+// newClimb builds the slot oracles for assign under mode (slotOracles)
 // and fills every cache column from them.
 func newClimb(in Instance, mode Mode, assign []int) (*climb, error) {
-	oracles, err := SlotOracles(in, mode, assign)
+	oracles, err := slotOracles(in, mode, assign)
 	if err != nil {
 		return nil, err
 	}
@@ -77,6 +90,7 @@ func newClimb(in Instance, mode Mode, assign []int) (*climb, error) {
 		assign:  assign,
 		removal: mode == ModeRemoval,
 		cands:   make([]candidate, len(oracles)),
+		mark:    make([]uint32, in.N),
 	}
 	for t := range oracles {
 		c.fill(t)
@@ -160,43 +174,71 @@ func fillMarginals(o submodular.RemovalOracle, removal bool, col []float64) {
 }
 
 // refresh restores slot t's column after its oracle absorbed mutations
-// of the sensors in changed (a superset is harmless). Oracles with the
-// column-sparse contract (submodular.SparseGainBatchRefresher /
-// SparseLossBatchRefresher) recompute only the sensors sharing a
-// target with a changed sensor — O(affected) instead of O(n + edges) —
-// keep the column bit-identical to a full fill, and report the rows
-// they rewrote, so a run updates only those leaves of tree t. Other
-// oracles get the full fill, and a run rebuilds tree t in O(P).
+// of the sensors in changed (each any number of times; a superset is
+// harmless). With an AffectedLister oracle only the walk's rows are
+// recomputed — O(affected) instead of O(n + edges). Every other entry
+// sums over per-target state none of the mutations touched, so the
+// column stays bit-identical to a full fill, and a run updates only
+// those leaves of tree t. Other oracles get the full fill, and a run
+// rebuilds tree t in O(P).
 func (c *climb) refresh(t int, changed []int) {
 	o, col := c.oracles[t], c.cache.column(t)
-	if c.removal {
-		if sr, ok := o.(submodular.SparseLossBatchRefresher); ok {
-			c.rows = sr.SparseLossRefreshAll(changed, col, c.rows[:0])
-			c.reindex(t, c.rows)
-			return
+	al, ok := o.(submodular.AffectedLister)
+	if !ok {
+		c.fill(t)
+		if c.pending != nil {
+			c.build(t)
 		}
-	} else if sr, ok := o.(submodular.SparseGainBatchRefresher); ok {
-		c.rows = sr.SparseGainRefreshAll(changed, col, c.rows[:0])
-		c.reindex(t, c.rows)
 		return
 	}
-	c.fill(t)
-	if c.pending != nil {
-		c.build(t)
+	rows := c.walk(al, changed)
+	if c.removal {
+		for _, v := range rows {
+			col[v] = o.Loss(int(v))
+		}
+	} else {
+		for _, v := range rows {
+			col[v] = o.Gain(int(v))
+		}
 	}
+	c.reindex(t, rows)
 }
 
-// commit gives sensor v slot t — adds v to t's active set (placement)
-// or removes it, making t v's passive slot (removal) — and refreshes
-// the column. The assignment is the caller's to update.
+// walk returns, each once and in no particular order, every sensor
+// whose marginal a mutation of the sensors in changed can have moved:
+// each changed sensor and the sensors of its affected list, fetched one
+// list at a time. A sensor covering nothing is on no list, its own
+// included, so the changed sensors are added explicitly. The report
+// lives in c.rows until the next walk.
+func (c *climb) walk(al submodular.AffectedLister, changed []int) []int32 {
+	c.epoch++
+	if c.epoch == 0 {
+		clear(c.mark)
+		c.epoch = 1
+	}
+	rows := c.rows[:0]
+	for _, v := range changed {
+		c.near = append(al.AppendAffected(c.near[:0], v), int32(v))
+		for _, u := range c.near {
+			if c.mark[u] != c.epoch {
+				c.mark[u] = c.epoch
+				rows = append(rows, u)
+			}
+		}
+	}
+	c.rows = rows
+	return rows
+}
+
+// commit gives sensor v slot t in the oracles — adds v to t's active
+// set (placement) or removes it, making t v's passive slot (removal).
+// The assignment and the cache column are the caller's to update.
 func (c *climb) commit(v, t int) {
 	if c.removal {
 		c.oracles[t].Remove(v)
 	} else {
 		c.oracles[t].Add(v)
 	}
-	c.one[0] = v
-	c.refresh(t, c.one[:])
 }
 
 // lift undoes commit(v, t).
@@ -206,8 +248,15 @@ func (c *climb) lift(v, t int) {
 	} else {
 		c.oracles[t].Remove(v)
 	}
-	c.one[0] = v
-	c.refresh(t, c.one[:])
+}
+
+// marginal returns v's marginal on slot t's oracle: its gain, or its
+// loss in removal.
+func (c *climb) marginal(v, t int) float64 {
+	if c.removal {
+		return c.oracles[t].Loss(v)
+	}
+	return c.oracles[t].Gain(v)
 }
 
 // better reports whether marginal a strictly beats b: a larger gain in
@@ -425,6 +474,8 @@ func (c *climb) step() (candidate, error) {
 	}
 	c.retire(best.v, best.t)
 	c.commit(best.v, best.t)
+	c.one[0] = best.v
+	c.refresh(best.t, c.one[:])
 	return best, nil
 }
 
@@ -442,4 +493,87 @@ func (c *climb) retire(v, t int) {
 		c.kill[0] = int32(i)
 		c.propagate(tr, c.kill[:])
 	}
+}
+
+// Sweep runs the Repairer's strict-improvement sweep over sensors,
+// ascending, against assign — a complete plan of in, updated in place —
+// and returns the rounds run and the moves applied: each round lifts
+// every assigned sensor of sensors out of its slot and recommits it at
+// the slot of the strictly best marginal, ties keeping the current
+// slot, until a round moves nothing or DefaultRepairRounds rounds ran.
+// It builds in's slot oracles for assign once (none when sensors is
+// empty). The sharded planner repairs its border with it.
+func Sweep(in Instance, assign, sensors []int) (rounds, moves int, err error) {
+	if len(sensors) == 0 {
+		return 0, 0, nil
+	}
+	mode := ModeFor(in.Period)
+	oracles, err := slotOracles(in, mode, assign)
+	if err != nil {
+		return 0, 0, err
+	}
+	c := &climb{oracles: oracles, assign: assign, removal: mode == ModeRemoval}
+	rounds, moves = c.sweep(sensors)
+	return rounds, moves, nil
+}
+
+// DefaultRepairRounds bounds the strict-improvement sweep: each round
+// strictly improves utility, and in practice the hill-climb is at a
+// fixed point after one or two rounds; the bound keeps a pathological
+// tie structure from looping.
+const DefaultRepairRounds = 4
+
+// sweep runs strict-improvement rounds over sensors, ascending, until
+// a round moves nothing or DefaultRepairRounds rounds ran, and returns
+// the rounds run and the moves applied. A round lifts each assigned
+// sensor out of its slot and recommits it at the slot of the strictly
+// best marginal — the largest gain in placement, the smallest loss in
+// removal, which picks the passive slot — with ties keeping the current
+// slot, so every move strictly raises the period utility and the sweep
+// is a monotone hill-climb that cannot shuttle between tied slots. The
+// marginals are queried from the oracles and no cache column is
+// refreshed: the caller refreshes every column once afterwards, over
+// the swept sensors.
+func (c *climb) sweep(sensors []int) (rounds, moves int) {
+	if len(sensors) == 0 {
+		return 0, 0
+	}
+	for rounds < DefaultRepairRounds {
+		m := c.sweepOnce(sensors)
+		rounds++
+		moves += m
+		if m == 0 {
+			break
+		}
+	}
+	return rounds, moves
+}
+
+// sweepOnce runs one round of sweep and returns its moves. Unassigned
+// and absent sensors are skipped.
+func (c *climb) sweepOnce(sensors []int) int {
+	moves := 0
+	for _, v := range sensors {
+		old := c.assign[v]
+		if old < 0 {
+			continue
+		}
+		// v's marginal back at the old slot is the bar to beat strictly.
+		c.lift(v, old)
+		bestT, bestM := old, c.marginal(v, old)
+		for t := range c.oracles {
+			if t == old {
+				continue
+			}
+			if m := c.marginal(v, t); c.better(m, bestM) {
+				bestT, bestM = t, m
+			}
+		}
+		c.commit(v, bestT)
+		if bestT != old {
+			c.assign[v] = bestT
+			moves++
+		}
+	}
+	return moves
 }

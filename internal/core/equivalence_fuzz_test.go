@@ -15,7 +15,7 @@ import (
 // period utility as the indexed climb: the reference scan, and the
 // climb forced onto its full-column refresh. Over EvalOracle, which
 // answers every query by re-evaluating the utility and has neither the
-// bulk nor the sparse contract, the climb must match the reference
+// bulk contract nor an affected list, the climb must match the reference
 // scan over the same oracle. The committed seed
 // corpus under testdata/fuzz/FuzzEngineEquivalence pins the structural
 // corners (both modes, zero-coverage sensors, single target, n < T);

@@ -207,8 +207,8 @@ func fullRefreshInstance(in Instance) Instance {
 	return in
 }
 
-// noSparseOracle hides the column-sparse refresh of a wrapped oracle
-// while forwarding its bulk marginals, forcing the climb onto the
+// noSparseOracle hides the affected list of a wrapped oracle while
+// forwarding its bulk marginals, forcing the climb onto the
 // full-column refresh path.
 type noSparseOracle struct {
 	submodular.RemovalOracle

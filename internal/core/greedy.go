@@ -36,9 +36,9 @@ func newAssignment(n int) []int {
 // The engine is the cached climb (see climb): a dirty-slot margin
 // cache (see marginCache) indexed by one winner tree per slot, so a
 // step selects in O(T), refreshes one column — column-sparse when the
-// oracle supports it — and updates only the tree leaves the refresh
-// rewrote, in O(log n) each, while the schedule stays bit-identical to
-// ReferenceGreedy's eager O(n·T) scan.
+// oracle lists affected sensors — and updates only the tree leaves the
+// refresh rewrote, in O(log n) each, while the schedule stays
+// bit-identical to ReferenceGreedy's eager O(n·T) scan.
 func GreedySubset(in Instance, present []bool) (*Schedule, error) {
 	c, err := planClimb(in, present)
 	if err != nil {

@@ -234,5 +234,6 @@ func mustConsistent(t *testing.T, r *Repairer, in Instance) *Schedule {
 	if live := r.Utility(); math.Abs(live-fresh) > 1e-6*(1+math.Abs(fresh)) {
 		t.Fatalf("live utility %v drifted from fresh evaluation %v", live, fresh)
 	}
+	checkAgainstFresh(t, r.in, r.c)
 	return s
 }

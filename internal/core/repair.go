@@ -17,29 +17,18 @@ import (
 // Damage localization: the submodular oracles' CSR incidence bounds the
 // blast radius of any single-sensor change — only sensors sharing a
 // target with a changed sensor can see their marginals move
-// (AffectedLister enumerates exactly that set), and only the slots
-// whose oracles absorbed a mutation have stale cache columns (the
-// dirty-slot invariant of marginCache). A k-sensor perturbation
-// therefore costs one batch sparse sweep over the union of the changed
-// sensors' CSR rows per touched column (SparseGainRefreshAll /
-// SparseLossRefreshAll), plus a bounded strict-improvement sweep over
-// the damage front.
+// (AffectedLister enumerates exactly that set). The climb's walk over
+// the changed sensors' lists is therefore the damage front, and a
+// k-sensor perturbation costs one walk for the front, the bounded
+// strict-improvement sweep over it (climb.sweep, the sharded planner's
+// border sweep too), and one refresh per cache column over the changed
+// and swept sensors at the end of the operation.
 //
 // Engine: the Repairer keeps the greedy climb that planned its
-// schedule (see climb) alive between operations, so its margin cache
-// holds cache[v][t] == oracles[t].Gain(v) (placement) or .Loss(v)
-// (removal) bit-exactly for every sensor, members included. A batch
-// insertion runs the climb's own greedy loop, and the repair sweep
-// reads moves straight from the cache, so its decisions are
-// bit-identical to querying the oracles directly — the same move
-// discipline as the sharded planner's border-correction sweep
-// (shard.correctionSweep).
-
-// DefaultRepairRounds bounds the strict-improvement sweep after a
-// perturbation, mirroring the sharded correction sweep's default: each
-// round strictly improves utility, and in practice the hill-climb is at
-// a fixed point after one or two rounds.
-const DefaultRepairRounds = 4
+// schedule (see climb) alive between operations, so between operations
+// its margin cache holds cache[v][t] == oracles[t].Gain(v) (placement)
+// or .Loss(v) (removal) bit-exactly for every sensor, members included.
+// A batch insertion runs the climb's own greedy loop on that cache.
 
 // RepairStats reports what one repair operation did and what it cost.
 type RepairStats struct {
@@ -79,24 +68,13 @@ type RepairStats struct {
 //
 // A Repairer is not safe for concurrent use.
 type Repairer struct {
-	// MaxRounds bounds the strict-improvement sweep per operation:
-	// 0 means DefaultRepairRounds, negative disables the sweep entirely
-	// (pure greedy insertion/deletion — useful to observe the raw
-	// perturbation or to prove bit-identity of the insertion path).
-	MaxRounds int
-
 	in       Instance
 	c        *climb
 	present  []bool
 	nPresent int
-
-	// Damage-front scratch: epoch-marked dedup over AppendAffected
-	// output, reused across operations.
-	mark       []int32
-	epoch      int32
-	affected   []int32
-	dirtyBuf   []int
-	colTouched []bool
+	// dirtyBuf holds the operation's damage front, then the sensors of
+	// its closing refresh; reused across operations.
+	dirtyBuf []int
 }
 
 // NewRepairer validates the instance, plans the initial schedule over
@@ -108,21 +86,15 @@ func NewRepairer(in Instance) (*Repairer, error) {
 		return nil, err
 	}
 	r := &Repairer{
+		in:       in,
+		c:        c,
 		present:  make([]bool, in.N),
 		nPresent: in.N,
-		mark:     make([]int32, in.N),
 	}
 	for v := range r.present {
 		r.present[v] = true
 	}
-	r.adopt(in, c)
 	return r, nil
-}
-
-// adopt makes c, planned for in, the committed engine state.
-func (r *Repairer) adopt(in Instance, c *climb) {
-	r.in, r.c = in, c
-	r.colTouched = make([]bool, len(c.oracles))
 }
 
 // utility returns the committed schedule's period utility Σ_t U(S_t)
@@ -238,16 +210,16 @@ func (r *Repairer) AddSensors(ids []int) (RepairStats, error) {
 	}
 	dirty := r.damageFront(sorted)
 	stats.Dirty = len(dirty)
-	stats.Rounds, stats.Moves = r.sweep(dirty)
+	stats.Rounds, stats.Moves = r.c.sweep(dirty)
+	r.settle(dirty)
 	stats.Utility = r.utility()
 	return stats, nil
 }
 
 // RemoveSensors deactivates live sensors (node death, battery failure)
-// and repairs the schedule: the sensors leave their oracles, only the
-// touched columns are batch-refreshed, and the survivors in the damage
-// front get a bounded strict-improvement sweep to close the coverage
-// holes.
+// and repairs the schedule: the sensors leave their oracles, and the
+// survivors in the damage front get a bounded strict-improvement sweep
+// to close the coverage holes.
 func (r *Repairer) RemoveSensors(ids []int) (RepairStats, error) {
 	sorted, err := r.checkIDs(ids, true)
 	if err != nil {
@@ -258,14 +230,7 @@ func (r *Repairer) RemoveSensors(ids []int) (RepairStats, error) {
 		stats.Utility = stats.UtilityBefore
 		return stats, nil
 	}
-	// The damage front must be computed while the removed sensors are
-	// still known; their incidence is static so before/after is
-	// equivalent, but the front excludes non-present sensors, so take
-	// it first and filter later.
 	c := r.c
-	for t := range r.colTouched {
-		r.colTouched[t] = false
-	}
 	for _, v := range sorted {
 		old := c.assign[v]
 		if c.removal {
@@ -273,25 +238,21 @@ func (r *Repairer) RemoveSensors(ids []int) (RepairStats, error) {
 			for t, o := range c.oracles {
 				if t != old {
 					o.Remove(v)
-					r.colTouched[t] = true
 				}
 			}
 		} else if old >= 0 {
 			c.oracles[old].Remove(v)
-			r.colTouched[old] = true
 		}
 		c.assign[v] = Absent
 		r.present[v] = false
 	}
 	r.nPresent -= len(sorted)
-	for t, touched := range r.colTouched {
-		if touched {
-			c.refresh(t, sorted)
-		}
-	}
 	dirty := r.damageFront(sorted)
 	stats.Dirty = len(dirty)
-	stats.Rounds, stats.Moves = r.sweep(dirty)
+	stats.Rounds, stats.Moves = c.sweep(dirty)
+	// The removed sensors left their slots too, but not the front.
+	r.dirtyBuf = append(dirty, sorted...)
+	r.settle(r.dirtyBuf)
 	stats.Utility = r.utility()
 	return stats, nil
 }
@@ -320,7 +281,7 @@ func (r *Repairer) UpdateRho(rho float64) (RepairStats, error) {
 	if err != nil {
 		return RepairStats{}, err
 	}
-	r.adopt(in, c)
+	r.in, r.c = in, c
 	stats.Changed = r.nPresent
 	stats.Full = true
 	stats.Utility = r.utility()
@@ -340,17 +301,18 @@ func (r *Repairer) RepairAll() RepairStats {
 		}
 	}
 	stats.Dirty = len(r.dirtyBuf)
-	stats.Rounds, stats.Moves = r.sweep(r.dirtyBuf)
+	stats.Rounds, stats.Moves = r.c.sweep(r.dirtyBuf)
+	r.settle(r.dirtyBuf)
 	stats.Utility = r.utility()
 	return stats
 }
 
 // damageFront returns the ascending list of live sensors whose
-// marginals a perturbation of changed can have moved: the epoch-dedup
-// union of the changed sensors' AppendAffected sets (sensors sharing a
-// target), restricted to the present fleet. Oracles without the
-// AffectedLister contract cannot bound the front, so the whole live
-// fleet goes dirty — correct, just not localized.
+// marginals a perturbation of changed can have moved: the climb's walk
+// over the changed sensors (each changed sensor and every sensor
+// sharing a target with one), restricted to the present fleet. Oracles
+// without the AffectedLister contract cannot bound the front, so the
+// whole live fleet goes dirty — correct, just not localized.
 func (r *Repairer) damageFront(changed []int) []int {
 	r.dirtyBuf = r.dirtyBuf[:0]
 	al, ok := r.c.oracles[0].(submodular.AffectedLister)
@@ -362,86 +324,20 @@ func (r *Repairer) damageFront(changed []int) []int {
 		}
 		return r.dirtyBuf
 	}
-	r.epoch++
-	r.affected = r.affected[:0]
-	for _, v := range changed {
-		r.affected = al.AppendAffected(r.affected, v)
-	}
-	for _, u := range r.affected {
-		if r.mark[u] != r.epoch {
-			r.mark[u] = r.epoch
-			if r.present[u] {
-				r.dirtyBuf = append(r.dirtyBuf, int(u))
-			}
-		}
-	}
-	// Degree-0 changed sensors never appear in their own affected set;
-	// they are harmless to sweep (marginal 0 everywhere) but keep the
-	// front well-defined by including every live changed sensor.
-	for _, v := range changed {
-		if r.mark[v] != r.epoch {
-			r.mark[v] = r.epoch
-			if r.present[v] {
-				r.dirtyBuf = append(r.dirtyBuf, v)
-			}
+	for _, u := range r.c.walk(al, changed) {
+		if r.present[u] {
+			r.dirtyBuf = append(r.dirtyBuf, int(u))
 		}
 	}
 	sort.Ints(r.dirtyBuf)
 	return r.dirtyBuf
 }
 
-// sweep runs bounded strict-improvement rounds over the dirty set,
-// stopping early at a fixed point. Same move discipline as the sharded
-// border-correction sweep (shard.sweepOnce), with the moves read from
-// the exact margin cache instead of fresh oracle queries.
-func (r *Repairer) sweep(dirty []int) (rounds, moves int) {
-	maxRounds := r.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = DefaultRepairRounds
+// settle ends an operation whose sweep left the cache stale: it
+// refreshes every column once over touched, the sensors whose slots the
+// operation changed or swept.
+func (r *Repairer) settle(touched []int) {
+	for t := range r.c.oracles {
+		r.c.refresh(t, touched)
 	}
-	if maxRounds < 0 || len(dirty) == 0 {
-		return 0, 0
-	}
-	for rounds < maxRounds {
-		m := r.sweepOnce(dirty)
-		rounds++
-		moves += m
-		if m == 0 {
-			break
-		}
-	}
-	return rounds, moves
-}
-
-// sweepOnce lifts every dirty sensor out of its slot, in ascending ID
-// order, and re-commits it at the strict best slot (placement: max
-// gain; removal: min loss picks the passive slot). Ties favor the
-// current slot, so every applied move strictly improves the period
-// utility and the sweep is a monotone hill-climber.
-func (r *Repairer) sweepOnce(dirty []int) int {
-	c := r.c
-	moves := 0
-	for _, v := range dirty {
-		old := c.assign[v]
-		if old < 0 {
-			continue // absent
-		}
-		// v's marginal back at the old slot is the bar to beat strictly.
-		c.lift(v, old)
-		bestT, bestM := old, c.cache.at(v, old)
-		for t := range c.oracles {
-			if t == old {
-				continue
-			}
-			if m := c.cache.at(v, t); c.better(m, bestM) {
-				bestT, bestM = t, m
-			}
-		}
-		c.commit(v, bestT)
-		if bestT != old {
-			c.assign[v] = bestT
-			moves++
-		}
-	}
-	return moves
 }

@@ -55,9 +55,10 @@ func convergeRepairer(r *Repairer) bool {
 }
 
 // checkRepairerConsistency asserts the invariants every operation must
-// preserve: feasible schedule, assignment/present agreement, and the
-// live oracles' incremental utility matching a fresh evaluation of the
-// committed schedule.
+// preserve: feasible schedule, assignment/present agreement, the live
+// oracles' incremental utility matching a fresh evaluation of the
+// committed schedule, and a margin cache exact for every sensor — the
+// refresh that ends each operation restores it after the sweep.
 func checkRepairerConsistency(t *testing.T, r *Repairer, in Instance) *Schedule {
 	t.Helper()
 	s, err := r.Schedule()
@@ -89,6 +90,7 @@ func checkRepairerConsistency(t *testing.T, r *Repairer, in Instance) *Schedule 
 	if math.Abs(live-fresh) > 1e-6*(1+math.Abs(fresh)) {
 		t.Fatalf("live utility %v drifted from fresh evaluation %v", live, fresh)
 	}
+	checkAgainstFresh(t, r.in, r.c)
 	return s
 }
 
@@ -552,7 +554,8 @@ func TestRepairHeteroInstance(t *testing.T) {
 // nanGainOracle wraps an oracle so that Gain returns NaN: no placement
 // candidate beats the climb's floor, so every ρ ≥ 1 plan fails, while
 // the removal regime, which only asks Loss, still plans. Embedding the
-// interface hides the bulk and sparse contracts of the wrapped oracle.
+// interface hides the bulk contract and affected list of the wrapped
+// oracle.
 type nanGainOracle struct {
 	submodular.RemovalOracle
 }
@@ -619,6 +622,35 @@ func TestRepairSweepTiesKeepIncumbent(t *testing.T) {
 		after := checkRepairerConsistency(t, r, in)
 		if got, want := after.Assignment()[3], before.Assignment()[3]; got != want {
 			t.Fatalf("ρ=%v: tied sensor moved from slot %d to %d", rho, want, got)
+		}
+	}
+}
+
+// TestSweepOnceSteadyStateAllocs pins the strict-improvement sweep at
+// zero allocations on the detection and coverage oracles, in both
+// regimes: a round's Gain/Loss queries and Add/Remove repairs never
+// touch the heap, and neither does the refresh that ends a Repairer
+// operation, so a RepairAll of a warmed Repairer allocates nothing.
+func TestSweepOnceSteadyStateAllocs(t *testing.T) {
+	rng := stats.NewRNG(410)
+	for _, rho := range []float64{3, 1.0 / 3} {
+		det, _ := detectionInstance(t, rng, 60, 12, rho)
+		for name, in := range map[string]Instance{
+			"detection": det,
+			"coverage":  sparseCoverageInstance(t, rng, 60, 20, 4, rho),
+		} {
+			r, err := NewRepairer(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.RepairAll()
+			all := append([]int(nil), r.dirtyBuf...)
+			if a := testing.AllocsPerRun(20, func() { r.c.sweepOnce(all) }); a != 0 {
+				t.Errorf("%s ρ=%v: a sweep round allocated %v times, want 0", name, rho, a)
+			}
+			if a := testing.AllocsPerRun(20, func() { r.RepairAll() }); a != 0 {
+				t.Errorf("%s ρ=%v: RepairAll allocated %v times, want 0", name, rho, a)
+			}
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"cool/internal/submodular"
 )
 
-// SlotOracles materializes the per-slot oracle state implied by an
+// slotOracles materializes the per-slot oracle state implied by an
 // assignment vector, without going through a Schedule: oracles[t]
 // represents the active set of slot t under the given mode semantics
 // (assign[v] is v's single active slot in placement mode, its single
@@ -16,11 +16,10 @@ import (
 // the assignment.
 //
 // It is the one place an engine builds slot oracles: the climb starts
-// from the empty plan's oracles, and the sharded planner's
-// border-correction sweep rebuilds the merged global per-slot state
-// once, then repairs it incrementally with Add/Remove as halo sensors
-// are re-argmaxed.
-func SlotOracles(in Instance, mode Mode, assign []int) ([]submodular.RemovalOracle, error) {
+// from the empty plan's oracles, and Sweep rebuilds the sharded
+// planner's merged global per-slot state once, then repairs it
+// incrementally with Add/Remove as halo sensors are re-argmaxed.
+func slotOracles(in Instance, mode Mode, assign []int) ([]submodular.RemovalOracle, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}

@@ -7,12 +7,12 @@ import (
 	"cool/internal/submodular"
 )
 
-// TestSlotOraclesMatchesSchedule cross-checks SlotOracles against the
+// TestSlotOraclesMatchesSchedule cross-checks slotOracles against the
 // Schedule semantics on the golden corpus: every oracle's membership
 // must match IsActiveAt slot for slot, and the summed values must equal
 // PeriodUtility (bit-exact in placement mode, where both fold the same
 // ascending Add order; within float tolerance in removal mode, where
-// SlotOracles reaches the set through add-all-then-remove).
+// slotOracles reaches the set through add-all-then-remove).
 func TestSlotOraclesMatchesSchedule(t *testing.T) {
 	for _, scn := range goldenScenarios() {
 		scn := scn
@@ -24,7 +24,7 @@ func TestSlotOraclesMatchesSchedule(t *testing.T) {
 			}
 			mode := sched.Mode()
 			assign := sched.Assignment()
-			oracles, err := SlotOracles(in, mode, assign)
+			oracles, err := slotOracles(in, mode, assign)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,21 +54,21 @@ func TestSlotOraclesMatchesSchedule(t *testing.T) {
 func TestSlotOraclesValidation(t *testing.T) {
 	in := buildGoldenInstance(t, goldenScenarios()[0])
 	T := in.Period.Slots()
-	if _, err := SlotOracles(in, ModePlacement, make([]int, in.N-1)); err == nil {
+	if _, err := slotOracles(in, ModePlacement, make([]int, in.N-1)); err == nil {
 		t.Fatal("short assignment accepted")
 	}
 	bad := make([]int, in.N)
 	bad[0] = T
-	if _, err := SlotOracles(in, ModePlacement, bad); err == nil {
+	if _, err := slotOracles(in, ModePlacement, bad); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	if _, err := SlotOracles(in, Mode(0), make([]int, in.N)); err == nil {
+	if _, err := slotOracles(in, Mode(0), make([]int, in.N)); err == nil {
 		t.Fatal("invalid mode accepted")
 	}
-	// SlotOracles is where every engine builds its oracles, so a factory
+	// slotOracles is where every engine builds its oracles, so a factory
 	// returning nil surfaces as an error from each of them.
 	nilFactory := Instance{N: in.N, Period: in.Period, Factory: func() submodular.RemovalOracle { return nil }}
-	if _, err := SlotOracles(nilFactory, ModePlacement, newAssignment(in.N)); err == nil {
+	if _, err := slotOracles(nilFactory, ModePlacement, newAssignment(in.N)); err == nil {
 		t.Fatal("nil oracle accepted")
 	}
 	if _, err := Greedy(nilFactory); err == nil {

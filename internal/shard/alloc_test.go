@@ -3,45 +3,8 @@ package shard
 import (
 	"testing"
 
-	"cool/internal/core"
 	"cool/internal/netsim"
 )
-
-// TestSweepOnceSteadyStateAllocs pins the border-correction round at
-// zero allocations: Gain/Loss scans and the Add/Remove repairs on the
-// CSR oracles never touch the heap, so the sweep's cost is pure
-// compute no matter how many rounds the budget allows.
-func TestSweepOnceSteadyStateAllocs(t *testing.T) {
-	for _, mode := range []core.Mode{core.ModePlacement, core.ModeRemoval} {
-		period := placementPeriod()
-		if mode == core.ModeRemoval {
-			period = removalPeriod()
-		}
-		d := buildTestProblem(t, 31, 400, 200, 500, 120, 15, period, true)
-		pt := newPartition(d.p, 4)
-		if pt.shards() < 2 {
-			t.Fatal("geometry degenerated")
-		}
-		res, err := Plan(d.p, Options{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assign := res.Schedule.Assignment()
-		oracles, err := core.SlotOracles(d.p.Global, mode, assign)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm up once (the state is already a fixed point, so the round
-		// exercises the full scan with zero moves).
-		sweepOnce(oracles, mode, assign, pt.haloList)
-		allocs := testing.AllocsPerRun(20, func() {
-			sweepOnce(oracles, mode, assign, pt.haloList)
-		})
-		if allocs != 0 {
-			t.Errorf("%v sweep round allocates %.1f times, want 0", mode, allocs)
-		}
-	}
-}
 
 // TestNetStepSteadyStateAllocs pins the per-tick boundary exchange at
 // zero allocations with sequential workers: the cross-border queues,

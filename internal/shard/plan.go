@@ -98,15 +98,12 @@ func Plan(p *Problem, opts Options) (*Result, error) {
 		Cuts:            append([]float64(nil), pt.cuts...),
 	}
 
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = DefaultMaxRounds
-	}
-	if maxRounds > 0 {
-		res.Rounds, res.Moves, err = correctionSweep(p.Global, mode, assign, pt.haloList, maxRounds)
-		if err != nil {
-			return nil, err
-		}
+	// The border sweep: interior sensors are never touched — their
+	// whole footprint was visible to their strip's engine — so only the
+	// halo is re-argmaxed against the merged global state.
+	res.Rounds, res.Moves, err = core.Sweep(p.Global, assign, pt.haloList)
+	if err != nil {
+		return nil, err
 	}
 
 	res.Schedule, err = core.NewSchedule(mode, T, assign)

@@ -149,29 +149,23 @@ func TestPlanClamping(t *testing.T) {
 	}
 }
 
-// TestPlanMaxRounds pins the sweep budget semantics: negative disables
-// (Rounds == 0, Utility == UtilityBefore), zero selects the default.
+// TestPlanMaxRounds pins the sweep's round bound: a plan with real
+// cuts runs at least one and at most core.DefaultRepairRounds rounds,
+// and the sweep never lowers the merged plans' utility.
 func TestPlanMaxRounds(t *testing.T) {
 	d := buildTestProblem(t, 9, 300, 150, 400, 120, 14, placementPeriod(), true)
-	off, err := Plan(d.p, Options{Shards: 4, MaxRounds: -1})
+	res, err := Plan(d.p, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Rounds != 0 || off.Moves != 0 {
-		t.Fatalf("disabled sweep ran: rounds=%d moves=%d", off.Rounds, off.Moves)
+	if res.Halo == 0 {
+		t.Fatal("no halo sensors: the sweep has nothing to do")
 	}
-	if off.Utility != off.UtilityBefore {
-		t.Fatalf("disabled sweep changed utility: %v -> %v", off.UtilityBefore, off.Utility)
+	if res.Rounds < 1 || res.Rounds > core.DefaultRepairRounds {
+		t.Fatalf("sweep rounds %d outside [1, %d]", res.Rounds, core.DefaultRepairRounds)
 	}
-	on, err := Plan(d.p, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Rounds < 1 || on.Rounds > DefaultMaxRounds {
-		t.Fatalf("default sweep rounds %d outside [1, %d]", on.Rounds, DefaultMaxRounds)
-	}
-	if on.Utility+1e-12 < off.Utility {
-		t.Fatalf("sweep made things worse: %v < %v", on.Utility, off.Utility)
+	if res.Utility+1e-12 < res.UtilityBefore {
+		t.Fatalf("sweep made things worse: %v < %v", res.Utility, res.UtilityBefore)
 	}
 }
 
@@ -220,12 +214,12 @@ func TestCorrectionSweepConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := res.Schedule.Assignment()
-	oracles, err := core.SlotOracles(d.p.Global, core.ModeFor(d.p.Period), assign)
+	rounds, moves, err := core.Sweep(d.p.Global, assign, pt.haloList)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := sweepOnce(oracles, core.ModeFor(d.p.Period), assign, pt.haloList); m != 0 {
-		t.Fatalf("post-Plan state not a fixed point: %d further moves", m)
+	if rounds != 1 || moves != 0 {
+		t.Fatalf("post-Plan state not a fixed point: %d further moves in %d rounds", moves, rounds)
 	}
 	T := d.p.Period.Slots()
 	for v, slot := range assign {

@@ -15,9 +15,10 @@
 // coverage lives inside its home strip, which its shard planner saw in
 // full; the only cross-strip utility the per-shard plans can miss is
 // carried by halo sensors. The bounded border-correction sweep
-// (correct.go) therefore re-argmaxes exactly the halo sensors against
-// the merged global per-slot oracles, repairing every dropped
-// cross-border marginal in O(halo · T · degree) per round.
+// (core.Sweep, the incremental Repairer's sweep) therefore re-argmaxes
+// exactly the halo sensors against the merged global per-slot oracles,
+// repairing every dropped cross-border marginal in O(halo · T · degree)
+// per round.
 //
 // The decomposition is a heuristic, not an approximation theorem: the
 // planner reports the achieved utility (and the caller benchmarks the
@@ -81,16 +82,7 @@ type Options struct {
 	// Workers bounds the goroutines planning shards concurrently
 	// (<= 0 selects NumCPU).
 	Workers int
-	// MaxRounds bounds the border-correction sweep: 0 selects the
-	// default (4), negative disables the sweep entirely.
-	MaxRounds int
 }
-
-// DefaultMaxRounds is the border-correction round bound when
-// Options.MaxRounds is zero. The sweep converges (zero moves) after one
-// or two rounds on every benchmarked deployment; the bound exists so a
-// pathological tie structure cannot loop.
-const DefaultMaxRounds = 4
 
 // Result is a sharded plan with its quality accounting.
 type Result struct {

@@ -110,30 +110,20 @@ func TestOracleHotPathAllocations(t *testing.T) {
 				t.Errorf("Add+Remove allocated %v times per run, want ≤ 1", a)
 			}
 		})
-		t.Run(name+"/SparseBatchRefresh", func(t *testing.T) {
-			sg, okG := o.(SparseGainBatchRefresher)
-			sl, okL := o.(SparseLossBatchRefresher)
-			if !okG && !okL {
-				t.Skip("oracle has no batch sparse refresh (dense-coupling utility)")
+		t.Run(name+"/AppendAffected", func(t *testing.T) {
+			al, ok := o.(AffectedLister)
+			if !ok {
+				t.Skip("oracle lists no affected sensors (dense-coupling utility)")
 			}
-			// The sparse contract forbids allocation: the epoch-dedup
-			// scratch lives in the oracle and is reused per call; the
-			// changed list, the column and the row-report buffer belong
-			// to the caller, and a grown buffer is reused in place.
-			out := make([]float64, n)
-			rows := make([]int32, 0, n)
-			changed := []int{2, 5, 11}
-			if okG {
-				o.(BulkGainer).BulkGain(out)
-				if a := testing.AllocsPerRun(200, func() { rows = sg.SparseGainRefreshAll(changed, out, rows[:0]) }); a != 0 {
-					t.Errorf("SparseGainRefreshAll allocated %v times per run, want 0", a)
+			// The climb walks one sensor's list at a time into a buffer
+			// it reuses, so a grown buffer must be appended to in place.
+			buf := make([]int32, 0, n*n)
+			if a := testing.AllocsPerRun(200, func() {
+				for v := 0; v < n; v += 7 {
+					buf = al.AppendAffected(buf[:0], v)
 				}
-			}
-			if okL {
-				o.(BulkLosser).BulkLoss(out)
-				if a := testing.AllocsPerRun(200, func() { rows = sl.SparseLossRefreshAll(changed, out, rows[:0]) }); a != 0 {
-					t.Errorf("SparseLossRefreshAll allocated %v times per run, want 0", a)
-				}
+			}); a != 0 {
+				t.Errorf("AppendAffected allocated %v times per run, want 0", a)
 			}
 		})
 		t.Run(name+"/Bulk", func(t *testing.T) {

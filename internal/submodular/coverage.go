@@ -150,7 +150,6 @@ func (u *CoverageUtility) Oracle() *CoverageOracle {
 		u:      u,
 		in:     bitset.New(u.n),
 		counts: make([]int32, len(u.values)),
-		mark:   make([]uint32, u.n),
 	}
 }
 
@@ -171,19 +170,13 @@ type CoverageOracle struct {
 	in     bitset.Bitset
 	counts []int32
 	value  float64
-	// mark/epoch are the sparse-refresh dedup scratch (see
-	// DetectionOracle).
-	mark  []uint32
-	epoch uint32
 }
 
 var (
-	_ RemovalOracle            = (*CoverageOracle)(nil)
-	_ BulkGainer               = (*CoverageOracle)(nil)
-	_ BulkLosser               = (*CoverageOracle)(nil)
-	_ SparseGainBatchRefresher = (*CoverageOracle)(nil)
-	_ SparseLossBatchRefresher = (*CoverageOracle)(nil)
-	_ AffectedLister           = (*CoverageOracle)(nil)
+	_ RemovalOracle  = (*CoverageOracle)(nil)
+	_ BulkGainer     = (*CoverageOracle)(nil)
+	_ BulkLosser     = (*CoverageOracle)(nil)
+	_ AffectedLister = (*CoverageOracle)(nil)
 )
 
 // Value implements Oracle.
@@ -230,91 +223,6 @@ func (o *CoverageOracle) BulkGain(out []float64) {
 		addScatter(out, sensors, val)
 	}
 	o.in.ForEach(func(v int) { out[v] = 0 })
-}
-
-// bumpEpoch advances the sparse-refresh stamp with wraparound reset
-// (see DetectionOracle.bumpEpoch).
-func (o *CoverageOracle) bumpEpoch() {
-	o.epoch++
-	if o.epoch == 0 {
-		for i := range o.mark {
-			o.mark[i] = 0
-		}
-		o.epoch = 1
-	}
-}
-
-// SparseGainRefreshAll implements SparseGainBatchRefresher: one epoch,
-// one sweep over the union of the changed sensors' item rows — a
-// sensor covered by items of several changed sensors is recomputed
-// exactly once. A sensor sharing no item with a changed sensor sums its
-// gain over coverage counters none of the mutations touched, so its
-// entry is exact by definition; touched sensors are recomputed via
-// Gain (recompute, not delta), bit-identical to a full BulkGain sweep
-// however many mutations the batch applied. Each recomputed sensor is
-// appended to rows exactly once, deduplicated by the same epoch mark.
-func (o *CoverageOracle) SparseGainRefreshAll(changed []int, out []float64, rows []int32) []int32 {
-	u := o.u
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseGainRefreshAll buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	for _, c := range changed {
-		checkElem(c, u.n)
-		items, _ := u.sensorItems.Row(c)
-		for _, item := range items {
-			sensors, _ := u.itemSensors.Row(int(item))
-			for _, v := range sensors {
-				if o.mark[v] == o.epoch {
-					continue
-				}
-				o.mark[v] = o.epoch
-				out[v] = o.Gain(int(v))
-				rows = append(rows, v)
-			}
-		}
-	}
-	for _, c := range changed {
-		if o.mark[c] != o.epoch {
-			o.mark[c] = o.epoch
-			out[c] = o.Gain(c)
-			rows = append(rows, int32(c))
-		}
-	}
-	return rows
-}
-
-// SparseLossRefreshAll implements SparseLossBatchRefresher: the
-// removal-side dual of SparseGainRefreshAll.
-func (o *CoverageOracle) SparseLossRefreshAll(changed []int, out []float64, rows []int32) []int32 {
-	u := o.u
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseLossRefreshAll buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	for _, c := range changed {
-		checkElem(c, u.n)
-		items, _ := u.sensorItems.Row(c)
-		for _, item := range items {
-			sensors, _ := u.itemSensors.Row(int(item))
-			for _, v := range sensors {
-				if o.mark[v] == o.epoch {
-					continue
-				}
-				o.mark[v] = o.epoch
-				out[v] = o.Loss(int(v))
-				rows = append(rows, v)
-			}
-		}
-	}
-	for _, c := range changed {
-		if o.mark[c] != o.epoch {
-			o.mark[c] = o.epoch
-			out[c] = o.Loss(c)
-			rows = append(rows, int32(c))
-		}
-	}
-	return rows
 }
 
 // AppendAffected implements AffectedLister: every sensor sharing an

@@ -169,7 +169,6 @@ func (u *DetectionUtility) Oracle() *DetectionOracle {
 		surv:  make([]float64, m),
 		eff:   make([]float64, m),
 		zeros: make([]int32, m),
-		mark:  make([]uint32, u.n),
 	}
 	for i := range o.surv {
 		o.surv[i] = 1
@@ -191,21 +190,13 @@ type DetectionOracle struct {
 	eff   []float64 // effective survival: 0 if zeros > 0, else surv
 	zeros []int32   // count of members with q == 0 (p == 1)
 	value float64
-	// mark/epoch are the sparse-refresh dedup scratch: mark[v] == epoch
-	// means sensor v was already recomputed during the current
-	// SparseGainRefreshAll/SparseLossRefreshAll sweep. Pure scratch — never
-	// part of the set state.
-	mark  []uint32
-	epoch uint32
 }
 
 var (
-	_ RemovalOracle            = (*DetectionOracle)(nil)
-	_ BulkGainer               = (*DetectionOracle)(nil)
-	_ BulkLosser               = (*DetectionOracle)(nil)
-	_ SparseGainBatchRefresher = (*DetectionOracle)(nil)
-	_ SparseLossBatchRefresher = (*DetectionOracle)(nil)
-	_ AffectedLister           = (*DetectionOracle)(nil)
+	_ RemovalOracle  = (*DetectionOracle)(nil)
+	_ BulkGainer     = (*DetectionOracle)(nil)
+	_ BulkLosser     = (*DetectionOracle)(nil)
+	_ AffectedLister = (*DetectionOracle)(nil)
 )
 
 // refreshEff re-derives eff[t] after a surv/zeros update.
@@ -264,96 +255,6 @@ func (o *DetectionOracle) BulkGain(out []float64) {
 		gainScatter(out, vs, qs, w, e)
 	}
 	o.in.ForEach(func(v int) { out[v] = 0 })
-}
-
-// bumpEpoch advances the sparse-refresh stamp, clearing the mark array
-// on the (once per 2³² sweeps) wraparound so stale stamps can never
-// alias the fresh epoch.
-func (o *DetectionOracle) bumpEpoch() {
-	o.epoch++
-	if o.epoch == 0 {
-		for i := range o.mark {
-			o.mark[i] = 0
-		}
-		o.epoch = 1
-	}
-}
-
-// SparseGainRefreshAll implements SparseGainBatchRefresher: one epoch,
-// one sweep over the union of the changed sensors' target rows — a
-// sensor reachable from several changed sensors' footprints is
-// recomputed exactly once. Exactness of the untouched entries is
-// definitional: a sensor sharing no target with a changed sensor has a
-// gain summing over per-target survivals none of the mutations
-// altered. Touched sensors are recomputed via Gain (recompute, not
-// delta), which the Bulk contract keeps bit-identical to a full
-// BulkGain sweep however many mutations the batch applied. The epoch
-// mark that dedups the recompute also dedups the row report: each
-// recomputed sensor is appended to rows exactly once.
-func (o *DetectionOracle) SparseGainRefreshAll(changed []int, out []float64, rows []int32) []int32 {
-	u := o.u
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseGainRefreshAll buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	for _, c := range changed {
-		checkElem(c, u.n)
-		ts, _ := u.sensorTargets.Row(c)
-		for _, t := range ts {
-			vs, _ := u.targetSensors.Row(int(t))
-			for _, v := range vs {
-				if o.mark[v] == o.epoch {
-					continue
-				}
-				o.mark[v] = o.epoch
-				out[v] = o.Gain(int(v))
-				rows = append(rows, v)
-			}
-		}
-	}
-	// Degree-0 changed sensors are never visited by the row sweep; their
-	// entries still need the member-is-zero rewrite.
-	for _, c := range changed {
-		if o.mark[c] != o.epoch {
-			o.mark[c] = o.epoch
-			out[c] = o.Gain(c)
-			rows = append(rows, int32(c))
-		}
-	}
-	return rows
-}
-
-// SparseLossRefreshAll implements SparseLossBatchRefresher: the
-// removal-side dual of SparseGainRefreshAll.
-func (o *DetectionOracle) SparseLossRefreshAll(changed []int, out []float64, rows []int32) []int32 {
-	u := o.u
-	if len(out) != u.n {
-		panic(fmt.Sprintf("submodular: SparseLossRefreshAll buffer %d != ground size %d", len(out), u.n))
-	}
-	o.bumpEpoch()
-	for _, c := range changed {
-		checkElem(c, u.n)
-		ts, _ := u.sensorTargets.Row(c)
-		for _, t := range ts {
-			vs, _ := u.targetSensors.Row(int(t))
-			for _, v := range vs {
-				if o.mark[v] == o.epoch {
-					continue
-				}
-				o.mark[v] = o.epoch
-				out[v] = o.Loss(int(v))
-				rows = append(rows, v)
-			}
-		}
-	}
-	for _, c := range changed {
-		if o.mark[c] != o.epoch {
-			o.mark[c] = o.epoch
-			out[c] = o.Loss(c)
-			rows = append(rows, int32(c))
-		}
-	}
-	return rows
 }
 
 // AppendAffected implements AffectedLister: every sensor sharing a

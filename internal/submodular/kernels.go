@@ -1,5 +1,3 @@
-//go:build !cool_popcnt_asm
-
 // This file is the float scatter-kernel layer of the oracle hot path:
 // the per-target survival update of DetectionUtility.Eval, the
 // target-major accumulation of the bulk marginals, and the weighted
@@ -17,10 +15,6 @@
 // the scalar sum. The engines' cross-engine determinism tests and the
 // Eval-vs-EvalScalar check of TestDetectionOracleMatchesEval enforce
 // this empirically.
-//
-// The build tag mirrors internal/bitset/popcount.go: a future
-// `cool_popcnt_asm` build can swap in platform SIMD kernels (with the
-// same exactness obligations) without touching any oracle code.
 package submodular
 
 // mulScatter applies surv[idx[k]] *= val[k] for every k, in ascending

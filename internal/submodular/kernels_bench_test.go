@@ -6,11 +6,9 @@ import (
 )
 
 // Kernel benchmarks for the detection model's unrolled Eval path and
-// the column-sparse dirty refresh; run them with
+// the bulk marginal sweep; run them with
 // `go test -bench Kernel -benchmem`. Eval vs EvalScalar shows the
-// scatter/reduction unroll; SparseRefresh vs BulkGain shows the
-// column-sparse win at the single-mutation granularity the engines
-// actually use. The refresh benchmarks must report 0 allocs/op.
+// scatter/reduction unroll; BulkGain must report 0 allocs/op.
 
 func kernelBenchUtility(b *testing.B) *DetectionUtility {
 	b.Helper()
@@ -57,27 +55,6 @@ func BenchmarkKernelEvalScalar(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkF = u.EvalScalar(set)
-	}
-}
-
-// BenchmarkKernelSparseGainRefresh times the batch sparse refresh with a
-// one-element changed list (k = 1), the form the greedy climb runs after
-// every step.
-func BenchmarkKernelSparseGainRefresh(b *testing.B) {
-	u := kernelBenchUtility(b)
-	o := u.Oracle()
-	for v := 0; v < u.GroundSize(); v += 3 {
-		o.Add(v)
-	}
-	out := make([]float64, u.GroundSize())
-	o.BulkGain(out)
-	one := make([]int, 1)
-	var rows []int32
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		one[0] = i % u.GroundSize()
-		rows = o.SparseGainRefreshAll(one, out, rows[:0])
 	}
 }
 

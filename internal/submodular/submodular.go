@@ -83,64 +83,24 @@ type BulkLosser interface {
 	BulkLoss(out []float64)
 }
 
-// SparseGainBatchRefresher is implemented by oracles that can repair a
-// per-sensor gain column incrementally after mutations, touching only
-// the entries the mutations could have changed.
-//
-// Contract: let out hold, for every ground-set element u, a value
-// bit-identical to Gain(u) under some earlier oracle state (for
-// example a BulkGain snapshot of it), and let every mutation
-// (Add/Remove) applied since that state involve only elements of
-// changed (each element any number of times).
-// SparseGainRefreshAll(changed, out, rows) must rewrite out in place so
-// that out[u] is bit-identical to Gain(u) under the *current* state
-// for every u — while it may read or write only entries whose gain the
-// mutations could have affected (for the incidence-backed oracles:
-// elements sharing at least one target/item with a changed element,
-// plus the changed elements themselves). Elements outside that set are
-// exact by definition — their marginals sum over per-target state the
-// mutations did not touch — which is what makes the sparse sweep an
-// exactness-preserving replacement for a full column refresh, not an
-// approximation. The union of the changed elements' incidence rows is
-// swept exactly once (epoch-deduplicated), so a k-element perturbation
-// costs O(Σ affected) instead of k separate sweeps.
-//
-// Row report: every element whose entry it rewrote — the changed
-// elements always among them — is appended to rows exactly once, in
-// no particular order, and the extended slice is returned. An entry
-// not reported is bit-identical to its value before the call, so a
-// caller indexing the column (the greedy climb's winner trees) updates
-// only the reported rows.
-//
-// SparseGainRefreshAll may use internal scratch and must not allocate
-// beyond growing rows, which the caller owns and reuses. The greedy climb
-// calls it with the committed sensor after every step and the
-// incremental replanner with a whole perturbation batch; either way the
-// dirty slot column is refreshed in O(affected) instead of
-// O(n + edges).
-type SparseGainBatchRefresher interface {
-	SparseGainRefreshAll(changed []int, out []float64, rows []int32) []int32
-}
-
-// SparseLossBatchRefresher is the removal-side dual of
-// SparseGainBatchRefresher: the same contract, row report included,
-// with Loss/BulkLoss in place of Gain/BulkGain (member entries carry
-// losses, non-members 0).
-type SparseLossBatchRefresher interface {
-	SparseLossRefreshAll(changed []int, out []float64, rows []int32) []int32
-}
-
 // AffectedLister is implemented by incidence-backed oracles that can
 // enumerate the damage front of a mutation: AppendAffected appends to
 // buf the ID of every element whose marginal a mutation of v could
 // change — for the CSR oracles, every element sharing at least one
 // target/item with v (v itself included when it has any incidence).
-// The result may contain duplicates; callers deduplicate. The
-// incremental replanning engine uses it to localize a perturbation's
-// dirty set instead of resweeping the fleet. Oracles with dense
-// coupling (every element affects every other) should not implement
-// the interface; callers must then treat the whole ground set as
-// affected.
+// The result may contain duplicates; callers deduplicate.
+//
+// Contract: after any mutations (Add/Remove) of the elements of a set
+// C, Gain(u) and Loss(u) are bit-identical to their values before the
+// mutations for every u outside C and outside the lists of C's
+// elements — their marginals sum over per-target state no mutation
+// touched. The greedy climb relies on it to refresh a cached marginal
+// column by recomputing only the listed elements instead of the whole
+// ground set, and the incremental replanning engine to localize a
+// perturbation's damage front. AppendAffected must not allocate beyond
+// growing buf. Oracles with dense coupling (every element affects every
+// other) should not implement the interface; callers must then treat
+// the whole ground set as affected.
 type AffectedLister interface {
 	AppendAffected(buf []int32, v int) []int32
 }

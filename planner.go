@@ -130,8 +130,6 @@ type ShardedOptions struct {
 	Shards int
 	// Workers bounds the per-strip planning concurrency (<= 0 NumCPU).
 	Workers int
-	// MaxRounds bounds the correction sweep (0 = default, < 0 = off).
-	MaxRounds int
 }
 
 // ShardedResult is a sharded plan together with its decomposition and
@@ -139,14 +137,12 @@ type ShardedOptions struct {
 // full global utility, directly comparable to Planner.PeriodUtility of
 // a global schedule — report the gap, don't hide it.
 //
-// Online replans stay shardable: the incremental Repairer's sweep uses
-// the exact same move discipline as the border-correction sweep that
-// produced this result (lift one sensor, strict re-argmax, ties keep
-// the current slot), so per-strip Repairer instances absorbing strip-
-// local perturbations compose with a final border sweep over the cuts
-// the same way the per-strip plans did. TestShardedRepairComposition
-// pins the facade-level contract; wiring per-strip Repairers into
-// shard.Plan itself is follow-up work (ROADMAP item 2 note).
+// Online replans compose with a sharded plan: the incremental Repairer
+// and the border-correction sweep that produced this result run the
+// same sweep (lift one sensor, strict re-argmax, ties keep the current
+// slot), so a perturbation at the cuts is repaired under the same move
+// discipline the border got. TestShardedRepairComposition pins that
+// contract at the facade.
 type ShardedResult struct {
 	Schedule                         *Schedule
 	RequestedShards, EffectiveShards int
@@ -274,9 +270,8 @@ func shardedPlan(net *Network, global Utility, period Period,
 		p.Targets[j] = shard.TargetGeom{X: t.Pos.X, Y: t.Pos.Y}
 	}
 	res, err := shard.Plan(p, shard.Options{
-		Shards:    opts.Shards,
-		Workers:   opts.Workers,
-		MaxRounds: opts.MaxRounds,
+		Shards:  opts.Shards,
+		Workers: opts.Workers,
 	})
 	if err != nil {
 		return nil, err
