@@ -396,6 +396,127 @@ func TestStoreCheckpointCrashIdempotent(t *testing.T) {
 	mustEqualServerState(t, "checkpoint-crash recovery", srv2, srv)
 }
 
+// The legacy data-dir fixture: the checkpoint.json and wal.log a
+// store-backed server left when builds compacted every few events (here
+// every 3), recorded through the wire client from crashSessionConfig —
+// two tenants, a child snapshot, an idempotent resubmit, a rejected
+// submit and two limits changes. The session's fourth event wrote the
+// checkpoint; the log holds the three records after it. The expected
+// digest and per-tenant List answers are the recording server's.
+const (
+	legacyDataDir       = "testdata/legacy_datadir"
+	legacyWantPath      = "testdata/legacy_datadir.json"
+	legacyCheckpointLSN = 4
+	legacyTail          = 3
+)
+
+type legacyWant struct {
+	Digest string                   `json:"digest"`
+	Lists  map[string]*ListResponse `json:"lists"`
+}
+
+// TestStoreLegacyDataDir recovers a copy of the frozen fixture to the
+// recording server's state, appends one admission after its tail, and
+// reopens to the checkpoint, the old tail and the new record — the
+// checkpoint file itself untouched.
+func TestStoreLegacyDataDir(t *testing.T) {
+	blob, err := os.ReadFile(legacyWantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want legacyWant
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"checkpoint.json", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join(legacyDataDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint, err := os.ReadFile(checkpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, rec, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Checkpoint == nil || rec.Checkpoint.LSN != legacyCheckpointLSN ||
+		len(rec.Records) != legacyTail || rec.TornTail != nil {
+		t.Fatalf("legacy dir opened as checkpoint %+v, %d tail records, torn %v",
+			rec.Checkpoint, len(rec.Records), rec.TornTail)
+	}
+	srv := NewServer(crashSessionConfig())
+	stats, err := srv.UseStore(st, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Checkpointed != 3 || stats.Records != legacyTail {
+		t.Fatalf("recovered %d checkpointed snapshots and %d records", stats.Checkpointed, stats.Records)
+	}
+	if got := stateDigest(t, srv); got != want.Digest {
+		t.Fatalf("legacy recovery diverges from the recording server:\n got %s\nwant %s", got, want.Digest)
+	}
+	cli := newClient(t, srv)
+	for tenant, wl := range want.Lists {
+		gl, err := cli.List(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, _ := json.Marshal(gl)
+		wb, _ := json.Marshal(wl)
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("tenant %s list differs\n got %s\nwant %s", tenant, gb, wb)
+		}
+	}
+
+	// One admission appends after the legacy tail.
+	sub, err := cli.Submit("initech", SubmitRequest{Name: "after-upgrade", Spec: testSpec(5, 3, 2, 88)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := stateDigest(t, srv)
+	// Abandon the server; the appended record is already synced.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if rec2.Checkpoint == nil || rec2.Checkpoint.LSN != legacyCheckpointLSN ||
+		len(rec2.Records) != legacyTail+1 || rec2.TornTail != nil {
+		t.Fatalf("reopen: checkpoint %+v, %d tail records, torn %v",
+			rec2.Checkpoint, len(rec2.Records), rec2.TornTail)
+	}
+	for i, r := range rec2.Records {
+		if r.LSN != legacyCheckpointLSN+uint64(i)+1 {
+			t.Fatalf("tail record %d has LSN %d", i, r.LSN)
+		}
+	}
+	srv2 := NewServer(crashSessionConfig())
+	if _, err := srv2.UseStore(st2, rec2); err != nil {
+		t.Fatal(err)
+	}
+	if got := stateDigest(t, srv2); got != after {
+		t.Fatalf("reopened state diverges after the appended admission:\n got %s\nwant %s", got, after)
+	}
+	if _, ok := srv2.reg.Get("initech", sub.Fingerprint); !ok {
+		t.Fatal("appended admission lost on reopen")
+	}
+	if got, err := os.ReadFile(checkpointPath(dir)); err != nil || !bytes.Equal(got, checkpoint) {
+		t.Fatalf("legacy checkpoint rewritten (%v)", err)
+	}
+}
+
 // mustEqualServerState asserts two servers hold bit-identical control
 // state: same snapshots (fingerprint, seq, lineage, spec) in the same
 // global order, same admission counter, same effective limits, and the
