@@ -9,15 +9,17 @@
 //
 // With -data-dir the daemon is durable: every admission event is
 // appended to a CRC-guarded write-ahead log (synced before the client
-// is answered) and compacted into a checkpoint every -checkpoint-every
-// events, so a restart replays registry → normalizer → admission to a
-// state bit-identical to the daemon that never stopped. Without the
-// flag, state is in-memory as before.
+// is answered), and the log is the state, so a restart replays
+// registry → normalizer → admission to a state bit-identical to the
+// daemon that never stopped. A data dir holding a checkpoint from an
+// earlier build recovers too: the checkpoint is loaded read-only and
+// new records append after its log. Without the flag, state is
+// in-memory as before.
 //
 // Serving state changes without redeploy: suspend/resume/reset a
 // deployment or reconfigure admission limits through control
-// requests. SIGINT/SIGTERM stop the daemon gracefully, flushing a
-// final checkpoint when a data dir is attached.
+// requests. SIGINT/SIGTERM stop the daemon gracefully, closing the
+// log when a data dir is attached.
 package main
 
 import (
@@ -53,7 +55,6 @@ func run(args []string, out io.Writer, ready func(addr string, stop func())) err
 		targets = fs.Int("max-targets", controlplane.DefaultMaxTargets, "admission limit: targets per snapshot")
 		deploys = fs.Int("max-deployments", controlplane.DefaultMaxDeployments, "admission limit: snapshots per tenant")
 		dataDir = fs.String("data-dir", "", "durable state directory (empty = in-memory only)")
-		ckEvery = fs.Int("checkpoint-every", controlplane.DefaultCheckpointEvery, "compact the WAL into a checkpoint every N admission events")
 		verbose = fs.Bool("v", false, "log every admission and serving event")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -76,7 +77,7 @@ func run(args []string, out io.Writer, ready func(addr string, stop func())) err
 	})
 
 	if *dataDir != "" {
-		store, recovered, err := controlplane.OpenStore(*dataDir, controlplane.StoreOptions{CheckpointEvery: *ckEvery})
+		store, recovered, err := controlplane.OpenStore(*dataDir, controlplane.StoreOptions{})
 		if err != nil {
 			return err
 		}
@@ -113,7 +114,7 @@ func run(args []string, out io.Writer, ready func(addr string, stop func())) err
 		<-done
 		return nil
 	case err := <-done:
-		srv.Close() // flush the final checkpoint even on listener failure
+		srv.Close() // close the log even on listener failure
 		return err
 	}
 }

@@ -78,7 +78,7 @@ func crashSessionConfig() Config {
 func recordCrashSession(t *testing.T) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	st, rec, err := OpenStore(dir, StoreOptions{CheckpointEvery: 1 << 30}) // never auto-compact
+	st, rec, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCrashRecoveryFileBacked(t *testing.T) {
 			if err := os.WriteFile(walPath(dir), crashImage(t, recs, cut), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			st, rec, err := OpenStore(dir, StoreOptions{CheckpointEvery: 1 << 30})
+			st, rec, err := OpenStore(dir, StoreOptions{})
 			if err != nil {
 				t.Fatalf("OpenStore on torn image: %v", err)
 			}

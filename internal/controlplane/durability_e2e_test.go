@@ -1,36 +1,41 @@
 package controlplane
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"testing"
 )
 
 // TestE2ERestartDifferential is the acceptance differential for the
-// durability layer: a daemon is stopped (cleanly, by crash, or by
-// crash after a mid-session compaction) and restarted from its data
-// directory; the restarted daemon must hold bit-identical control
-// state — same fingerprints, Seq, list order, effective limits — and
-// then serve the full plan/replan differential session exactly as a
-// daemon that never stopped would (differentialSession proves every
-// response bit-identical to direct engine calls, which is the same
-// yardstick the never-crashed daemon is held to).
+// durability layer: a daemon is stopped (cleanly, or by crash) and
+// restarted from its data directory; the restarted daemon must hold
+// bit-identical control state — same fingerprints, Seq, list order,
+// effective limits — and then serve the full plan/replan differential
+// session exactly as a daemon that never stopped would
+// (differentialSession proves every response bit-identical to direct
+// engine calls, which is the same yardstick the never-crashed daemon is
+// held to). Both stops leave WAL-only state; the legacy variant's run
+// compacts mid-session through Store.WriteCheckpoint, as earlier builds
+// did, and restarts from the checkpoint plus its tail.
 func TestE2ERestartDifferential(t *testing.T) {
 	spec := testSpec(40, 25, 3, 42)
 	aux := testSpec(6, 4, 2, 7)
 
 	variants := []struct {
-		name  string
-		every int  // checkpoint cadence during the recorded run
-		clean bool // stop via Close (final checkpoint) vs. abandon (crash)
+		name   string
+		clean  bool // stop via Close vs. abandon (crash)
+		legacy bool // compact after the two submits, as earlier builds did
 	}{
-		{"clean-shutdown", 1 << 30, true},
-		{"crash-wal-only", 1 << 30, false},
-		{"crash-checkpoint-plus-tail", 2, false},
+		{"clean-shutdown", true, false},
+		{"crash-wal-only", false, false},
+		{"crash-checkpoint-plus-tail", false, true},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, rec, err := OpenStore(dir, StoreOptions{CheckpointEvery: v.every})
+			st, rec, err := OpenStore(dir, StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,6 +49,9 @@ func TestE2ERestartDifferential(t *testing.T) {
 			}
 			if _, err := cli1.Submit("acme", SubmitRequest{Name: "aux", Spec: aux}); err != nil {
 				t.Fatal(err)
+			}
+			if v.legacy {
+				compactLegacy(t, srv1, st)
 			}
 			if _, err := cli1.Control("acme", ControlRequest{Op: ControlLimits,
 				Limits: &Limits{MaxDeployments: 11}}); err != nil {
@@ -67,22 +75,14 @@ func TestE2ERestartDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch v.name {
-			case "clean-shutdown":
-				if rec2.Checkpoint == nil || len(rec2.Records) != 0 {
-					t.Fatalf("clean shutdown must leave checkpoint-only state: cp=%v tail=%d",
-						rec2.Checkpoint != nil, len(rec2.Records))
-				}
-			case "crash-wal-only":
-				if rec2.Checkpoint != nil || len(rec2.Records) != 3 {
-					t.Fatalf("crash must leave WAL-only state: cp=%v tail=%d",
-						rec2.Checkpoint != nil, len(rec2.Records))
-				}
-			case "crash-checkpoint-plus-tail":
+			if v.legacy {
 				if rec2.Checkpoint == nil || len(rec2.Records) != 1 {
 					t.Fatalf("mid-session compaction must leave checkpoint+tail: cp=%v tail=%d",
 						rec2.Checkpoint != nil, len(rec2.Records))
 				}
+			} else if rec2.Checkpoint != nil || len(rec2.Records) != 3 {
+				t.Fatalf("stop must leave WAL-only state: cp=%v tail=%d",
+					rec2.Checkpoint != nil, len(rec2.Records))
 			}
 			srv2 := NewServer(Config{})
 			stats, err := srv2.UseStore(st2, rec2)
@@ -108,6 +108,86 @@ func TestE2ERestartDifferential(t *testing.T) {
 			differentialSession(t, cli2, "acme", spec, fullScript())
 		})
 	}
+}
+
+// TestSubmitNeverCompacts pins the log as the state: 70 admissions and
+// a limits change through a store-backed server — past the cadence at
+// which earlier builds wrote a checkpoint and truncated the log — leave
+// no checkpoint.json and the whole log, LSNs 1..71. A reopen after
+// abandoning the server, and again after closing it, recovers from the
+// log alone to the same state.
+func TestSubmitNeverCompacts(t *testing.T) {
+	dir := t.TempDir()
+	st, rec, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Config{})
+	if _, err := srv.UseStore(st, rec); err != nil {
+		t.Fatal(err)
+	}
+	cli := newClient(t, srv)
+	for i := 0; i < 70; i++ {
+		if i == 35 {
+			if _, err := cli.Control("acme", ControlRequest{Op: ControlLimits,
+				Limits: &Limits{MaxDeployments: 100}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tenant := []string{"acme", "globex"}[i%2]
+		if _, err := cli.Submit(tenant, SubmitRequest{Name: fmt.Sprintf("field-%d", i),
+			Spec: testSpec(5, 3, 2, uint64(100+i))}); err != nil {
+			t.Fatalf("admission %d: %v", i, err)
+		}
+		if st.ShouldCheckpoint() {
+			t.Fatalf("admission %d: store asks for a checkpoint", i)
+		}
+	}
+	if _, err := os.Stat(checkpointPath(dir)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("checkpoint.json written (%v)", err)
+	}
+	data, err := os.ReadFile(walPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, torn := decodeWAL(data)
+	if torn != nil || len(recs) != 71 {
+		t.Fatalf("log holds %d records (torn %v), want 71", len(recs), torn)
+	}
+	for i, r := range recs {
+		if r.LSN != uint64(i)+1 {
+			t.Fatalf("record %d has LSN %d", i, r.LSN)
+		}
+	}
+	want := stateDigest(t, srv)
+
+	reopen := func(label string) {
+		t.Helper()
+		st2, rec2, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st2.Close()
+		if rec2.Checkpoint != nil || len(rec2.Records) != 71 || rec2.TornTail != nil {
+			t.Fatalf("%s: recovered checkpoint %v, %d records, torn %v",
+				label, rec2.Checkpoint != nil, len(rec2.Records), rec2.TornTail)
+		}
+		srv2 := NewServer(Config{})
+		if _, err := srv2.Restore(rec2); err != nil {
+			t.Fatal(err)
+		}
+		if got := stateDigest(t, srv2); got != want {
+			t.Fatalf("%s: recovered state diverges:\n got %s\nwant %s", label, got, want)
+		}
+	}
+	reopen("abandoned")
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(checkpointPath(dir)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Close wrote checkpoint.json (%v)", err)
+	}
+	reopen("closed")
 }
 
 // mustFingerprint computes the admission identity of a spec exactly as

@@ -38,7 +38,7 @@ const (
 	// CodeInternal: the engine failed; the message carries the cause.
 	CodeInternal ErrorCode = "internal"
 	// CodeStorage: the durability layer failed to log the event (WAL
-	// append or checkpoint error) — the mutation was NOT admitted, so a
+	// append or sync error) — the mutation was NOT admitted, so a
 	// restart cannot diverge from what the client was told.
 	CodeStorage ErrorCode = "storage"
 )

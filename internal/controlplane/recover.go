@@ -23,8 +23,8 @@ func decodeStrictJSON(payload []byte, v any) error {
 	return nil
 }
 
-// Crash recovery: replaying a Recovered (checkpoint + clean-prefix WAL
-// records) into a fresh Server so a restarted daemon reaches a state
+// Crash recovery: replaying a Recovered (clean-prefix WAL records, after
+// a legacy checkpoint when the data dir holds one) into a fresh Server so a restarted daemon reaches a state
 // bit-identical — same fingerprints, same Seq, same list order, same
 // effective limits — to the daemon that never crashed.
 //
@@ -38,7 +38,8 @@ func decodeStrictJSON(payload []byte, v any) error {
 
 // Export returns every admitted snapshot across all tenants in global
 // admission (Seq) order, plus the registry's sequence counter — the
-// checkpoint body, and the canonical serialization FuzzWALReplay pins.
+// body of a legacy checkpoint, and the canonical serialization
+// FuzzWALReplay pins.
 func (r *Registry) Export() ([]SubmitRecord, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -206,8 +207,7 @@ func (s *Server) Restore(rec *Recovered) (*RecoverStats, error) {
 
 // UseStore replays the store's recovered state into the server and
 // attaches the store, so subsequent admission events are durably
-// logged and Close writes a final checkpoint (the clean-shutdown
-// flush). Call before Serve.
+// logged and Close closes it. Call before Serve.
 func (s *Server) UseStore(st *Store, rec *Recovered) (*RecoverStats, error) {
 	stats, err := s.Restore(rec)
 	if err != nil {
@@ -217,16 +217,4 @@ func (s *Server) UseStore(st *Store, rec *Recovered) (*RecoverStats, error) {
 	s.store = st
 	s.mu.Unlock()
 	return stats, nil
-}
-
-// checkpointNow compacts the current full state into the store's
-// checkpoint. Used on the periodic cadence and as the clean-shutdown
-// flush.
-func (s *Server) checkpointNow(st *Store) error {
-	snaps, seq := s.reg.Export()
-	return st.WriteCheckpoint(&Checkpoint{
-		Seq:       seq,
-		Limits:    s.adm.Limits(),
-		Snapshots: snaps,
-	})
 }

@@ -144,10 +144,10 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Close stops the server: the listener and every open connection are
-// closed, and when a store is attached, the full state is compacted
-// into a final checkpoint (the clean-shutdown flush) before the store
-// is closed. In-flight requests finish against closed writes.
+// Close stops the server: the listener, every open connection and the
+// attached store are closed. There is nothing to flush: every admission
+// event was synced to the WAL before it was acknowledged. In-flight
+// requests finish against closed writes.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -167,14 +167,6 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	if st != nil {
-		if cerr := s.checkpointNow(st); cerr != nil {
-			// The WAL still holds everything the checkpoint would have
-			// compacted; replay recovers it.
-			s.logf("close: final checkpoint: %v", cerr)
-			if err == nil {
-				err = cerr
-			}
-		}
 		if cerr := st.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
@@ -370,13 +362,6 @@ func (s *Server) handleSubmit(tenant string, sub *SubmitRequest) (*Response, *Wi
 				s.reg.unregister(tenant, snap.Fingerprint)
 				s.logf("submit tenant=%s fp=%.12s storage failure: %v", tenant, snap.Fingerprint, err)
 				return nil, &WireError{Code: CodeStorage, Message: err.Error()}
-			}
-			if st.ShouldCheckpoint() {
-				if err := s.checkpointNow(st); err != nil {
-					// Non-fatal: the WAL still holds every event the
-					// checkpoint would have compacted.
-					s.logf("checkpoint: %v", err)
-				}
 			}
 		}
 	}

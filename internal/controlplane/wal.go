@@ -13,11 +13,12 @@ import (
 
 // This file is the durability layer of the control plane: an
 // append-only, length-prefixed, CRC-guarded write-ahead log of
-// admission events plus periodic compacted checkpoints. The record
-// framing reuses the wire protocol's decoder discipline — a version
-// byte, a typed kind byte, and a size that is validated before any
-// allocation — so a torn or hostile log errors with a typed reason
-// instead of panicking or admitting a half-written snapshot.
+// admission events, and the log is the state — an admission costs one
+// synced append and recovery replays the log. The record framing
+// reuses the wire protocol's decoder discipline — a version byte, a
+// typed kind byte, and a size that is validated before any allocation
+// — so a torn or hostile log errors with a typed reason instead of
+// panicking or admitting a half-written snapshot.
 //
 // Log layout (one record):
 //
@@ -35,12 +36,15 @@ import (
 // a typed *TornTailError. A record that fails any check never reaches
 // the registry, so a half-written snapshot is never admitted.
 //
-// Compaction: every CheckpointEvery admissions the full registry state
-// is written to checkpoint.json (atomically: temp file, fsync, rename)
-// and the WAL is truncated. The checkpoint records the LSN it
-// compacted up to; replay skips WAL records at or below it, so a crash
-// between the rename and the truncation only makes replay idempotent,
-// never wrong. See DESIGN.md §5.10.
+// Legacy checkpoints: earlier builds compacted the log into
+// checkpoint.json every 64 events by default, re-encoding every admitted spec
+// while compacting nothing but superseded limits records (the registry
+// never deletes). The daemon writes no checkpoint now, but OpenStore
+// still loads a version-1 one read-only: it replays only the log
+// records past the checkpoint's LSN (a crash between the checkpoint
+// rename and the log truncation left older ones behind) and sweeps a
+// leftover checkpoint.json.tmp. New records append after the old tail.
+// See DESIGN.md §5.10.
 
 // WALVersion1 is the initial WAL record format version.
 const WALVersion1 byte = 1
@@ -131,9 +135,10 @@ type LimitsRecord struct {
 	Limits Limits `json:"limits"`
 }
 
-// Checkpoint is the compacted full state written by the store:
-// everything replay needs to rebuild the control plane without the
-// log. Snapshots are in admission (Seq) order.
+// Checkpoint is the version-1 full-state file earlier builds compacted
+// the log into: everything replay needs to rebuild the control plane
+// without the records up to its LSN. Snapshots are in admission (Seq)
+// order. OpenStore loads it read-only.
 type Checkpoint struct {
 	// FormatVersion versions the checkpoint encoding.
 	FormatVersion int `json:"format_version"`
@@ -148,8 +153,8 @@ type Checkpoint struct {
 	Snapshots []SubmitRecord `json:"snapshots"`
 }
 
-// checkpointFormatVersion is the checkpoint encoding this build writes
-// and accepts.
+// checkpointFormatVersion is the checkpoint encoding this build
+// accepts.
 const checkpointFormatVersion = 1
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -239,9 +244,9 @@ func decodeWAL(data []byte) ([]WALRecord, int64, *TornTailError) {
 	return recs, int64(off), nil
 }
 
-// Recovered is the durable state a store found on open: the latest
-// checkpoint (nil when none was ever written), the clean-prefix WAL
-// records past it, and the torn-tail report when the log's end was
+// Recovered is the durable state a store found on open: a legacy
+// checkpoint (nil unless an earlier build wrote one), the clean-prefix
+// WAL records past it, and the torn-tail report when the log's end was
 // discarded (the expected shape after an append-crash; nil after a
 // clean shutdown).
 type Recovered struct {
@@ -250,30 +255,21 @@ type Recovered struct {
 	TornTail   *TornTailError
 }
 
-// StoreOptions tunes a Store.
-type StoreOptions struct {
-	// CheckpointEvery compacts the log into a checkpoint after this
-	// many appended admission events (<= 0 selects
-	// DefaultCheckpointEvery).
-	CheckpointEvery int
-}
+// StoreOptions tunes a Store. It has no fields: the log is the state,
+// so there is no compaction cadence to set.
+type StoreOptions struct{}
 
-// DefaultCheckpointEvery is the default compaction cadence.
-const DefaultCheckpointEvery = 64
-
-// Store owns one data directory: the append-only wal.log and the
-// compacted checkpoint.json. Appends are serialized, synced to disk
-// before they return, and framed by appendWALRecord; the server calls
-// AppendSubmit/AppendLimits after each successful admission event so a
-// restarted daemon replays to the exact pre-crash state. Safe for
-// concurrent use.
+// Store owns one data directory: the append-only wal.log, plus the
+// read-only checkpoint.json an earlier build may have left. Appends are
+// serialized, synced to disk before they return, and framed by
+// appendWALRecord; the server calls AppendSubmit/AppendLimits after
+// each successful admission event so a restarted daemon replays to the
+// exact pre-crash state. Safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
 	f      *os.File
 	lsn    uint64 // last appended (or recovered) LSN
-	every  int
-	since  int // records appended since the last checkpoint
 	closed bool
 }
 
@@ -282,22 +278,18 @@ func walPath(dir string) string        { return filepath.Join(dir, "wal.log") }
 func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.json") }
 
 // OpenStore opens (creating if needed) the data directory and recovers
-// its durable state: the latest checkpoint, then the WAL's clean
-// prefix. A torn tail is truncated off the log file — the damage is in
+// its durable state: a legacy checkpoint if one exists, then the WAL's
+// clean prefix. A torn tail is truncated off the log file — the damage is in
 // the returned report, not on disk — so the next append extends the
 // clean prefix. The caller replays Recovered into a Server (UseStore)
 // before serving.
-func OpenStore(dir string, opts StoreOptions) (*Store, *Recovered, error) {
+func OpenStore(dir string, _ StoreOptions) (*Store, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("controlplane: opening store: %w", err)
 	}
-	every := opts.CheckpointEvery
-	if every <= 0 {
-		every = DefaultCheckpointEvery
-	}
 	rec := &Recovered{}
 
-	// Checkpoint first: it is written atomically (temp + rename), so it
+	// Checkpoint first: it was written atomically (temp + rename), so it
 	// either exists whole or not at all. A checkpoint that does not
 	// decode is real corruption, not a crash artifact — fail stop.
 	if data, err := os.ReadFile(checkpointPath(dir)); err == nil {
@@ -351,7 +343,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, *Recovered, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("controlplane: seeking WAL end: %w", err)
 	}
-	return &Store{dir: dir, f: f, lsn: lsn, every: every, since: len(rec.Records)}, rec, nil
+	return &Store{dir: dir, f: f, lsn: lsn}, rec, nil
 }
 
 // Dir returns the store's data directory.
@@ -381,7 +373,6 @@ func (st *Store) append(kind RecordKind, payload []byte) error {
 	if err := st.f.Sync(); err != nil {
 		return fmt.Errorf("controlplane: WAL sync: %w", err)
 	}
-	st.since++
 	return nil
 }
 
@@ -403,21 +394,19 @@ func (st *Store) AppendLimits(l Limits) error {
 	return st.append(RecordLimits, payload)
 }
 
-// ShouldCheckpoint reports whether enough has been appended since the
-// last compaction to warrant a checkpoint.
-func (st *Store) ShouldCheckpoint() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.since >= st.every
-}
+// ShouldCheckpoint reports false: the log is the state, and nothing
+// appended ever calls for a checkpoint.
+func (st *Store) ShouldCheckpoint() bool { return false }
 
-// WriteCheckpoint atomically replaces the checkpoint with the given
-// full state and truncates the log it compacts: marshal, write to a
-// temp file, fsync, rename, then truncate wal.log. A crash at any
-// point leaves either the old checkpoint (plus the whole log) or the
-// new one (plus a log whose stale prefix replay skips by LSN) — never
-// a half-written state. The caller fills Seq/Limits/Snapshots; the
-// store stamps the LSN boundary.
+// WriteCheckpoint compacts the log into a version-1 checkpoint the way
+// earlier builds did on their cadence: marshal the given full state,
+// write it to a temp file, fsync, rename, then truncate wal.log. A
+// crash at any point leaves either the old checkpoint (plus the whole
+// log) or the new one (plus a log whose stale prefix replay skips by
+// LSN) — never a half-written state. The caller fills
+// Seq/Limits/Snapshots; the store stamps the LSN boundary. The daemon
+// never calls it; it writes the legacy data dirs OpenStore still
+// loads.
 func (st *Store) WriteCheckpoint(cp *Checkpoint) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -459,7 +448,6 @@ func (st *Store) WriteCheckpoint(cp *Checkpoint) error {
 	if err := st.f.Sync(); err != nil {
 		return fmt.Errorf("controlplane: syncing compacted WAL: %w", err)
 	}
-	st.since = 0
 	return nil
 }
 

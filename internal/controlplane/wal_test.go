@@ -201,9 +201,9 @@ func TestWALDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestStoreAppendRecoverCycle drives the store through its whole life:
-// open empty, append the session, reopen (records recovered), append
-// more, checkpoint (log compacted), reopen (checkpoint + empty log),
-// append past the checkpoint, reopen (checkpoint + tail records).
+// open empty, append the session, reopen (records recovered), compact
+// through WriteCheckpoint as earlier builds did (log truncated), append
+// past the checkpoint, reopen (checkpoint + tail records).
 func TestStoreAppendRecoverCycle(t *testing.T) {
 	dir := t.TempDir()
 	events := recordedSessionEvents(t)
@@ -259,14 +259,12 @@ func TestStoreAppendRecoverCycle(t *testing.T) {
 			len(got), len(onDisk))
 	}
 
-	// Checkpoint through a restored server: the log compacts away.
+	// Compact a restored server's state: the log truncates away.
 	srv := NewServer(Config{})
 	if _, err := srv.UseStore(st, rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.checkpointNow(st); err != nil {
-		t.Fatal(err)
-	}
+	compactLegacy(t, srv, st)
 	if fi, err := os.Stat(walPath(dir)); err != nil || fi.Size() != 0 {
 		t.Fatalf("log not truncated after checkpoint: %v, %v", fi, err)
 	}
@@ -394,6 +392,17 @@ func TestStoreCheckpointCrashIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualServerState(t, "checkpoint-crash recovery", srv2, srv)
+}
+
+// compactLegacy compacts the server's full state into the store's
+// checkpoint through Store.WriteCheckpoint, as earlier builds did on
+// their compaction cadence and at shutdown.
+func compactLegacy(t *testing.T, srv *Server, st *Store) {
+	t.Helper()
+	snaps, seq := srv.reg.Export()
+	if err := st.WriteCheckpoint(&Checkpoint{Seq: seq, Limits: srv.adm.Limits(), Snapshots: snaps}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // The legacy data-dir fixture: the checkpoint.json and wal.log a
