@@ -529,6 +529,29 @@ func BenchmarkReplanCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkRepairAll times the whole-fleet polish of the same Repairer
+// at its local-search fixed point, at ρ = 3 and ρ = 1/3: one sweep
+// round that moves nothing, then the closing refill of every column.
+// DESIGN.md §5.7 records the measured rows. Rerun with
+//
+//	go test -run xxx -bench RepairAll -benchtime 20x -count 5 .
+func BenchmarkRepairAll(b *testing.B) {
+	for _, rho := range []float64{3, 1.0 / 3} {
+		b.Run(fmt.Sprintf("sparse-n10000-rho%.3g", rho), func(b *testing.B) {
+			r, err := core.NewRepairer(sparseBenchInstance(b, 10000, rho))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for r.RepairAll().Moves > 0 { // polish to the fixed point
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.RepairAll()
+			}
+		})
+	}
+}
+
 // BenchmarkSimParallel measures the Monte-Carlo engine: 32 replications
 // of a 240-slot random-charging run, sequential vs parallel.
 func BenchmarkSimParallel(b *testing.B) {

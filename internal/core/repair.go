@@ -302,7 +302,13 @@ func (r *Repairer) RepairAll() RepairStats {
 	}
 	stats.Dirty = len(r.dirtyBuf)
 	stats.Rounds, stats.Moves = r.c.sweep(r.dirtyBuf)
-	r.settle(r.dirtyBuf)
+	// The whole fleet is dirty, so refill each column: bit-identical to
+	// a refresh by the bulk contract, without walking every live
+	// sensor's affected list once per column. No run is live, so no
+	// winner tree needs rebuilding.
+	for t := range r.c.oracles {
+		r.c.fill(t)
+	}
 	stats.Utility = r.utility()
 	return stats
 }

@@ -264,25 +264,39 @@ func TestRepairerPerturbationDifferential(t *testing.T) {
 	}
 }
 
-// TestRepairAllMonotone: the polish sweep never decreases utility.
+// TestRepairAllMonotone: the polish sweep never decreases utility, on
+// a fresh plan and after a kill, and the refill that closes it leaves
+// the margin cache exact.
 func TestRepairAllMonotone(t *testing.T) {
-	rng := stats.NewRNG(305)
-	in, _ := detectionInstance(t, rng, 20, 4, 3)
-	r, err := NewRepairer(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RemoveSensors([]int{1, 7, 13}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		st := r.RepairAll()
-		if st.Utility < st.UtilityBefore-1e-9 {
-			t.Fatalf("RepairAll decreased utility %v -> %v", st.UtilityBefore, st.Utility)
+	moves := 0
+	for _, rho := range []float64{3, 1.0 / 3} {
+		rng := stats.NewRNG(305)
+		in, _ := detectionInstance(t, rng, 40, 8, rho)
+		r, err := NewRepairer(in)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.Changed != 0 {
-			t.Fatalf("RepairAll reported Changed = %d", st.Changed)
+		polish := func() {
+			for i := 0; i < 3; i++ {
+				st := r.RepairAll()
+				if st.Utility < st.UtilityBefore-1e-9 {
+					t.Fatalf("ρ=%v: RepairAll decreased utility %v -> %v", rho, st.UtilityBefore, st.Utility)
+				}
+				if st.Changed != 0 {
+					t.Fatalf("ρ=%v: RepairAll reported Changed = %d", rho, st.Changed)
+				}
+				moves += st.Moves
+				checkRepairerConsistency(t, r, in)
+			}
 		}
+		polish()
+		if _, err := r.RemoveSensors([]int{1, 7, 13}); err != nil {
+			t.Fatal(err)
+		}
+		polish()
+	}
+	if moves == 0 {
+		t.Fatal("RepairAll never moved a sensor, so the cache check proves nothing")
 	}
 }
 
