@@ -61,10 +61,9 @@ func (r *Registry) Export() ([]SubmitRecord, uint64) {
 }
 
 // installRecovered installs a replayed snapshot with its recorded Seq.
-// Idempotent on (fingerprint, seq): a record compacted into the
-// checkpoint AND still in the log (a crash between checkpoint rename
-// and WAL truncation) replays as a silent skip; the same fingerprint
-// at a different seq is corruption and errors.
+// Idempotent on (fingerprint, seq): a snapshot installed twice replays
+// as a silent skip; the same fingerprint at a different seq is
+// corruption and errors.
 func (r *Registry) installRecovered(snap *Snapshot) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -107,8 +106,8 @@ type RecoverStats struct {
 	// Snapshots and Tenants count what the replay installed.
 	Snapshots int
 	Tenants   int
-	// Checkpointed counts snapshots that came from the checkpoint (the
-	// rest replayed from WAL records).
+	// Checkpointed counts snapshots that came from a legacy checkpoint
+	// (the rest replayed from WAL records).
 	Checkpointed int
 	// Records counts WAL records applied past the checkpoint.
 	Records int

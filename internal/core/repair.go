@@ -302,10 +302,9 @@ func (r *Repairer) RepairAll() RepairStats {
 	}
 	stats.Dirty = len(r.dirtyBuf)
 	stats.Rounds, stats.Moves = r.c.sweep(r.dirtyBuf)
-	// The whole fleet is dirty, so refill each column: bit-identical to
-	// a refresh by the bulk contract, without walking every live
-	// sensor's affected list once per column. No run is live, so no
-	// winner tree needs rebuilding.
+	// The whole fleet is dirty, so refill every column: the bulk
+	// contract makes that bit-identical to a refresh over every live
+	// sensor, and no run is live, so no winner tree needs rebuilding.
 	for t := range r.c.oracles {
 		r.c.fill(t)
 	}
