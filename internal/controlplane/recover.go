@@ -23,10 +23,11 @@ func decodeStrictJSON(payload []byte, v any) error {
 	return nil
 }
 
-// Crash recovery: replaying a Recovered (clean-prefix WAL records, after
-// a legacy checkpoint when the data dir holds one) into a fresh Server so a restarted daemon reaches a state
-// bit-identical — same fingerprints, same Seq, same list order, same
-// effective limits — to the daemon that never crashed.
+// Crash recovery: replaying a Recovered (clean-prefix WAL records,
+// after a legacy checkpoint when the data dir holds one) into a fresh
+// Server so a restarted daemon reaches a state bit-identical — same
+// fingerprints, same Seq, same list order, same effective limits — to
+// the daemon that never crashed.
 //
 // Replay trusts nothing it reads: every submit record's spec is pushed
 // back through the same normalizer the live admission path used and

@@ -37,14 +37,14 @@ import (
 // the registry, so a half-written snapshot is never admitted.
 //
 // Legacy checkpoints: earlier builds compacted the log into
-// checkpoint.json every 64 events by default, re-encoding every admitted spec
-// while compacting nothing but superseded limits records (the registry
-// never deletes). The daemon writes no checkpoint now, but OpenStore
-// still loads a version-1 one read-only: it replays only the log
-// records past the checkpoint's LSN (a crash between the checkpoint
-// rename and the log truncation left older ones behind) and sweeps a
-// leftover checkpoint.json.tmp. New records append after the old tail.
-// See DESIGN.md §5.10.
+// checkpoint.json every 64 events by default, re-encoding every
+// admitted spec while compacting nothing but superseded limits records
+// (the registry never deletes). The daemon writes no checkpoint now,
+// but OpenStore still loads a version-1 one read-only: it replays only
+// the log records past the checkpoint's LSN (a crash between the
+// checkpoint rename and the log truncation left older ones behind) and
+// sweeps a leftover checkpoint.json.tmp. New records append after the
+// old tail. See DESIGN.md §5.10.
 
 // WALVersion1 is the initial WAL record format version.
 const WALVersion1 byte = 1
@@ -279,10 +279,10 @@ func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.j
 
 // OpenStore opens (creating if needed) the data directory and recovers
 // its durable state: a legacy checkpoint if one exists, then the WAL's
-// clean prefix. A torn tail is truncated off the log file — the damage is in
-// the returned report, not on disk — so the next append extends the
-// clean prefix. The caller replays Recovered into a Server (UseStore)
-// before serving.
+// clean prefix. A torn tail is truncated off the log file — the damage
+// is in the returned report, not on disk — so the next append extends
+// the clean prefix. The caller replays Recovered into a Server
+// (UseStore) before serving.
 func OpenStore(dir string, _ StoreOptions) (*Store, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("controlplane: opening store: %w", err)
