@@ -30,11 +30,13 @@ bench:
 # unit tests, golden wire corpus, admission determinism, and the e2e
 # differential sessions (live client↔daemon bit-identical to direct
 # library calls) — under the race detector, then a 30s hostile-bytes
-# fuzz of the frame/request decoders.
+# fuzz of the frame/request decoders and a 30s differential fuzz of the
+# spec codec against encoding/json.
 coold-e2e:
 	$(GO) vet ./internal/controlplane/ ./cmd/coold/
 	$(GO) test -race ./internal/controlplane/ ./cmd/coold/
 	$(GO) test ./internal/controlplane/ -fuzz FuzzWireDecode -fuzztime 30s
+	$(GO) test ./internal/controlplane/ -fuzz FuzzSpecCodec -fuzztime 30s
 
 # Durability gate: the crash-point sweep (WAL recovery differential at
 # every byte offset of a recorded session), the store tests including
@@ -71,6 +73,7 @@ fuzz:
 	$(GO) test ./internal/controlplane/ -fuzz FuzzWireDecode -fuzztime 30s
 	$(GO) test ./internal/lifetime/ -fuzz FuzzLifetimeFeasibility -fuzztime 30s
 	$(GO) test ./internal/controlplane/ -fuzz FuzzWALReplay -fuzztime 30s
+	$(GO) test ./internal/controlplane/ -fuzz FuzzSpecCodec -fuzztime 30s
 
 # Scope cleanup to generated artifacts only: `go clean -fuzzcache`
 # drops the cached fuzz corpora under GOCACHE, never the committed

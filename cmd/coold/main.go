@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"cool/internal/controlplane"
 )
@@ -77,6 +78,7 @@ func run(args []string, out io.Writer, ready func(addr string, stop func())) err
 	})
 
 	if *dataDir != "" {
+		start := time.Now()
 		store, recovered, err := controlplane.OpenStore(*dataDir, controlplane.StoreOptions{})
 		if err != nil {
 			return err
@@ -89,8 +91,8 @@ func run(args []string, out io.Writer, ready func(addr string, stop func())) err
 		if stats.TornTail != nil {
 			logger.Printf("recovery: %v (clean prefix kept)", stats.TornTail)
 		}
-		logger.Printf("recovered %d snapshots across %d tenants (%d from checkpoint, %d WAL records) from %s",
-			stats.Snapshots, stats.Tenants, stats.Checkpointed, stats.Records, *dataDir)
+		logger.Printf("recovered %d snapshots across %d tenants (%d from checkpoint, %d WAL records) from %s in %v",
+			stats.Snapshots, stats.Tenants, stats.Checkpointed, stats.Records, *dataDir, time.Since(start).Round(time.Microsecond))
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -92,10 +92,18 @@ func (a *Admission) SetLimits(l Limits) Limits {
 // freshly built planner is returned for the serving layer's deployment
 // handle (nil when resubmitted and the caller already holds one).
 func (a *Admission) Admit(tenant string, req *SubmitRequest) (*Snapshot, *cool.Planner, bool, *WireError) {
+	snap, planner, resubmitted, _, werr := a.admit(tenant, req)
+	return snap, planner, resubmitted, werr
+}
+
+// admit is Admit that also returns the normalized spec's canonical
+// bytes, the ones its fingerprint hashes, which a fresh registration
+// logs as its WAL record's spec.
+func (a *Admission) admit(tenant string, req *SubmitRequest) (*Snapshot, *cool.Planner, bool, []byte, *WireError) {
 	// Stage 1 — registry: provenance must resolve before anything else.
 	if req.Parent != "" {
 		if _, ok := a.reg.Get(tenant, req.Parent); !ok {
-			return nil, nil, false, &WireError{Code: CodeNotFound,
+			return nil, nil, false, nil, &WireError{Code: CodeNotFound,
 				Message: fmt.Sprintf("parent snapshot %q not registered for tenant", req.Parent)}
 		}
 	}
@@ -103,39 +111,40 @@ func (a *Admission) Admit(tenant string, req *SubmitRequest) (*Snapshot, *cool.P
 	// Stage 2 — normalizer/validator: canonical spec and identity.
 	spec, err := Normalize(req.Spec)
 	if err != nil {
-		return nil, nil, false, &WireError{Code: CodeRejected, Message: err.Error()}
+		return nil, nil, false, nil, &WireError{Code: CodeRejected, Message: err.Error()}
 	}
-	fp, err := Fingerprint(spec)
+	canonical, fp, err := canonicalFingerprint(&spec)
 	if err != nil {
-		return nil, nil, false, &WireError{Code: CodeInternal, Message: err.Error()}
+		return nil, nil, false, nil, &WireError{Code: CodeInternal,
+			Message: fmt.Sprintf("controlplane: fingerprinting spec: %v", err)}
 	}
 
 	// Stage 3 — admission: idempotency, limits, construction, register.
 	if existing, ok := a.reg.Get(tenant, fp); ok {
 		if existing.Parent != req.Parent {
-			return nil, nil, false, &WireError{Code: CodeConflict,
+			return nil, nil, false, nil, &WireError{Code: CodeConflict,
 				Message: fmt.Sprintf("snapshot %s already registered with parent %q", fp, existing.Parent)}
 		}
-		return existing, nil, true, nil
+		return existing, nil, true, nil, nil
 	}
 	limits := a.Limits()
 	if n := len(spec.Sensors); n > limits.MaxSensors {
-		return nil, nil, false, &WireError{Code: CodeRejected,
+		return nil, nil, false, nil, &WireError{Code: CodeRejected,
 			Message: fmt.Sprintf("%d sensors exceeds limit %d", n, limits.MaxSensors)}
 	}
 	if m := len(spec.Targets); m > limits.MaxTargets {
-		return nil, nil, false, &WireError{Code: CodeRejected,
+		return nil, nil, false, nil, &WireError{Code: CodeRejected,
 			Message: fmt.Sprintf("%d targets exceeds limit %d", m, limits.MaxTargets)}
 	}
 	if c := a.reg.Count(tenant); c >= limits.MaxDeployments {
-		return nil, nil, false, &WireError{Code: CodeRejected,
+		return nil, nil, false, nil, &WireError{Code: CodeRejected,
 			Message: fmt.Sprintf("tenant at deployment limit %d", limits.MaxDeployments)}
 	}
 	planner, err := BuildPlanner(spec)
 	if err != nil {
-		return nil, nil, false, &WireError{Code: CodeRejected, Message: err.Error()}
+		return nil, nil, false, nil, &WireError{Code: CodeRejected, Message: err.Error()}
 	}
 	snap := &Snapshot{Tenant: tenant, Name: req.Name, Fingerprint: fp, Parent: req.Parent, Spec: spec}
 	registered, raced := a.reg.register(snap)
-	return registered, planner, raced, nil
+	return registered, planner, raced, canonical, nil
 }

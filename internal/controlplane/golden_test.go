@@ -166,7 +166,7 @@ func goldenFrames(t *testing.T) []struct {
 // TestGoldenWire pins every frame encoding byte-for-byte against the
 // committed corpus, and proves each pinned frame decodes and
 // re-encodes to the identical bytes. With -update it rewrites the
-// corpus and the FuzzWireDecode seed corpus.
+// corpus and the FuzzWireDecode and FuzzSpecCodec seed corpora.
 func TestGoldenWire(t *testing.T) {
 	frames := goldenFrames(t)
 	if *updateGolden {
@@ -184,8 +184,9 @@ func TestGoldenWire(t *testing.T) {
 		if err := os.WriteFile(goldenWirePath, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		writeFuzzSeeds(t)
-		t.Logf("rewrote %s (%d frames) and the FuzzWireDecode seed corpus", goldenWirePath, len(entries))
+		writeSeedCorpus(t, "FuzzWireDecode", fuzzSeeds())
+		writeSeedCorpus(t, "FuzzSpecCodec", specCodecSeeds(t))
+		t.Logf("rewrote %s (%d frames) and the FuzzWireDecode and FuzzSpecCodec seed corpora", goldenWirePath, len(entries))
 	}
 
 	data, err := os.ReadFile(goldenWirePath)
@@ -225,16 +226,16 @@ func TestGoldenWire(t *testing.T) {
 	}
 }
 
-// writeFuzzSeeds materializes fuzzSeeds() as the committed Go fuzz
-// corpus so `go test -fuzz FuzzWireDecode` and CI always start from
-// the same ≥10-seed baseline.
-func writeFuzzSeeds(t *testing.T) {
+// writeSeedCorpus materializes a fuzz target's in-code seeds as its
+// committed Go fuzz corpus, so `go test -fuzz` and CI always start from
+// the same baseline and the on-disk corpus cannot drift from f.Add.
+func writeSeedCorpus(t *testing.T, target string, seeds [][]byte) {
 	t.Helper()
-	dir := filepath.Join("testdata", "fuzz", "FuzzWireDecode")
+	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, seed := range fuzzSeeds() {
+	for i, seed := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
 		name := filepath.Join(dir, fmt.Sprintf("seed_%02d", i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {

@@ -493,8 +493,19 @@ type Response struct {
 
 // DecodeRequest decodes and validates a FrameRequest payload: known
 // op, non-empty tenant, and exactly the matching body present. It
-// never panics on hostile payloads (FuzzWireDecode).
+// never panics on hostile payloads (FuzzWireDecode). A submit in the
+// shape json.Marshal writes is read by the spec codec's cursor, which
+// returns what encoding/json would (FuzzSpecCodec); every other payload
+// is decoded by encoding/json.
 func DecodeRequest(payload []byte) (*Request, error) {
+	if req, ok := decodeSubmitFast(payload); ok {
+		return req, nil
+	}
+	return decodeRequestJSON(payload)
+}
+
+// decodeRequestJSON is DecodeRequest through encoding/json alone.
+func decodeRequestJSON(payload []byte) (*Request, error) {
 	var req Request
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return nil, fmt.Errorf("controlplane: decoding request: %w", err)

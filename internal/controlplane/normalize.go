@@ -1,9 +1,6 @@
 package controlplane
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -80,18 +77,17 @@ func Normalize(spec DeploymentSpec) (DeploymentSpec, error) {
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Fingerprint digests a normalized spec into the snapshot identity:
-// the hex SHA-256 of its canonical JSON encoding. Go's json.Marshal of
-// a struct is deterministic (fixed field order, shortest round-trip
-// float encoding), so equal normalized specs always digest equally.
-// Provenance (name, parent) is deliberately outside the digest —
-// identity is content, lineage is metadata.
+// the hex SHA-256 of its canonical bytes, those json.Marshal writes
+// for it (appendSpec). The encoding is deterministic (fixed field
+// order, shortest round-trip floats), so equal normalized specs always
+// digest equally. Provenance (name, parent) is deliberately outside the
+// digest — identity is content, lineage is metadata.
 func Fingerprint(spec DeploymentSpec) (string, error) {
-	canonical, err := json.Marshal(spec)
+	_, fp, err := canonicalFingerprint(&spec)
 	if err != nil {
 		return "", fmt.Errorf("controlplane: fingerprinting spec: %w", err)
 	}
-	sum := sha256.Sum256(canonical)
-	return hex.EncodeToString(sum[:]), nil
+	return fp, nil
 }
 
 // BuildPlanner materializes the engine stack for a normalized spec:

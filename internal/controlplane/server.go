@@ -338,7 +338,7 @@ func (s *Server) handleList(tenant string) (*Response, *WireError) {
 }
 
 func (s *Server) handleSubmit(tenant string, sub *SubmitRequest) (*Response, *WireError) {
-	snap, planner, resubmitted, werr := s.adm.Admit(tenant, sub)
+	snap, planner, resubmitted, canonical, werr := s.adm.admit(tenant, sub)
 	if werr != nil {
 		s.logf("submit tenant=%s rejected: %s: %s", tenant, werr.Code, werr.Message)
 		return nil, werr
@@ -349,15 +349,15 @@ func (s *Server) handleSubmit(tenant string, sub *SubmitRequest) (*Response, *Wi
 			// only after the event is logged and synced. On a storage
 			// failure the registration is rolled back, so memory never
 			// claims what the WAL does not hold and a restart cannot
-			// diverge from what clients were told.
-			err := st.AppendSubmit(SubmitRecord{
+			// diverge from what clients were told. The record's spec is
+			// the canonical bytes admission fingerprinted.
+			err := st.appendSubmit(&SubmitRecord{
 				Tenant:      tenant,
 				Name:        snap.Name,
 				Parent:      snap.Parent,
 				Fingerprint: snap.Fingerprint,
 				Seq:         snap.Seq,
-				Spec:        snap.Spec,
-			})
+			}, canonical)
 			if err != nil {
 				s.reg.unregister(tenant, snap.Fingerprint)
 				s.logf("submit tenant=%s fp=%.12s storage failure: %v", tenant, snap.Fingerprint, err)

@@ -29,12 +29,20 @@ import (
 //	offset 14..17 CRC-32C, big-endian uint32, over bytes 0..13 ++ payload
 //	offset 18..   payload (JSON)
 //
+// A submit record's spec is the canonical bytes admission fingerprinted
+// (speccodec.go): encoded once per admission, hashed, and logged as they
+// are, so replay can check them against the recorded fingerprint
+// without encoding them again.
+//
 // Crash semantics: the only damage an append-crash can leave is a
 // truncated final record (the torn tail). Recovery replays the longest
 // clean prefix — every record that decodes with a valid header, a
 // monotonic LSN and a matching CRC — and reports the discarded tail as
 // a typed *TornTailError. A record that fails any check never reaches
-// the registry, so a half-written snapshot is never admitted.
+// the registry, so a half-written snapshot is never admitted. A write
+// or fsync that fails while the daemon runs stops the store instead:
+// the record it left (whole, partial or absent) stays the last one, and
+// the restart's replay decides its fate.
 //
 // Legacy checkpoints: earlier builds compacted the log into
 // checkpoint.json every 64 events by default, re-encoding every
@@ -117,9 +125,12 @@ type WALRecord struct {
 }
 
 // SubmitRecord is the payload of a RecordSubmit: the admitted snapshot
-// exactly as the registry holds it. Replay re-normalizes the spec and
-// re-derives the fingerprint, so a corrupted or tampered record is a
-// typed error, never a silently wrong registry.
+// exactly as the registry holds it, its spec in the canonical bytes the
+// fingerprint hashes (the encoding of json.Marshal, written once at
+// admission by appendSubmitRecord). Replay installs a record whose spec
+// bytes hash to its fingerprint and are already normalized, and pushes
+// any other through Normalize and Fingerprint again, so a corrupted or
+// tampered record is a typed error, never a silently wrong registry.
 type SubmitRecord struct {
 	Tenant      string         `json:"tenant"`
 	Name        string         `json:"name,omitempty"`
@@ -264,13 +275,29 @@ type StoreOptions struct{}
 // serialized, synced to disk before they return, and framed by
 // appendWALRecord; the server calls AppendSubmit/AppendLimits after
 // each successful admission event so a restarted daemon replays to the
-// exact pre-crash state. Safe for concurrent use.
+// exact pre-crash state. A failed write or sync stops the store: every
+// later append fails with that error until a restart reopens the
+// directory, so the log never grows past a record whose fate is
+// unknown. Safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
-	f      *os.File
+	f      walFile
 	lsn    uint64 // last appended (or recovered) LSN
 	closed bool
+	// failed is the first write or sync error; it fails every later
+	// append and checkpoint.
+	failed error
+}
+
+// walFile is what a Store does with its open wal.log: an *os.File, or
+// a test's stand-in that fails on demand.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
 }
 
 // walPath and checkpointPath name the store's files.
@@ -356,33 +383,57 @@ func (st *Store) LSN() uint64 {
 	return st.lsn
 }
 
+// usable reports why the store takes no more writes, if it does not.
+// The caller holds st.mu.
+func (st *Store) usable() error {
+	if st.closed {
+		return errors.New("controlplane: store closed")
+	}
+	if st.failed != nil {
+		return fmt.Errorf("controlplane: store stopped after a failed append: %w", st.failed)
+	}
+	return nil
+}
+
 // append encodes and durably appends one record: the write and the
-// fsync both complete before the admission decision is answered.
+// fsync both complete before the admission decision is answered. The
+// first write or sync error stops the store. After a failed sync the
+// record's bytes may or may not be on disk, and after a short write a
+// partial record is: the restart's replay decides the record's fate
+// exactly once, and until then nothing may follow it.
 func (st *Store) append(kind RecordKind, payload []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return errors.New("controlplane: store closed")
+	if err := st.usable(); err != nil {
+		return err
 	}
 	st.lsn++
 	buf := appendWALRecord(make([]byte, 0, walHeaderLen+len(payload)),
 		WALRecord{LSN: st.lsn, Kind: kind, Payload: payload})
 	if _, err := st.f.Write(buf); err != nil {
-		return fmt.Errorf("controlplane: WAL append: %w", err)
+		st.failed = fmt.Errorf("controlplane: WAL append: %w", err)
+		return st.failed
 	}
 	if err := st.f.Sync(); err != nil {
-		return fmt.Errorf("controlplane: WAL sync: %w", err)
+		st.failed = fmt.Errorf("controlplane: WAL sync: %w", err)
+		return st.failed
 	}
 	return nil
 }
 
-// AppendSubmit durably logs one admission event.
+// AppendSubmit durably logs one admission event, encoding its spec.
 func (st *Store) AppendSubmit(rec SubmitRecord) error {
-	payload, err := json.Marshal(&rec)
+	spec, err := canonicalSpec(&rec.Spec)
 	if err != nil {
 		return fmt.Errorf("controlplane: encoding submit record: %w", err)
 	}
-	return st.append(RecordSubmit, payload)
+	return st.appendSubmit(&rec, spec)
+}
+
+// appendSubmit durably logs one admission event around its spec's
+// canonical bytes; rec.Spec is not read.
+func (st *Store) appendSubmit(rec *SubmitRecord, spec []byte) error {
+	return st.append(RecordSubmit, appendSubmitRecord(make([]byte, 0, len(spec)+256), rec, spec))
 }
 
 // AppendLimits durably logs one limits reconfiguration.
@@ -410,8 +461,8 @@ func (st *Store) ShouldCheckpoint() bool { return false }
 func (st *Store) WriteCheckpoint(cp *Checkpoint) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return errors.New("controlplane: store closed")
+	if err := st.usable(); err != nil {
+		return err
 	}
 	cp.FormatVersion = checkpointFormatVersion
 	cp.LSN = st.lsn

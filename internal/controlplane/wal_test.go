@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 )
 
@@ -592,6 +591,171 @@ func TestRestoreRejectsTamperedRecord(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsUnnormalizedRecord builds records whose fingerprint
+// is the SHA-256 of their own spec bytes, so only the hash path's other
+// guards stand between them and the registry: a spec Normalize would
+// change (a target without its default weight), and spec bytes that
+// decode to a normalized spec but are not the ones admission writes
+// ("rho":3.0). The strict path re-derives the fingerprint and rejects
+// both; the hash path must too.
+func TestRestoreRejectsUnnormalizedRecord(t *testing.T) {
+	norm, err := Normalize(testSpec(8, 5, 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unweighted := norm
+	unweighted.Targets = append([]TargetSpec(nil), norm.Targets...)
+	unweighted.Targets[0].Weight = 0
+	raw, err := json.Marshal(&unweighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := json.Marshal(&norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longhand := bytes.Replace(canonical, []byte(`"rho":3,`), []byte(`"rho":3.0,`), 1)
+	for name, spec := range map[string][]byte{"unweighted target": raw, "longhand number": longhand} {
+		if bytes.Equal(spec, canonical) {
+			t.Fatalf("%s: spec bytes unchanged", name)
+		}
+		rec := SubmitRecord{Tenant: "acme", Name: "field-a", Fingerprint: fingerprintOf(spec), Seq: 1}
+		payload := appendSubmitRecord(nil, &rec, spec)
+		var probe SubmitRecord
+		if err := decodeStrictJSON(payload, &probe); err != nil {
+			t.Fatalf("%s: record does not decode: %v", name, err)
+		}
+		srv := NewServer(Config{})
+		if _, err := srv.Restore(&Recovered{Records: []WALRecord{{LSN: 1, Kind: RecordSubmit, Payload: payload}}}); err == nil {
+			t.Fatalf("%s: replayed without error", name)
+		}
+		if snaps, _ := srv.reg.Export(); len(snaps) != 0 {
+			t.Fatalf("%s: left residue: %d snapshots", name, len(snaps))
+		}
+	}
+}
+
+// faultyFile is a wal.log whose first Sync fails, or whose first Write
+// persists half its bytes and fails (a short write, as on a full
+// disk). Every later call goes through, so a store that kept appending
+// after the fault would succeed.
+type faultyFile struct {
+	walFile
+	failSync, shortWrite bool
+}
+
+var errInjected = errors.New("injected storage fault")
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	if f.shortWrite {
+		f.shortWrite = false
+		n, _ := f.walFile.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return f.walFile.Write(p)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errInjected
+	}
+	return f.walFile.Sync()
+}
+
+// TestStoreFailedSyncPoisons injects one storage fault into the first
+// admission's append and wants the store stopped: that admission, an
+// identical retry and a limits change all get storage, and nothing
+// reaches the log after the damaged record. A restart then decides
+// that record's fate exactly once: after a failed sync its bytes are in
+// the log and the retry is an idempotent resubmit at Seq 1; after a
+// short write the torn tail is truncated and the retry is admitted
+// afresh at Seq 1.
+func TestStoreFailedSyncPoisons(t *testing.T) {
+	spec := testSpec(8, 5, 3, 1)
+	for _, c := range []struct {
+		name  string
+		fault faultyFile
+		torn  bool
+	}{
+		{"failed sync", faultyFile{failSync: true}, false},
+		{"short write", faultyFile{shortWrite: true}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, rec, err := OpenStore(dir, StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault := c.fault
+			fault.walFile = st.f
+			st.f = &fault
+			srv := NewServer(Config{})
+			if _, err := srv.UseStore(st, rec); err != nil {
+				t.Fatal(err)
+			}
+			cli := newClient(t, srv)
+			for _, attempt := range []string{"first submit", "identical retry"} {
+				if resp, err := cli.Submit("acme", SubmitRequest{Name: "field-a", Spec: spec}); !isCode(err, CodeStorage) {
+					t.Errorf("%s: want %s, got %+v, %v", attempt, CodeStorage, resp, err)
+				}
+			}
+			if _, err := cli.Control("acme", ControlRequest{Op: ControlLimits,
+				Limits: &Limits{MaxDeployments: 9}}); !isCode(err, CodeStorage) {
+				t.Errorf("limits change: want %s, got %v", CodeStorage, err)
+			}
+			cli.Close()
+			srv.Close()
+
+			st2, rec2, err := OpenStore(dir, StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv2 := NewServer(Config{})
+			if _, err := srv2.UseStore(st2, rec2); err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer srv2.Close()
+			if (rec2.TornTail != nil) != c.torn {
+				t.Fatalf("restart: torn tail %v, want torn %v", rec2.TornTail, c.torn)
+			}
+			fi, err := os.Stat(walPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.torn && fi.Size() != 0 {
+				t.Fatalf("restart left %d bytes of a torn log", fi.Size())
+			}
+			if got := srv2.adm.Limits(); got.MaxDeployments != DefaultMaxDeployments {
+				t.Fatalf("restart recovered limits %+v from a failed append", got)
+			}
+			resp, err := newClient(t, srv2).Submit("acme", SubmitRequest{Name: "field-a", Spec: spec})
+			if err != nil || resp.Seq != 1 || resp.Resubmitted == c.torn {
+				t.Fatalf("resubmit after restart: %+v, %v; want seq 1, resubmitted %v", resp, err, !c.torn)
+			}
+		})
+	}
+
+	// The stop covers every writer, the legacy checkpoint included.
+	st, _, err := OpenStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.f = &faultyFile{walFile: st.f, failSync: true}
+	ev := sessionSubmit(t, 1, "acme", "field-a", "", spec)
+	for name, err := range map[string]error{
+		"failing limits": st.AppendLimits(Limits{MaxSensors: 5}),
+		"submit":         st.AppendSubmit(*ev.submit),
+		"limits":         st.AppendLimits(Limits{MaxSensors: 6}),
+		"checkpoint":     st.WriteCheckpoint(&Checkpoint{}),
+	} {
+		if !errors.Is(err, errInjected) {
+			t.Errorf("%s after a failed sync: want the injected fault, got %v", name, err)
+		}
+	}
+}
+
 const goldenWALPath = "testdata/golden_wal.json"
 
 // TestGoldenWAL pins the WAL record encodings byte-for-byte: the
@@ -619,7 +783,7 @@ func TestGoldenWAL(t *testing.T) {
 		if err := os.WriteFile(goldenWALPath, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		writeWALFuzzSeeds(t)
+		writeSeedCorpus(t, "FuzzWALReplay", walFuzzSeeds(t))
 		t.Logf("rewrote %s (%d entries) and the FuzzWALReplay seed corpus", goldenWALPath, len(entries))
 	}
 
@@ -690,23 +854,6 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 		seeds = append(seeds, appendWALRecord(nil, ev.record))
 	}
 	return seeds
-}
-
-// writeWALFuzzSeeds materializes walFuzzSeeds as the committed Go fuzz
-// corpus (same format and -update path as FuzzWireDecode's).
-func writeWALFuzzSeeds(t *testing.T) {
-	t.Helper()
-	dir := filepath.Join("testdata", "fuzz", "FuzzWALReplay")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range walFuzzSeeds(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
-		name := filepath.Join(dir, fmt.Sprintf("seed_%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // FuzzWALReplay hammers the recovery path with mutated logs. The

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"testing"
@@ -212,5 +213,13 @@ func fuzzSeeds() [][]byte {
 		badType,
 		oversize,
 		truncated[:len(truncated)-5], // truncated payload
+		canonicalSubmit(),            // the shape the spec codec's cursor reads
 	}
+}
+
+// canonicalSubmit is a submit frame as json.Marshal writes it, with
+// every optional field set, so fuzzing reaches the cursor's fast path.
+func canonicalSubmit() []byte {
+	payload, _ := json.Marshal(fullSubmitRequest()) // a finite spec always encodes
+	return AppendFrame(nil, Frame{Version: Version1, Type: FrameRequest, Payload: payload})
 }
