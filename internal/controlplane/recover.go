@@ -29,19 +29,16 @@ func decodeStrictJSON(payload []byte, v any) error {
 // fingerprints, same Seq, same list order, same effective limits — to
 // the daemon that never crashed.
 //
-// Replay trusts nothing it reads: every submit record's identity is
-// re-derived, and a mismatch is a hard error (fail stop, never a
-// silently wrong registry). A WAL record in exactly the bytes admission
-// writes is checked by hash: its spec bytes are the canonical encoding,
-// so their SHA-256 must be the recorded fingerprint, and its spec must
-// come back from the normalizer bit for bit. Any other record — and
-// every legacy checkpoint snapshot — is pushed through the same
-// normalizer the live admission path used and its fingerprint
-// recomputed. Both ways accept and reject the same records. Lineage is
-// NOT re-validated — it was validated at admission, and concurrent
-// submits may durably land out of parent order — but the recorded Seq
-// is installed verbatim, so audit order survives the round trip
-// exactly.
+// Replay trusts nothing it reads: every submit record's spec is pushed
+// back through the same normalizer the live admission path used and
+// its fingerprint re-derived with the same appender; a mismatch is a
+// hard error (fail stop, never a silently wrong registry). A WAL record
+// in the shape json.Marshal writes is read by the spec codec's cursor,
+// and any other by the strict decoder; both yield the same record.
+// Lineage is NOT re-validated — it was validated at admission, and
+// concurrent submits may durably land out of parent order — but the
+// recorded Seq is installed verbatim, so audit order survives the round
+// trip exactly.
 
 // Export returns every admitted snapshot across all tenants in global
 // admission (Seq) order, plus the registry's sequence counter — the
@@ -142,40 +139,6 @@ func (s *Server) replaySubmit(rec *SubmitRecord) error {
 		return fmt.Errorf("controlplane: replayed snapshot fingerprint mismatch: recorded %s, recomputed %s",
 			rec.Fingerprint, fp)
 	}
-	return s.install(rec, spec)
-}
-
-// replaySubmitRecord installs one WAL submit record by hash when it
-// can. A record in exactly the bytes admission writes, whose spec bytes
-// hash to its fingerprint and whose spec Normalize returns bit for bit,
-// is installed without encoding the spec again: replaySubmit would
-// re-encode those very bytes and find the same digest. Any other
-// record takes the strict decoder and replaySubmit, so Restore accepts
-// and rejects what it did before the hash path, and a normalizer change
-// still fail-stops.
-func (s *Server) replaySubmitRecord(payload []byte) error {
-	if rec, spec, ok := decodeSubmitRecordFast(payload); ok && rec.Tenant != "" &&
-		fingerprintOf(spec) == rec.Fingerprint {
-		if norm, ok := normalized(&rec.Spec); ok {
-			return s.install(&rec, norm)
-		}
-	}
-	var rec SubmitRecord
-	if err := decodeStrictJSON(payload, &rec); err != nil {
-		return err
-	}
-	return s.replaySubmit(&rec)
-}
-
-// normalized returns Normalize(*spec) when it equals spec, floats
-// compared by their bits.
-func normalized(spec *DeploymentSpec) (DeploymentSpec, bool) {
-	norm, err := Normalize(*spec)
-	return norm, err == nil && sameSpec(&norm, spec)
-}
-
-// install registers a verified record's snapshot with its recorded Seq.
-func (s *Server) install(rec *SubmitRecord, spec DeploymentSpec) error {
 	return s.reg.installRecovered(&Snapshot{
 		Tenant:      rec.Tenant,
 		Name:        rec.Name,
@@ -214,7 +177,13 @@ func (s *Server) Restore(rec *Recovered) (*RecoverStats, error) {
 	for _, r := range rec.Records {
 		switch r.Kind {
 		case RecordSubmit:
-			if err := s.replaySubmitRecord(r.Payload); err != nil {
+			sub, ok := decodeSubmitRecordFast(r.Payload)
+			if !ok {
+				if err := decodeStrictJSON(r.Payload, &sub); err != nil {
+					return nil, fmt.Errorf("controlplane: WAL record lsn=%d: %w", r.LSN, err)
+				}
+			}
+			if err := s.replaySubmit(&sub); err != nil {
 				return nil, fmt.Errorf("controlplane: WAL record lsn=%d: %w", r.LSN, err)
 			}
 		case RecordLimits:

@@ -1,7 +1,6 @@
 package controlplane
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -16,8 +15,9 @@ import (
 // was fingerprinted is what is logged and replayed. A cursor reads the
 // shape encoding/json writes back without reflection; on any other
 // input it declines and encoding/json decides, so the fast path never
-// changes what is accepted or what it decodes to. FuzzSpecCodec holds
-// both directions to encoding/json.
+// changes what is accepted or what it decodes to. Replay re-derives a
+// record's fingerprint with the same appender. FuzzSpecCodec holds both
+// directions to encoding/json.
 
 // appendFloat appends f as encoding/json encodes a float64: the
 // shortest round-trip digits, in 'f' form when 1e-6 <= |f| < 1e21 (or
@@ -166,18 +166,13 @@ func appendSubmitRecord(dst []byte, rec *SubmitRecord, spec []byte) []byte {
 
 // cursor reads the shape encoding/json writes for the submit request
 // and the submit record: keys in struct order and exact case, no
-// whitespace, RFC 8259 numbers parsed as encoding/json parses them, and
-// strings of plain bytes with no escapes. Each method reports false
-// when the input departs from that shape, and the caller declines.
-// With exact set, the cursor also declines what json.Marshal would not
-// have written: a number in any form but appendFloat's, and an
-// omitempty field holding its zero value. An accepted spec's bytes are
-// then its canonical encoding.
+// whitespace but after the value, RFC 8259 numbers parsed as
+// encoding/json parses them, and strings of plain bytes with no
+// escapes. Each method reports false when the input departs from that
+// shape, and the caller declines.
 type cursor struct {
-	b     []byte
-	i     int
-	exact bool
-	num   []byte // exact mode's re-encoding of the last number
+	b []byte
+	i int
 }
 
 // lit consumes s if the input continues with it.
@@ -186,6 +181,17 @@ func (c *cursor) lit(s string) bool {
 		return false
 	}
 	c.i += len(s)
+	return true
+}
+
+// end reports whether only JSON whitespace is left, as json.Encoder
+// leaves a newline after the value.
+func (c *cursor) end() bool {
+	for ; c.i < len(c.b); c.i++ {
+		if b := c.b[c.i]; b != ' ' && b != '\t' && b != '\n' && b != '\r' {
+			return false
+		}
+	}
 	return true
 }
 
@@ -255,25 +261,19 @@ func (c *cursor) float(f *float64) bool {
 	if err != nil {
 		return false
 	}
-	if c.exact {
-		c.num, _ = appendFloat(c.num[:0], v) // a parsed float is finite
-		if !bytes.Equal(c.num, text) {
-			return false
-		}
-	}
 	*f = v
 	return true
 }
 
 // optFloat consumes the optional float field key into *f when the
-// input holds it; exact mode declines the zero json.Marshal omits.
+// input holds it.
 func (c *cursor) optFloat(key string, f *float64) bool {
-	return !c.lit(key) || c.float(f) && !(c.exact && *f == 0)
+	return !c.lit(key) || c.float(f)
 }
 
 // optText is optFloat for an optional string field.
 func (c *cursor) optText(key string, s *string) bool {
-	return !c.lit(key) || c.text(s) && !(c.exact && *s == "")
+	return !c.lit(key) || c.text(s)
 }
 
 // array consumes the elements of an array up to its closing bracket,
@@ -343,63 +343,30 @@ func decodeSubmitFast(payload []byte) (*Request, bool) {
 	if !c.text(&req.Tenant) || req.Tenant == "" || !c.lit(`,"submit":{`) ||
 		c.lit(`"name":`) && !(c.text(&sub.Name) && c.lit(",")) ||
 		c.lit(`"parent":`) && !(c.text(&sub.Parent) && c.lit(",")) ||
-		!c.lit(`"spec":`) || !c.spec(&sub.Spec) || !c.lit("}}") || c.i != len(payload) {
+		!c.lit(`"spec":`) || !c.spec(&sub.Spec) || !c.lit("}}") || !c.end() {
 		return nil, false
 	}
 	return req, true
 }
 
-// decodeSubmitRecordFast decodes a RecordSubmit payload in exactly the
-// bytes appendSubmitRecord writes, as decodeStrictJSON would, and
-// returns the record with its spec's raw bytes — then the spec's
-// canonical encoding — or reports false.
-func decodeSubmitRecordFast(payload []byte) (SubmitRecord, []byte, bool) {
+// decodeSubmitRecordFast decodes a RecordSubmit payload in the shape
+// json.Marshal writes it, as decodeStrictJSON would, or reports false.
+func decodeSubmitRecordFast(payload []byte) (SubmitRecord, bool) {
 	var rec SubmitRecord
-	c := cursor{b: payload, exact: true}
+	c := cursor{b: payload}
 	if !c.lit(`{"tenant":`) || !c.text(&rec.Tenant) || !c.optText(`,"name":`, &rec.Name) ||
 		!c.optText(`,"parent":`, &rec.Parent) || !c.lit(`,"fingerprint":`) || !c.text(&rec.Fingerprint) ||
 		!c.lit(`,"seq":`) {
-		return SubmitRecord{}, nil, false
+		return SubmitRecord{}, false
 	}
 	seq, ok := c.number()
 	if !ok {
-		return SubmitRecord{}, nil, false
+		return SubmitRecord{}, false
 	}
 	var err error
-	if rec.Seq, err = strconv.ParseUint(string(seq), 10, 64); err != nil || !c.lit(`,"spec":`) {
-		return SubmitRecord{}, nil, false
+	if rec.Seq, err = strconv.ParseUint(string(seq), 10, 64); err != nil ||
+		!c.lit(`,"spec":`) || !c.spec(&rec.Spec) || !c.lit("}") || !c.end() {
+		return SubmitRecord{}, false
 	}
-	start := c.i
-	if !c.spec(&rec.Spec) {
-		return SubmitRecord{}, nil, false
-	}
-	spec := payload[start:c.i]
-	if !c.lit("}") || c.i != len(payload) {
-		return SubmitRecord{}, nil, false
-	}
-	return rec, spec, true
-}
-
-// sameSpec reports whether two specs are equal field by field, floats
-// compared by their bits and a nil slice told apart from an empty one.
-func sameSpec(a, b *DeploymentSpec) bool {
-	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if !same(a.Rho, b.Rho) || a.Utility != b.Utility || !same(a.DetectProb, b.DetectProb) ||
-		len(a.Sensors) != len(b.Sensors) || (a.Sensors == nil) != (b.Sensors == nil) ||
-		len(a.Targets) != len(b.Targets) || (a.Targets == nil) != (b.Targets == nil) {
-		return false
-	}
-	for i, s := range a.Sensors {
-		t := b.Sensors[i]
-		if !same(s.X, t.X) || !same(s.Y, t.Y) || !same(s.Range, t.Range) {
-			return false
-		}
-	}
-	for j, s := range a.Targets {
-		t := b.Targets[j]
-		if !same(s.X, t.X) || !same(s.Y, t.Y) || !same(s.Weight, t.Weight) {
-			return false
-		}
-	}
-	return true
+	return rec, true
 }

@@ -31,8 +31,8 @@ import (
 //
 // A submit record's spec is the canonical bytes admission fingerprinted
 // (speccodec.go): encoded once per admission, hashed, and logged as they
-// are, so replay can check them against the recorded fingerprint
-// without encoding them again.
+// are. Replay decodes them and re-derives the fingerprint with the same
+// appender.
 //
 // Crash semantics: the only damage an append-crash can leave is a
 // truncated final record (the torn tail). Recovery replays the longest
@@ -127,10 +127,9 @@ type WALRecord struct {
 // SubmitRecord is the payload of a RecordSubmit: the admitted snapshot
 // exactly as the registry holds it, its spec in the canonical bytes the
 // fingerprint hashes (the encoding of json.Marshal, written once at
-// admission by appendSubmitRecord). Replay installs a record whose spec
-// bytes hash to its fingerprint and are already normalized, and pushes
-// any other through Normalize and Fingerprint again, so a corrupted or
-// tampered record is a typed error, never a silently wrong registry.
+// admission by appendSubmitRecord). Replay re-normalizes the spec and
+// re-derives the fingerprint, so a corrupted or tampered record is a
+// typed error, never a silently wrong registry.
 type SubmitRecord struct {
 	Tenant      string         `json:"tenant"`
 	Name        string         `json:"name,omitempty"`

@@ -592,12 +592,12 @@ func TestRestoreRejectsTamperedRecord(t *testing.T) {
 }
 
 // TestRestoreRejectsUnnormalizedRecord builds records whose fingerprint
-// is the SHA-256 of their own spec bytes, so only the hash path's other
-// guards stand between them and the registry: a spec Normalize would
-// change (a target without its default weight), and spec bytes that
-// decode to a normalized spec but are not the ones admission writes
-// ("rho":3.0). The strict path re-derives the fingerprint and rejects
-// both; the hash path must too.
+// is the SHA-256 of their own spec bytes, so a replay that trusted the
+// logged bytes would install them: a spec Normalize would change (a
+// target without its default weight), and spec bytes that decode to a
+// normalized spec but are not the ones admission writes ("rho":3.0).
+// Replay re-derives the fingerprint from the normalized spec and must
+// reject both.
 func TestRestoreRejectsUnnormalizedRecord(t *testing.T) {
 	norm, err := Normalize(testSpec(8, 5, 3, 1))
 	if err != nil {
