@@ -9,8 +9,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# e2ebench/ is its own module: the root ./... never compiles it, and it
+# builds against the exported surface of internal/controlplane.
 vet:
 	$(GO) vet ./...
+	$(GO) -C e2ebench vet ./...
 
 test:
 	$(GO) test ./...
@@ -27,11 +30,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Planner-as-a-service gate: vet, then the whole coold stack — wire
-# unit tests, golden wire corpus, admission determinism, and the e2e
-# differential sessions (live client↔daemon bit-identical to direct
-# library calls) — under the race detector, then a 30s hostile-bytes
-# fuzz of the frame/request decoders and a 30s differential fuzz of the
-# spec codec against encoding/json.
+# unit tests, golden wire corpus, admission determinism (the per-tenant
+# cap under concurrent submits included), and the e2e differential
+# sessions (live client↔daemon bit-identical to direct library calls) —
+# under the race detector, then a 30s hostile-bytes fuzz of the
+# frame/request decoders and a 30s differential fuzz of the spec codec
+# against encoding/json.
 coold-e2e:
 	$(GO) vet ./internal/controlplane/ ./cmd/coold/
 	$(GO) test -race ./internal/controlplane/ ./cmd/coold/
@@ -42,9 +46,10 @@ coold-e2e:
 # every byte offset of a recorded session), the store tests including
 # the frozen legacy data dir (a version-1 checkpoint plus its WAL tail),
 # the never-compacting submit path, the restart and watcher-vs-poller
-# e2e differentials, and the daemon's TCP restart test, all under the
-# race detector — then a 30s fuzz of the WAL replay path (decode never
-# panics; accepted logs are serialization fixed points).
+# e2e differentials, the teardown of a watcher that stops reading and
+# then half-closes or disconnects, and the daemon's TCP restart test,
+# all under the race detector — then a 30s fuzz of the WAL replay path
+# (decode never panics; accepted logs are serialization fixed points).
 coold-crash:
 	$(GO) vet ./internal/controlplane/ ./cmd/coold/
 	$(GO) test -race -run 'TestCrash|TestWAL|TestStore|TestSubmitNeverCompacts|TestRestore|TestGoldenWAL|TestE2ERestartDifferential|TestE2EWatcher|TestE2EWatch|TestE2EObjective' -v ./internal/controlplane/

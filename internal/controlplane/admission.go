@@ -1,11 +1,6 @@
 package controlplane
 
-import (
-	"fmt"
-	"sync"
-
-	"cool"
-)
+import "fmt"
 
 // Limits bound what admission accepts. Zero fields mean the default.
 // Limits can be reconfigured at runtime through a ControlLimits
@@ -39,8 +34,8 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// Admission runs the fixed control-plane composition order for a
-// submitted snapshot:
+// admit runs the fixed control-plane composition order for a submitted
+// snapshot:
 //
 //  1. registry   — parent lineage must resolve (provenance first);
 //  2. normalizer — canonicalize + validate the spec, fingerprint it;
@@ -50,60 +45,17 @@ func (l Limits) withDefaults() Limits {
 // Every decision is a deterministic function of (request, registry
 // state, limits): resubmitting a snapshot yields the same fingerprint
 // and the same decision, and a rejection at any stage leaves no
-// registry residue — registration is the final step.
-type Admission struct {
-	reg *Registry
-
-	mu     sync.Mutex
-	limits Limits
-}
-
-// NewAdmission builds the admission stage over a registry.
-func NewAdmission(reg *Registry, limits Limits) *Admission {
-	return &Admission{reg: reg, limits: limits.withDefaults()}
-}
-
-// Limits returns the current admission limits.
-func (a *Admission) Limits() Limits {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.limits
-}
-
-// SetLimits reconfigures the limits at runtime; zero fields keep their
-// current values. Returns the effective limits.
-func (a *Admission) SetLimits(l Limits) Limits {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if l.MaxSensors > 0 {
-		a.limits.MaxSensors = l.MaxSensors
-	}
-	if l.MaxTargets > 0 {
-		a.limits.MaxTargets = l.MaxTargets
-	}
-	if l.MaxDeployments > 0 {
-		a.limits.MaxDeployments = l.MaxDeployments
-	}
-	return a.limits
-}
-
-// Admit runs the composition order on one submit request. On success
-// the snapshot is registered (or was already — Resubmitted), and the
-// freshly built planner is returned for the serving layer's deployment
-// handle (nil when resubmitted and the caller already holds one).
-func (a *Admission) Admit(tenant string, req *SubmitRequest) (*Snapshot, *cool.Planner, bool, *WireError) {
-	snap, planner, resubmitted, _, werr := a.admit(tenant, req)
-	return snap, planner, resubmitted, werr
-}
-
-// admit is Admit that also returns the normalized spec's canonical
-// bytes, the ones its fingerprint hashes, which a fresh registration
-// logs as its WAL record's spec.
-func (a *Admission) admit(tenant string, req *SubmitRequest) (*Snapshot, *cool.Planner, bool, []byte, *WireError) {
+// registry residue — registration is the final step, and it decides
+// idempotency and the limits again under the table lock. On success
+// the entry is registered with the freshly built planner, or was
+// already (resubmitted). A fresh registration also returns the
+// normalized spec's canonical bytes, the ones its fingerprint hashes,
+// which it logs as its WAL record's spec.
+func (r *Registry) admit(tenant string, req *SubmitRequest) (*deployment, bool, []byte, *WireError) {
 	// Stage 1 — registry: provenance must resolve before anything else.
 	if req.Parent != "" {
-		if _, ok := a.reg.Get(tenant, req.Parent); !ok {
-			return nil, nil, false, nil, &WireError{Code: CodeNotFound,
+		if _, ok := r.get(tenant, req.Parent); !ok {
+			return nil, false, nil, &WireError{Code: CodeNotFound,
 				Message: fmt.Sprintf("parent snapshot %q not registered for tenant", req.Parent)}
 		}
 	}
@@ -111,40 +63,69 @@ func (a *Admission) admit(tenant string, req *SubmitRequest) (*Snapshot, *cool.P
 	// Stage 2 — normalizer/validator: canonical spec and identity.
 	spec, err := Normalize(req.Spec)
 	if err != nil {
-		return nil, nil, false, nil, &WireError{Code: CodeRejected, Message: err.Error()}
+		return nil, false, nil, &WireError{Code: CodeRejected, Message: err.Error()}
 	}
 	canonical, fp, err := canonicalFingerprint(&spec)
 	if err != nil {
-		return nil, nil, false, nil, &WireError{Code: CodeInternal,
+		return nil, false, nil, &WireError{Code: CodeInternal,
 			Message: fmt.Sprintf("controlplane: fingerprinting spec: %v", err)}
 	}
 
-	// Stage 3 — admission: idempotency, limits, construction, register.
-	if existing, ok := a.reg.Get(tenant, fp); ok {
-		if existing.Parent != req.Parent {
-			return nil, nil, false, nil, &WireError{Code: CodeConflict,
-				Message: fmt.Sprintf("snapshot %s already registered with parent %q", fp, existing.Parent)}
+	// Stage 3 — admission: idempotency and limits, checked here so a
+	// doomed submit builds no planner, then construction and
+	// registration, which decides both again.
+	r.mu.RLock()
+	existing, ok := r.tenants[tenant][fp]
+	werr := r.overLimit(tenant, &spec)
+	r.mu.RUnlock()
+	if ok {
+		if werr := parentConflict(existing, req.Parent); werr != nil {
+			return nil, false, nil, werr
 		}
-		return existing, nil, true, nil, nil
+		return existing, true, nil, nil
 	}
-	limits := a.Limits()
-	if n := len(spec.Sensors); n > limits.MaxSensors {
-		return nil, nil, false, nil, &WireError{Code: CodeRejected,
-			Message: fmt.Sprintf("%d sensors exceeds limit %d", n, limits.MaxSensors)}
-	}
-	if m := len(spec.Targets); m > limits.MaxTargets {
-		return nil, nil, false, nil, &WireError{Code: CodeRejected,
-			Message: fmt.Sprintf("%d targets exceeds limit %d", m, limits.MaxTargets)}
-	}
-	if c := a.reg.Count(tenant); c >= limits.MaxDeployments {
-		return nil, nil, false, nil, &WireError{Code: CodeRejected,
-			Message: fmt.Sprintf("tenant at deployment limit %d", limits.MaxDeployments)}
+	if werr != nil {
+		return nil, false, nil, werr
 	}
 	planner, err := BuildPlanner(spec)
 	if err != nil {
-		return nil, nil, false, nil, &WireError{Code: CodeRejected, Message: err.Error()}
+		return nil, false, nil, &WireError{Code: CodeRejected, Message: err.Error()}
 	}
-	snap := &Snapshot{Tenant: tenant, Name: req.Name, Fingerprint: fp, Parent: req.Parent, Spec: spec}
-	registered, raced := a.reg.register(snap)
-	return registered, planner, raced, canonical, nil
+	d := &deployment{
+		rec:     SubmitRecord{Tenant: tenant, Name: req.Name, Parent: req.Parent, Fingerprint: fp, Spec: spec},
+		planner: planner,
+	}
+	d, raced, werr := r.register(d)
+	if werr != nil {
+		return nil, false, nil, werr
+	}
+	return d, raced, canonical, nil
+}
+
+// parentConflict rejects resubmitting a registered spec under another
+// parent: lineage is never silently rewritten.
+func parentConflict(existing *deployment, parent string) *WireError {
+	if existing.rec.Parent == parent {
+		return nil
+	}
+	return &WireError{Code: CodeConflict,
+		Message: fmt.Sprintf("snapshot %s already registered with parent %q", existing.rec.Fingerprint, existing.rec.Parent)}
+}
+
+// overLimit reports the first limit a new snapshot of the tenant would
+// break. The caller holds r.mu.
+func (r *Registry) overLimit(tenant string, spec *DeploymentSpec) *WireError {
+	if n := len(spec.Sensors); n > r.limits.MaxSensors {
+		return &WireError{Code: CodeRejected,
+			Message: fmt.Sprintf("%d sensors exceeds limit %d", n, r.limits.MaxSensors)}
+	}
+	if m := len(spec.Targets); m > r.limits.MaxTargets {
+		return &WireError{Code: CodeRejected,
+			Message: fmt.Sprintf("%d targets exceeds limit %d", m, r.limits.MaxTargets)}
+	}
+	if len(r.tenants[tenant]) >= r.limits.MaxDeployments {
+		return &WireError{Code: CodeRejected,
+			Message: fmt.Sprintf("tenant at deployment limit %d", r.limits.MaxDeployments)}
+	}
+	return nil
 }

@@ -11,30 +11,37 @@ func admitSpec() DeploymentSpec {
 	return testSpec(20, 12, 3, 5)
 }
 
+// count returns the tenant's number of admitted snapshots.
+func (r *Registry) count(tenant string) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.tenants[tenant])
+}
+
 // TestAdmissionDeterministic submits the same snapshot twice: same
 // fingerprint, same decision, same registry sequence number — the
 // second submit is an idempotent resubmission, not a new snapshot.
 func TestAdmissionDeterministic(t *testing.T) {
-	adm := NewAdmission(NewRegistry(), Limits{})
+	reg := newRegistry(Limits{})
 	req := &SubmitRequest{Name: "field", Spec: admitSpec()}
 
-	first, planner, resub, werr := adm.Admit("acme", req)
+	first, resub, _, werr := reg.admit("acme", req)
 	if werr != nil {
 		t.Fatalf("first admit: %v", werr)
 	}
-	if planner == nil || resub {
-		t.Fatalf("first admit: planner=%v resubmitted=%v", planner, resub)
+	if first.planner == nil || resub {
+		t.Fatalf("first admit: planner=%v resubmitted=%v", first.planner, resub)
 	}
-	second, _, resub, werr := adm.Admit("acme", req)
+	second, resub, _, werr := reg.admit("acme", req)
 	if werr != nil {
 		t.Fatalf("second admit: %v", werr)
 	}
 	if !resub {
 		t.Fatal("second admit of identical spec: want resubmitted=true")
 	}
-	if second.Fingerprint != first.Fingerprint || second.Seq != first.Seq {
+	if second.rec.Fingerprint != first.rec.Fingerprint || second.rec.Seq != first.rec.Seq {
 		t.Fatalf("resubmit changed identity: first (%s, seq %d), second (%s, seq %d)",
-			first.Fingerprint, first.Seq, second.Fingerprint, second.Seq)
+			first.rec.Fingerprint, first.rec.Seq, second.rec.Fingerprint, second.rec.Seq)
 	}
 }
 
@@ -43,8 +50,7 @@ func TestAdmissionDeterministic(t *testing.T) {
 // spec must yield the same fingerprint, tenants stay fully isolated,
 // and each tenant ends up with exactly one registry entry.
 func TestAdmissionConcurrentTenants(t *testing.T) {
-	reg := NewRegistry()
-	adm := NewAdmission(reg, Limits{})
+	reg := newRegistry(Limits{})
 	tenants := []string{"acme", "globex"}
 	const perTenant = 8
 
@@ -55,12 +61,12 @@ func TestAdmissionConcurrentTenants(t *testing.T) {
 			wg.Add(1)
 			go func(tenant string) {
 				defer wg.Done()
-				snap, _, _, werr := adm.Admit(tenant, &SubmitRequest{Spec: admitSpec()})
+				d, _, _, werr := reg.admit(tenant, &SubmitRequest{Spec: admitSpec()})
 				if werr != nil {
 					t.Errorf("%s: %v", tenant, werr)
 					return
 				}
-				fps <- snap.Fingerprint
+				fps <- d.rec.Fingerprint
 			}(tenant)
 		}
 	}
@@ -76,15 +82,15 @@ func TestAdmissionConcurrentTenants(t *testing.T) {
 		}
 	}
 	for _, tenant := range tenants {
-		if n := reg.Count(tenant); n != 1 {
+		if n := reg.count(tenant); n != 1 {
 			t.Fatalf("%s: %d registry entries after racing identical submits, want 1", tenant, n)
 		}
-		if _, ok := reg.Get(tenant, want); !ok {
+		if _, ok := reg.get(tenant, want); !ok {
 			t.Fatalf("%s: snapshot %s missing from registry", tenant, want)
 		}
 	}
 	// Isolation: neither tenant sees a foreign tenant's snapshots.
-	if _, ok := reg.Get("initech", want); ok {
+	if _, ok := reg.get("initech", want); ok {
 		t.Fatal("tenant isolation broken: unknown tenant resolves a snapshot")
 	}
 }
@@ -94,24 +100,23 @@ func TestAdmissionConcurrentTenants(t *testing.T) {
 // in a way that perturbs later admissions, and a subsequent valid
 // submit of the same name works normally.
 func TestAdmissionRejectionNoResidue(t *testing.T) {
-	reg := NewRegistry()
-	adm := NewAdmission(reg, Limits{MaxSensors: 8})
+	reg := newRegistry(Limits{MaxSensors: 8})
 
 	bad := admitSpec() // 20 sensors > limit of 8
-	if _, _, _, werr := adm.Admit("acme", &SubmitRequest{Name: "field", Spec: bad}); werr == nil || werr.Code != CodeRejected {
+	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "field", Spec: bad}); werr == nil || werr.Code != CodeRejected {
 		t.Fatalf("over-limit spec: want rejected, got %v", werr)
 	}
 	invalid := admitSpec()
 	invalid.Sensors[3].Range = -1
-	if _, _, _, werr := adm.Admit("acme", &SubmitRequest{Spec: invalid}); werr == nil || werr.Code != CodeRejected {
+	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: invalid}); werr == nil || werr.Code != CodeRejected {
 		t.Fatalf("invalid spec: want rejected, got %v", werr)
 	}
 	orphan := testSpec(4, 3, 3, 8)
-	if _, _, _, werr := adm.Admit("acme", &SubmitRequest{Parent: "no-such-parent", Spec: orphan}); werr == nil || werr.Code != CodeNotFound {
+	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Parent: "no-such-parent", Spec: orphan}); werr == nil || werr.Code != CodeNotFound {
 		t.Fatalf("unknown parent: want not-found, got %v", werr)
 	}
 
-	if n := reg.Count("acme"); n != 0 {
+	if n := reg.count("acme"); n != 0 {
 		t.Fatalf("rejections left %d registry entries, want 0", n)
 	}
 	if got := reg.List("acme"); len(got) != 0 {
@@ -119,12 +124,12 @@ func TestAdmissionRejectionNoResidue(t *testing.T) {
 	}
 
 	good := testSpec(5, 3, 3, 8)
-	snap, _, _, werr := adm.Admit("acme", &SubmitRequest{Name: "field", Spec: good})
+	d, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "field", Spec: good})
 	if werr != nil {
 		t.Fatalf("valid submit after rejections: %v", werr)
 	}
-	if n := reg.Count("acme"); n != 1 || snap.Seq == 0 {
-		t.Fatalf("post-rejection admit: count=%d seq=%d", n, snap.Seq)
+	if n := reg.count("acme"); n != 1 || d.rec.Seq == 0 {
+		t.Fatalf("post-rejection admit: count=%d seq=%d", n, d.rec.Seq)
 	}
 }
 
@@ -132,16 +137,16 @@ func TestAdmissionRejectionNoResidue(t *testing.T) {
 // identical spec under a different parent is a deterministic conflict,
 // not a silent lineage rewrite.
 func TestAdmissionParentConflict(t *testing.T) {
-	adm := NewAdmission(NewRegistry(), Limits{})
-	root, _, _, werr := adm.Admit("acme", &SubmitRequest{Name: "root", Spec: testSpec(6, 4, 3, 2)})
+	reg := newRegistry(Limits{})
+	root, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "root", Spec: testSpec(6, 4, 3, 2)})
 	if werr != nil {
 		t.Fatal(werr)
 	}
 	child := testSpec(8, 4, 3, 3)
-	if _, _, _, werr := adm.Admit("acme", &SubmitRequest{Name: "child", Parent: root.Fingerprint, Spec: child}); werr != nil {
+	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "child", Parent: root.rec.Fingerprint, Spec: child}); werr != nil {
 		t.Fatal(werr)
 	}
-	if _, _, _, werr := adm.Admit("acme", &SubmitRequest{Name: "child", Spec: child}); werr == nil || werr.Code != CodeConflict {
+	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "child", Spec: child}); werr == nil || werr.Code != CodeConflict {
 		t.Fatalf("same spec, different parent: want conflict, got %v", werr)
 	}
 }
@@ -230,20 +235,20 @@ func nan() float64 {
 // tightened limit applies to the next submit without restarting, and
 // zero-valued fields keep their current setting.
 func TestLimitsReconfigure(t *testing.T) {
-	adm := NewAdmission(NewRegistry(), Limits{})
-	if _, _, _, werr := adm.Admit("acme", &SubmitRequest{Spec: admitSpec()}); werr != nil {
+	reg := newRegistry(Limits{})
+	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: admitSpec()}); werr != nil {
 		t.Fatal(werr)
 	}
-	got := adm.SetLimits(Limits{MaxSensors: 4})
+	got := reg.SetLimits(Limits{MaxSensors: 4})
 	if got.MaxSensors != 4 || got.MaxTargets != DefaultMaxTargets {
 		t.Fatalf("partial reconfigure: %+v", got)
 	}
 	other := testSpec(10, 5, 3, 77)
-	if _, _, _, werr := adm.Admit("acme", &SubmitRequest{Spec: other}); werr == nil || werr.Code != CodeRejected {
+	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: other}); werr == nil || werr.Code != CodeRejected {
 		t.Fatalf("post-tighten submit: want rejected, got %v", werr)
 	}
 	// The tightening is not retroactive: the admitted snapshot stays.
-	if n := adm.reg.Count("acme"); n != 1 {
+	if n := reg.count("acme"); n != 1 {
 		t.Fatalf("registry count after tighten: %d", n)
 	}
 }
@@ -251,27 +256,67 @@ func TestLimitsReconfigure(t *testing.T) {
 // TestDeploymentCap fills a tenant to its deployment cap and checks
 // the cap is per tenant, not global.
 func TestDeploymentCap(t *testing.T) {
-	adm := NewAdmission(NewRegistry(), Limits{MaxDeployments: 2})
+	reg := newRegistry(Limits{MaxDeployments: 2})
 	for i := 0; i < 2; i++ {
-		if _, _, _, werr := adm.Admit("acme", &SubmitRequest{Spec: testSpec(5, 3, 3, uint64(i))}); werr != nil {
+		if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: testSpec(5, 3, 3, uint64(i))}); werr != nil {
 			t.Fatalf("submit %d: %v", i, werr)
 		}
 	}
-	if _, _, _, werr := adm.Admit("acme", &SubmitRequest{Spec: testSpec(5, 3, 3, 99)}); werr == nil || werr.Code != CodeRejected {
+	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: testSpec(5, 3, 3, 99)}); werr == nil || werr.Code != CodeRejected {
 		t.Fatalf("over cap: want rejected, got %v", werr)
 	}
-	if _, _, _, werr := adm.Admit("globex", &SubmitRequest{Spec: testSpec(5, 3, 3, 99)}); werr != nil {
+	if _, _, _, werr := reg.admit("globex", &SubmitRequest{Spec: testSpec(5, 3, 3, 99)}); werr != nil {
 		t.Fatalf("other tenant blocked by foreign cap: %v", werr)
+	}
+}
+
+// TestDeploymentCapConcurrent races 16 distinct submits against a
+// per-tenant cap of 4, round after round: registration decides the cap
+// under the table lock, so exactly 4 are admitted and 12 rejected.
+func TestDeploymentCapConcurrent(t *testing.T) {
+	const rounds, submits, limit = 50, 16, 4
+	for round := 0; round < rounds; round++ {
+		reg := newRegistry(Limits{MaxDeployments: limit})
+		codes := make(chan ErrorCode, submits)
+		var wg sync.WaitGroup
+		for i := 0; i < submits; i++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				var code ErrorCode
+				if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: testSpec(20, 12, 3, seed)}); werr != nil {
+					code = werr.Code
+				}
+				codes <- code
+			}(uint64(round*submits + i))
+		}
+		wg.Wait()
+		close(codes)
+		admitted, rejected := 0, 0
+		for code := range codes {
+			switch code {
+			case "":
+				admitted++
+			case CodeRejected:
+				rejected++
+			default:
+				t.Fatalf("round %d: unexpected code %s", round, code)
+			}
+		}
+		if admitted != limit || rejected != submits-limit || reg.count("acme") != limit {
+			t.Fatalf("round %d: %d admitted, %d rejected, %d registered; want %d, %d, %d",
+				round, admitted, rejected, reg.count("acme"), limit, submits-limit, limit)
+		}
 	}
 }
 
 // TestRegistryListOrder pins List ordering: snapshots come back in
 // admission order (ascending Seq), so provenance reads as a timeline.
 func TestRegistryListOrder(t *testing.T) {
-	adm := NewAdmission(NewRegistry(), Limits{})
+	reg := newRegistry(Limits{})
 	var parent string
 	for i := 0; i < 4; i++ {
-		snap, _, _, werr := adm.Admit("acme", &SubmitRequest{
+		d, _, _, werr := reg.admit("acme", &SubmitRequest{
 			Name:   fmt.Sprintf("v%d", i),
 			Parent: parent,
 			Spec:   testSpec(5+i, 3, 3, uint64(100+i)),
@@ -279,9 +324,9 @@ func TestRegistryListOrder(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		parent = snap.Fingerprint
+		parent = d.rec.Fingerprint
 	}
-	list := adm.reg.List("acme")
+	list := reg.List("acme")
 	if len(list) != 4 {
 		t.Fatalf("list length %d, want 4", len(list))
 	}

@@ -55,7 +55,7 @@ func stateDigest(tb testing.TB, srv *Server) string {
 		Snapshots []SubmitRecord `json:"snapshots"`
 		Seq       uint64         `json:"seq"`
 		Limits    Limits         `json:"limits"`
-	}{snaps, seq, srv.adm.Limits()})
+	}{snaps, seq, srv.reg.Limits()})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,8 +3,10 @@ package controlplane
 import (
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"testing"
+	"time"
 )
 
 // TestE2ERestartDifferential is the acceptance differential for the
@@ -358,6 +360,134 @@ func TestE2EWatcherPollerDifferential(t *testing.T) {
 	}
 	if err := w3.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// within runs f and waits at most d for its result; ok is false when f
+// is still running.
+func within(d time.Duration, f func() error) (ok bool, err error) {
+	res := make(chan error, 1)
+	go func() { res <- f() }()
+	select {
+	case err := <-res:
+		return true, err
+	case <-time.After(d):
+		return false, nil
+	}
+}
+
+// TestE2EWatcherHalfClosed stalls the push path on purpose. A watcher
+// subscribes over TCP and never reads, so once the socket buffers fill
+// (a few hundred pushes of an n = 4000 schedule), a replan's push
+// blocks while it holds the deployment's lock. The watcher then leaves
+// without unsubscribing: half-closed (CloseWrite, so the server reads
+// EOF while its pending write never drains) or disconnected. The
+// blocked replan must answer, the next replan too, and status must
+// count no watchers: the server closes the watcher's connection before
+// it takes the deployment's lock to drop the subscription.
+func TestE2EWatcherHalfClosed(t *testing.T) {
+	spec := fieldSpec(t, 4000)
+	for _, c := range []struct {
+		name  string
+		leave func(*net.TCPConn) error
+	}{
+		{"half-closed", (*net.TCPConn).CloseWrite},
+		{"disconnected", (*net.TCPConn).Close},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := NewServer(Config{})
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(ln)
+			t.Cleanup(func() { srv.Close() })
+			cli, err := Dial(ln.Addr().String(), "actor")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cli.Close() })
+			sub, err := cli.Submit("acme", SubmitRequest{Name: "field", Spec: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			watcher, err := NewClient(conn, "stalled-watcher")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := watcher.Watch("acme", sub.Fingerprint); err != nil {
+				t.Fatal(err)
+			}
+
+			// Kill one sensor and deploy it back, over and over; every
+			// push carries the whole repaired schedule.
+			replan := func(i int) func() error {
+				return func() error {
+					op := ReplanKill
+					if i%2 == 1 {
+						op = ReplanDeploy
+					}
+					_, err := cli.Replan("acme", ReplanRequest{Fingerprint: sub.Fingerprint, Op: op, IDs: []int{i / 2}})
+					return err
+				}
+			}
+			const maxReplans = 8000
+			var (
+				next    int
+				blocked chan error
+			)
+			for blocked == nil {
+				if next == maxReplans {
+					t.Fatalf("%d pushes never filled the unread socket", maxReplans)
+				}
+				res := make(chan error, 1)
+				go func(f func() error) { res <- f() }(replan(next))
+				next++
+				select {
+				case err := <-res:
+					if err != nil {
+						t.Fatalf("replan %d: %v", next-1, err)
+					}
+				case <-time.After(time.Second):
+					blocked = res
+				}
+			}
+			t.Logf("replan %d blocked on its push", next-1)
+
+			if err := c.leave(conn.(*net.TCPConn)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-blocked:
+				if err != nil {
+					t.Fatalf("blocked replan: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("blocked replan did not answer within 5 s of the watcher leaving")
+			}
+			if ok, err := within(5*time.Second, replan(next)); !ok || err != nil {
+				t.Fatalf("next replan: answered %v, error %v", ok, err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				qs, err := cli.Query("acme", QueryRequest{Fingerprint: sub.Fingerprint, What: QueryStatus})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if qs.Status.Watchers == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("status still counts %d watchers", qs.Status.Watchers)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 

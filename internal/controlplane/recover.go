@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 )
 
@@ -17,7 +18,9 @@ func decodeStrictJSON(payload []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding payload: %w", err)
 	}
-	if dec.More() {
+	// More reports false before a closing bracket, so only io.EOF
+	// proves nothing but whitespace follows the value.
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("decoding payload: trailing data")
 	}
 	return nil
@@ -48,47 +51,40 @@ func (r *Registry) Export() ([]SubmitRecord, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []SubmitRecord
-	for tenant, byFP := range r.tenants {
-		for _, snap := range byFP {
-			out = append(out, SubmitRecord{
-				Tenant:      tenant,
-				Name:        snap.Name,
-				Parent:      snap.Parent,
-				Fingerprint: snap.Fingerprint,
-				Seq:         snap.Seq,
-				Spec:        snap.Spec,
-			})
+	for _, byFP := range r.tenants {
+		for _, d := range byFP {
+			out = append(out, d.rec)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, r.seq
 }
 
-// installRecovered installs a replayed snapshot with its recorded Seq.
-// Idempotent on (fingerprint, seq): a snapshot installed twice replays
-// as a silent skip; the same fingerprint at a different seq is
-// corruption and errors.
-func (r *Registry) installRecovered(snap *Snapshot) error {
+// installRecovered installs a replayed snapshot with its recorded Seq;
+// its planner is built on first use. Idempotent on (fingerprint, seq):
+// a snapshot installed twice replays as a silent skip; the same
+// fingerprint at a different seq is corruption and errors.
+func (r *Registry) installRecovered(rec *SubmitRecord) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	byFP := r.tenants[snap.Tenant]
+	byFP := r.tenants[rec.Tenant]
 	if byFP == nil {
-		byFP = make(map[string]*Snapshot)
-		r.tenants[snap.Tenant] = byFP
+		byFP = make(map[string]*deployment)
+		r.tenants[rec.Tenant] = byFP
 	}
-	if existing, ok := byFP[snap.Fingerprint]; ok {
-		if existing.Seq != snap.Seq {
+	if existing, ok := byFP[rec.Fingerprint]; ok {
+		if existing.rec.Seq != rec.Seq {
 			return fmt.Errorf("controlplane: replayed snapshot %s has seq %d, registry holds %d",
-				snap.Fingerprint, snap.Seq, existing.Seq)
+				rec.Fingerprint, rec.Seq, existing.rec.Seq)
 		}
 		return nil
 	}
-	if snap.Seq == 0 {
-		return fmt.Errorf("controlplane: replayed snapshot %s has zero seq", snap.Fingerprint)
+	if rec.Seq == 0 {
+		return fmt.Errorf("controlplane: replayed snapshot %s has zero seq", rec.Fingerprint)
 	}
-	byFP[snap.Fingerprint] = snap
-	if snap.Seq > r.seq {
-		r.seq = snap.Seq
+	byFP[rec.Fingerprint] = &deployment{rec: *rec}
+	if rec.Seq > r.seq {
+		r.seq = rec.Seq
 	}
 	return nil
 }
@@ -123,7 +119,7 @@ type RecoverStats struct {
 // replaySubmit verifies one durable admission event and installs it:
 // the spec re-normalizes and re-fingerprints to exactly the recorded
 // identity, or the replay fails stop.
-func (s *Server) replaySubmit(rec *SubmitRecord) error {
+func (s *Server) replaySubmit(rec SubmitRecord) error {
 	if rec.Tenant == "" {
 		return errors.New("controlplane: replayed snapshot missing tenant")
 	}
@@ -139,21 +135,14 @@ func (s *Server) replaySubmit(rec *SubmitRecord) error {
 		return fmt.Errorf("controlplane: replayed snapshot fingerprint mismatch: recorded %s, recomputed %s",
 			rec.Fingerprint, fp)
 	}
-	return s.reg.installRecovered(&Snapshot{
-		Tenant:      rec.Tenant,
-		Name:        rec.Name,
-		Fingerprint: rec.Fingerprint,
-		Parent:      rec.Parent,
-		Seq:         rec.Seq,
-		Spec:        spec,
-	})
+	rec.Spec = spec
+	return s.reg.installRecovered(&rec)
 }
 
 // Restore replays recovered durable state into this server. The server
 // must be fresh (nothing admitted); planners are NOT rebuilt here —
-// the serving layer rebuilds them lazily per deployment, exactly as it
-// does after losing an install race, so recovery cost is O(state), not
-// O(state × planner construction).
+// each replayed entry builds its own on first use, so recovery cost is
+// O(state), not O(state × planner construction).
 func (s *Server) Restore(rec *Recovered) (*RecoverStats, error) {
 	if rec == nil {
 		return &RecoverStats{}, nil
@@ -164,9 +153,9 @@ func (s *Server) Restore(rec *Recovered) (*RecoverStats, error) {
 	stats := &RecoverStats{TornTail: rec.TornTail}
 
 	if cp := rec.Checkpoint; cp != nil {
-		s.adm.SetLimits(cp.Limits)
+		s.reg.SetLimits(cp.Limits)
 		for i := range cp.Snapshots {
-			if err := s.replaySubmit(&cp.Snapshots[i]); err != nil {
+			if err := s.replaySubmit(cp.Snapshots[i]); err != nil {
 				return nil, fmt.Errorf("controlplane: checkpoint snapshot %d: %w", i, err)
 			}
 		}
@@ -183,7 +172,7 @@ func (s *Server) Restore(rec *Recovered) (*RecoverStats, error) {
 					return nil, fmt.Errorf("controlplane: WAL record lsn=%d: %w", r.LSN, err)
 				}
 			}
-			if err := s.replaySubmit(&sub); err != nil {
+			if err := s.replaySubmit(sub); err != nil {
 				return nil, fmt.Errorf("controlplane: WAL record lsn=%d: %w", r.LSN, err)
 			}
 		case RecordLimits:
@@ -193,7 +182,7 @@ func (s *Server) Restore(rec *Recovered) (*RecoverStats, error) {
 			}
 			// The record holds the post-change effective limits (all
 			// fields non-zero), so SetLimits restores them exactly.
-			s.adm.SetLimits(lim.Limits)
+			s.reg.SetLimits(lim.Limits)
 		default:
 			return nil, fmt.Errorf("controlplane: WAL record lsn=%d: unknown kind %d", r.LSN, r.Kind)
 		}

@@ -34,44 +34,18 @@ type Config struct {
 // tenants; each tenant's deployments are isolated — its own snapshots,
 // its own live sessions — and every session mutation is serialized per
 // deployment while distinct deployments plan concurrently, bounded by
-// the MaxJobs pool.
+// the MaxJobs pool. Every deployment lives in one place, its registry
+// entry: snapshot, serving state and watchers.
 type Server struct {
 	cfg  Config
 	reg  *Registry
-	adm  *Admission
 	jobs chan struct{}
 
 	mu     sync.Mutex
-	deps   map[depKey]*deployment
 	conns  map[net.Conn]struct{}
 	ln     net.Listener
 	closed bool
 	store  *Store
-
-	// watchMu guards the watch subscriptions. Lock order: d.mu may be
-	// held when taking watchMu (subscribe and push both do), never the
-	// reverse.
-	watchMu  sync.Mutex
-	watchers map[depKey]map[*connState]struct{}
-}
-
-type depKey struct{ tenant, fingerprint string }
-
-// deployment is one tenant's live serving state for a snapshot: the
-// planner built at admission and, once plan/replan traffic arrives,
-// the incremental session. Its mutex serializes session mutation.
-type deployment struct {
-	mu        sync.Mutex
-	snap      *Snapshot
-	planner   *cool.Planner
-	inc       *cool.Incremental
-	suspended bool
-	// objective is the last-planned objective ("" until the first
-	// plan/session establishes one); surfaced by query/list.
-	objective string
-	// events counts successful plan/replan events; pushed WatchEvents
-	// carry it as their per-deployment Seq.
-	events uint64
 }
 
 // connState is one live connection's write half: pushes and responses
@@ -81,9 +55,9 @@ type connState struct {
 	version byte
 
 	mu sync.Mutex
-	// subs tracks the connection's subscriptions for disconnect
-	// cleanup; guarded by Server.watchMu, not cs.mu.
-	subs map[depKey]struct{}
+	// subs are the deployments the connection watches, for disconnect
+	// cleanup. Only the connection's own goroutine touches it.
+	subs map[*deployment]struct{}
 }
 
 // writeFrame writes one frame, serialized against concurrent pushes.
@@ -93,25 +67,31 @@ func (cs *connState) writeFrame(f Frame) error {
 	return WriteFrame(cs.conn, f)
 }
 
+// close closes the connection, then drops its subscriptions. The
+// order matters: a push blocked writing to this connection holds its
+// deployment's lock, and only the close fails that write.
+func (cs *connState) close() {
+	cs.conn.Close()
+	for d := range cs.subs {
+		d.mu.Lock()
+		delete(d.watchers, cs)
+		d.mu.Unlock()
+	}
+	cs.subs = nil
+}
+
 // NewServer builds a server with the given config.
 func NewServer(cfg Config) *Server {
-	reg := NewRegistry()
 	if cfg.Name == "" {
 		cfg.Name = "coold/" + cool.Version
 	}
 	return &Server{
-		cfg:      cfg,
-		reg:      reg,
-		adm:      NewAdmission(reg, cfg.Limits),
-		jobs:     make(chan struct{}, parallel.Workers(cfg.MaxJobs)),
-		deps:     make(map[depKey]*deployment),
-		conns:    make(map[net.Conn]struct{}),
-		watchers: make(map[depKey]map[*connState]struct{}),
+		cfg:   cfg,
+		reg:   newRegistry(cfg.Limits),
+		jobs:  make(chan struct{}, parallel.Workers(cfg.MaxJobs)),
+		conns: make(map[net.Conn]struct{}),
 	}
 }
-
-// Registry exposes the snapshot registry (read-only use).
-func (s *Server) Registry() *Registry { return s.reg }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -201,14 +181,13 @@ func (s *Server) untrack(conn net.Conn) {
 // request/response loop. It is exported so in-process harnesses can
 // serve a net.Pipe end directly. The connection is closed on return.
 func (s *Server) ServeConn(conn net.Conn) {
-	defer conn.Close()
+	cs := &connState{conn: conn, version: Version1}
+	defer cs.close()
 	if !s.track(conn) {
 		return
 	}
 	defer s.untrack(conn)
 	r := bufio.NewReader(conn)
-	cs := &connState{conn: conn, version: Version1}
-	defer s.dropWatcher(cs)
 
 	writeErr := func(version byte, code ErrorCode, msg string) {
 		f, err := encodeFrame(version, FrameError, &WireError{Code: code, Message: msg})
@@ -313,36 +292,18 @@ func (s *Server) handle(req *Request, cs *connState) (*Response, *WireError) {
 	return nil, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("unknown op %q", req.Op)}
 }
 
-// handleList enumerates the tenant's snapshots and decorates each with
-// its deployment's last-planned objective (empty until a plan
-// establishes one, keeping pre-objective encodings byte-identical).
+// handleList enumerates the tenant's snapshots with their objectives.
 func (s *Server) handleList(tenant string) (*Response, *WireError) {
-	snaps := s.reg.List(tenant)
-	// Collect the live handles under s.mu, then read each objective
-	// under its own d.mu (lock order: s.mu and d.mu never nest here).
-	deps := make([]*deployment, len(snaps))
-	s.mu.Lock()
-	for i := range snaps {
-		deps[i] = s.deps[depKey{tenant, snaps[i].Fingerprint}]
-	}
-	s.mu.Unlock()
-	for i, d := range deps {
-		if d == nil {
-			continue
-		}
-		d.mu.Lock()
-		snaps[i].Objective = d.objective
-		d.mu.Unlock()
-	}
-	return &Response{Op: OpList, List: &ListResponse{Snapshots: snaps}}, nil
+	return &Response{Op: OpList, List: &ListResponse{Snapshots: s.reg.List(tenant)}}, nil
 }
 
 func (s *Server) handleSubmit(tenant string, sub *SubmitRequest) (*Response, *WireError) {
-	snap, planner, resubmitted, canonical, werr := s.adm.admit(tenant, sub)
+	d, resubmitted, canonical, werr := s.reg.admit(tenant, sub)
 	if werr != nil {
 		s.logf("submit tenant=%s rejected: %s: %s", tenant, werr.Code, werr.Message)
 		return nil, werr
 	}
+	rec := &d.rec
 	if !resubmitted {
 		if st := s.getStore(); st != nil {
 			// Durability before acknowledgment: the admission is answered
@@ -351,70 +312,31 @@ func (s *Server) handleSubmit(tenant string, sub *SubmitRequest) (*Response, *Wi
 			// claims what the WAL does not hold and a restart cannot
 			// diverge from what clients were told. The record's spec is
 			// the canonical bytes admission fingerprinted.
-			err := st.appendSubmit(&SubmitRecord{
-				Tenant:      tenant,
-				Name:        snap.Name,
-				Parent:      snap.Parent,
-				Fingerprint: snap.Fingerprint,
-				Seq:         snap.Seq,
-			}, canonical)
-			if err != nil {
-				s.reg.unregister(tenant, snap.Fingerprint)
-				s.logf("submit tenant=%s fp=%.12s storage failure: %v", tenant, snap.Fingerprint, err)
+			if err := st.appendSubmit(rec, canonical); err != nil {
+				s.reg.unregister(d)
+				s.logf("submit tenant=%s fp=%.12s storage failure: %v", tenant, rec.Fingerprint, err)
 				return nil, &WireError{Code: CodeStorage, Message: err.Error()}
 			}
 		}
 	}
-	if planner != nil {
-		// Install the serving handle unless a concurrent identical
-		// submit already did.
-		key := depKey{tenant, snap.Fingerprint}
-		s.mu.Lock()
-		if _, ok := s.deps[key]; !ok {
-			s.deps[key] = &deployment{snap: snap, planner: planner}
-		}
-		s.mu.Unlock()
-	}
 	s.logf("submit tenant=%s fp=%.12s name=%q sensors=%d targets=%d seq=%d resubmitted=%v",
-		tenant, snap.Fingerprint, snap.Name, len(snap.Spec.Sensors), len(snap.Spec.Targets), snap.Seq, resubmitted)
+		tenant, rec.Fingerprint, rec.Name, len(rec.Spec.Sensors), len(rec.Spec.Targets), rec.Seq, resubmitted)
 	return &Response{Op: OpSubmit, Submit: &SubmitResponse{
-		Fingerprint: snap.Fingerprint,
-		Seq:         snap.Seq,
+		Fingerprint: rec.Fingerprint,
+		Seq:         rec.Seq,
 		Resubmitted: resubmitted,
-		Sensors:     len(snap.Spec.Sensors),
-		Targets:     len(snap.Spec.Targets),
+		Sensors:     len(rec.Spec.Sensors),
+		Targets:     len(rec.Spec.Targets),
 	}}, nil
 }
 
-// deployment resolves the serving handle for an admitted snapshot,
-// building the planner lazily when the handle is missing (e.g. the
-// registering connection lost the install race). Deterministic: the
-// lazily built planner is the same construction admission performed.
+// deployment resolves the tenant's registry entry for a fingerprint.
 func (s *Server) deployment(tenant, fingerprint string) (*deployment, *WireError) {
-	snap, ok := s.reg.Get(tenant, fingerprint)
+	d, ok := s.reg.get(tenant, fingerprint)
 	if !ok {
 		return nil, &WireError{Code: CodeNotFound,
 			Message: fmt.Sprintf("no snapshot %q for tenant", fingerprint)}
 	}
-	key := depKey{tenant, fingerprint}
-	s.mu.Lock()
-	d, ok := s.deps[key]
-	s.mu.Unlock()
-	if ok {
-		return d, nil
-	}
-	planner, err := BuildPlanner(snap.Spec)
-	if err != nil {
-		return nil, &WireError{Code: CodeInternal, Message: err.Error()}
-	}
-	s.mu.Lock()
-	if existing, ok := s.deps[key]; ok {
-		d = existing
-	} else {
-		d = &deployment{snap: snap, planner: planner}
-		s.deps[key] = d
-	}
-	s.mu.Unlock()
 	return d, nil
 }
 
@@ -429,6 +351,9 @@ func (s *Server) acquireJob() func() {
 func (d *deployment) ensureInc() error {
 	if d.inc != nil {
 		return nil
+	}
+	if err := d.ensurePlanner(); err != nil {
+		return err
 	}
 	inc, err := d.planner.Incremental()
 	if err != nil {
@@ -472,7 +397,7 @@ func (s *Server) handlePlan(tenant string, plan *PlanRequest) (*Response, *WireE
 		return nil, &WireError{Code: CodeBadRequest, Message: oerr.Error()}
 	}
 	lifetime := obj == cool.ObjectiveLifetime
-	if lifetime && d.snap.Spec.Utility == UtilityDetection {
+	if lifetime && d.rec.Spec.Utility == UtilityDetection {
 		return nil, &WireError{Code: CodeBadRequest,
 			Message: "lifetime objective requires a coverage utility (detection deployments have no binary coverage)"}
 	}
@@ -511,7 +436,7 @@ func (s *Server) handlePlan(tenant string, plan *PlanRequest) (*Response, *WireE
 		d.objective = ObjectiveUtility
 		s.logf("plan tenant=%s fp=%.12s engine=%s utility=%g", tenant, plan.Fingerprint, engine, resp.Utility)
 	}
-	s.pushEvent(depKey{tenant, plan.Fingerprint}, d, &WatchEvent{
+	s.pushEvent(d, &WatchEvent{
 		Fingerprint: plan.Fingerprint, Kind: WatchEventPlan, Plan: resp,
 	})
 	return &Response{Op: OpPlan, Plan: resp}, nil
@@ -533,6 +458,9 @@ func (d *deployment) planIncremental() (*PlanResponse, error) {
 // planOneShot runs a one-shot engine through Planner.Plan. Callers
 // hold d.mu.
 func (d *deployment) planOneShot(engine string, req cool.PlanRequest) (*PlanResponse, error) {
+	if err := d.ensurePlanner(); err != nil {
+		return nil, err
+	}
 	res, err := d.planner.Plan(req)
 	if err != nil {
 		return nil, err
@@ -625,8 +553,7 @@ func (s *Server) handleReplan(tenant string, rep *ReplanRequest) (*Response, *Wi
 	}
 	s.logf("replan tenant=%s fp=%.12s op=%s changed=%d dirty=%d moves=%d utility=%g",
 		tenant, rep.Fingerprint, rep.Op, st.Changed, st.Dirty, st.Moves, st.Utility)
-	key := depKey{tenant, rep.Fingerprint}
-	if s.watcherCount(key) > 0 {
+	if len(d.watchers) > 0 {
 		// The push mirrors the actor's response, except it always
 		// carries the repaired schedule — a watcher cannot ask later.
 		push := *resp
@@ -638,7 +565,7 @@ func (s *Server) handleReplan(tenant string, rep *ReplanRequest) (*Response, *Wi
 			}
 			push.Schedule = sched
 		}
-		s.pushEvent(key, d, &WatchEvent{
+		s.pushEvent(d, &WatchEvent{
 			Fingerprint: rep.Fingerprint, Kind: WatchEventReplan, Replan: &push,
 		})
 	} else {
@@ -655,23 +582,25 @@ func (s *Server) handleQuery(tenant string, q *QueryRequest) (*Response, *WireEr
 	if q.What == QueryStatus {
 		// Status works even while suspended — it is how an operator
 		// sees the suspension.
-		watchers := s.watcherCount(depKey{tenant, q.Fingerprint})
 		d.mu.Lock()
 		defer d.mu.Unlock()
+		if err := d.ensurePlanner(); err != nil {
+			return nil, &WireError{Code: CodeInternal, Message: err.Error()}
+		}
 		period := d.planner.Period()
 		st := &StatusInfo{
-			Fingerprint: d.snap.Fingerprint,
-			Name:        d.snap.Name,
-			Parent:      d.snap.Parent,
-			Seq:         d.snap.Seq,
+			Fingerprint: d.rec.Fingerprint,
+			Name:        d.rec.Name,
+			Parent:      d.rec.Parent,
+			Seq:         d.rec.Seq,
 			Mode:        "",
 			Slots:       period.Slots(),
 			Rho:         period.Rho(),
-			Present:     len(d.snap.Spec.Sensors),
+			Present:     len(d.rec.Spec.Sensors),
 			Suspended:   d.suspended,
 			Live:        d.inc != nil,
 			Objective:   d.objective,
-			Watchers:    watchers,
+			Watchers:    len(d.watchers),
 		}
 		if d.inc != nil {
 			st.Mode = d.inc.Mode().String()
@@ -722,14 +651,14 @@ func (s *Server) handleControl(tenant string, ctl *ControlRequest) (*Response, *
 		if ctl.Limits != nil {
 			l = *ctl.Limits
 		}
-		old := s.adm.Limits()
-		eff := s.adm.SetLimits(l)
+		old := s.reg.Limits()
+		eff := s.reg.SetLimits(l)
 		if st := s.getStore(); st != nil {
 			// The record holds the effective (fully non-zero) limits, so
 			// replaying it restores them exactly; on storage failure the
 			// change is undone the same way.
 			if err := st.AppendLimits(eff); err != nil {
-				s.adm.SetLimits(old)
+				s.reg.SetLimits(old)
 				s.logf("control tenant=%s limits storage failure: %v", tenant, err)
 				return nil, &WireError{Code: CodeStorage, Message: err.Error()}
 			}
@@ -767,85 +696,51 @@ func (s *Server) handleWatch(tenant string, w *WatchRequest, cs *connState) (*Re
 	if werr != nil {
 		return nil, werr
 	}
-	key := depKey{tenant, w.Fingerprint}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	resp := &WatchResponse{Events: d.events}
-	s.watchMu.Lock()
-	set := s.watchers[key]
 	switch w.Op {
 	case WatchSubscribe:
-		if set == nil {
-			set = make(map[*connState]struct{})
-			s.watchers[key] = set
+		if d.watchers == nil {
+			d.watchers = make(map[*connState]struct{})
 		}
-		set[cs] = struct{}{}
+		d.watchers[cs] = struct{}{}
 		if cs.subs == nil {
-			cs.subs = make(map[depKey]struct{})
+			cs.subs = make(map[*deployment]struct{})
 		}
-		cs.subs[key] = struct{}{}
+		cs.subs[d] = struct{}{}
 		resp.Subscribed = true
 	case WatchUnsubscribe:
-		delete(set, cs)
-		delete(cs.subs, key)
+		delete(d.watchers, cs)
+		delete(cs.subs, d)
 	default:
-		s.watchMu.Unlock()
 		return nil, &WireError{Code: CodeBadRequest, Message: fmt.Sprintf("unknown watch op %q", w.Op)}
 	}
-	resp.Watchers = len(set)
-	s.watchMu.Unlock()
+	resp.Watchers = len(d.watchers)
 	s.logf("watch tenant=%s fp=%.12s op=%s watchers=%d", tenant, w.Fingerprint, w.Op, resp.Watchers)
 	return &Response{Op: OpWatch, Watch: resp}, nil
 }
 
-// watcherCount returns the deployment's subscriber count.
-func (s *Server) watcherCount(key depKey) int {
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
-	return len(s.watchers[key])
-}
-
-// dropWatcher removes a disconnecting connection from every
-// subscription it holds.
-func (s *Server) dropWatcher(cs *connState) {
-	s.watchMu.Lock()
-	for key := range cs.subs {
-		delete(s.watchers[key], cs)
-		if len(s.watchers[key]) == 0 {
-			delete(s.watchers, key)
-		}
-	}
-	cs.subs = nil
-	s.watchMu.Unlock()
-}
-
 // pushEvent numbers one successful plan/replan event and pushes it to
-// the deployment's subscribers. Callers hold d.mu, which is what makes
-// per-deployment push order (and the Seq numbering) total; a write
-// failure drops the watcher and closes its connection.
-func (s *Server) pushEvent(key depKey, d *deployment, ev *WatchEvent) {
+// the deployment's watchers. Callers hold d.mu, which is what makes
+// per-deployment push order (and the Seq numbering) total; a failed
+// write removes the watcher and closes its connection.
+func (s *Server) pushEvent(d *deployment, ev *WatchEvent) {
 	d.events++
 	ev.Seq = d.events
-	s.watchMu.Lock()
-	set := s.watchers[key]
-	targets := make([]*connState, 0, len(set))
-	for cs := range set {
-		targets = append(targets, cs)
-	}
-	s.watchMu.Unlock()
-	if len(targets) == 0 {
+	if len(d.watchers) == 0 {
 		return
 	}
 	f, err := encodeFrame(Version1, FramePush, ev)
 	if err != nil {
-		s.logf("watch fp=%.12s push encode: %v", key.fingerprint, err)
+		s.logf("watch fp=%.12s push encode: %v", d.rec.Fingerprint, err)
 		return
 	}
-	for _, cs := range targets {
+	for cs := range d.watchers {
 		f.Version = cs.version
 		if err := cs.writeFrame(f); err != nil {
 			// A dead or stalled watcher must not wedge the deployment.
-			s.dropWatcher(cs)
+			delete(d.watchers, cs)
 			cs.conn.Close()
 		}
 	}

@@ -426,7 +426,7 @@ func BenchmarkAdmission(b *testing.B) {
 				if err := decodeStrictJSON(record, &rec); err != nil {
 					b.Fatal(err)
 				}
-				if err := NewServer(Config{}).replaySubmit(&rec); err != nil {
+				if err := NewServer(Config{}).replaySubmit(rec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -359,7 +359,7 @@ func TestStoreCheckpointCrashIdempotent(t *testing.T) {
 	}
 	snaps, seq := srv.reg.Export()
 	cp := &Checkpoint{FormatVersion: checkpointFormatVersion, LSN: uint64(len(events)),
-		Seq: seq, Limits: srv.adm.Limits(), Snapshots: snaps}
+		Seq: seq, Limits: srv.reg.Limits(), Snapshots: snaps}
 	data, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestStoreCheckpointCrashIdempotent(t *testing.T) {
 func compactLegacy(t *testing.T, srv *Server, st *Store) {
 	t.Helper()
 	snaps, seq := srv.reg.Export()
-	if err := st.WriteCheckpoint(&Checkpoint{Seq: seq, Limits: srv.adm.Limits(), Snapshots: snaps}); err != nil {
+	if err := st.WriteCheckpoint(&Checkpoint{Seq: seq, Limits: srv.reg.Limits(), Snapshots: snaps}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -517,7 +517,7 @@ func TestStoreLegacyDataDir(t *testing.T) {
 	if got := stateDigest(t, srv2); got != after {
 		t.Fatalf("reopened state diverges after the appended admission:\n got %s\nwant %s", got, after)
 	}
-	if _, ok := srv2.reg.Get("initech", sub.Fingerprint); !ok {
+	if _, ok := srv2.reg.get("initech", sub.Fingerprint); !ok {
 		t.Fatal("appended admission lost on reopen")
 	}
 	if got, err := os.ReadFile(checkpointPath(dir)); err != nil || !bytes.Equal(got, checkpoint) {
@@ -547,7 +547,7 @@ func mustEqualServerState(t *testing.T, label string, got, want *Server) {
 	if gseq != wseq {
 		t.Fatalf("%s: admission counter %d, want %d", label, gseq, wseq)
 	}
-	if gl, wl := got.adm.Limits(), want.adm.Limits(); gl != wl {
+	if gl, wl := got.reg.Limits(), want.reg.Limits(); gl != wl {
 		t.Fatalf("%s: limits %+v, want %+v", label, gl, wl)
 	}
 	tenants := make(map[string]struct{})
@@ -564,10 +564,13 @@ func mustEqualServerState(t *testing.T, label string, got, want *Server) {
 	}
 }
 
-// TestRestoreRejectsTamperedRecord flips a payload byte *and* fixes
-// the CRC, so the framing is clean but the content lies: replay must
-// detect the fingerprint mismatch and fail stop rather than install a
-// snapshot whose spec does not hash to its recorded identity.
+// TestRestoreRejectsTamperedRecord frames lying payloads with a valid
+// CRC, so the framing is clean but the content is not what the daemon
+// wrote: a payload byte flipped (the spec no longer hashes to its
+// recorded identity), and a submit and a limits record followed by
+// stray closing brackets. Replay must fail stop rather than install
+// any of them. A limits record followed only by whitespace still
+// replays.
 func TestRestoreRejectsTamperedRecord(t *testing.T) {
 	ev := sessionSubmit(t, 1, "acme", "field-a", "", testSpec(8, 5, 3, 1))
 	tampered := *ev.submit
@@ -577,17 +580,46 @@ func TestRestoreRejectsTamperedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := appendWALRecord(nil, WALRecord{LSN: 1, Kind: RecordSubmit, Payload: payload})
-	recs, _, torn := decodeWAL(log)
-	if torn != nil || len(recs) != 1 {
-		t.Fatalf("framing should be clean: %v", torn)
+	limits, err := json.Marshal(&LimitsRecord{Limits: Limits{MaxSensors: 9, MaxTargets: 9, MaxDeployments: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withTail := func(payload []byte, tail string) []byte {
+		return append(append([]byte(nil), payload...), tail...)
+	}
+	defaults := NewServer(Config{}).reg.Limits()
+	for _, c := range []struct {
+		name    string
+		kind    RecordKind
+		payload []byte
+	}{
+		{"tampered spec", RecordSubmit, payload},
+		{"submit record then }", RecordSubmit, withTail(ev.record.Payload, "}")},
+		{"limits record then }]", RecordLimits, withTail(limits, "}]")},
+	} {
+		log := appendWALRecord(nil, WALRecord{LSN: 1, Kind: c.kind, Payload: c.payload})
+		recs, _, torn := decodeWAL(log)
+		if torn != nil || len(recs) != 1 {
+			t.Fatalf("%s: framing should be clean: %v", c.name, torn)
+		}
+		srv := NewServer(Config{})
+		if _, err := srv.Restore(&Recovered{Records: recs}); err == nil {
+			t.Fatalf("%s: replayed without error", c.name)
+		}
+		if snaps, _ := srv.reg.Export(); len(snaps) != 0 {
+			t.Fatalf("%s: left residue: %d snapshots", c.name, len(snaps))
+		}
+		if got := srv.reg.Limits(); got != defaults {
+			t.Fatalf("%s: limits changed to %+v", c.name, got)
+		}
 	}
 	srv := NewServer(Config{})
-	if _, err := srv.Restore(&Recovered{Records: recs}); err == nil {
-		t.Fatal("tampered snapshot replayed without error")
+	recs := []WALRecord{{LSN: 1, Kind: RecordLimits, Payload: withTail(limits, "\n \t")}}
+	if _, err := srv.Restore(&Recovered{Records: recs}); err != nil {
+		t.Fatalf("limits record then whitespace: %v", err)
 	}
-	if snaps, _ := srv.reg.Export(); len(snaps) != 0 {
-		t.Fatalf("tampered snapshot left residue: %d snapshots", len(snaps))
+	if got := srv.reg.Limits(); got.MaxDeployments != 9 {
+		t.Fatalf("limits record then whitespace: limits %+v", got)
 	}
 }
 
@@ -726,7 +758,7 @@ func TestStoreFailedSyncPoisons(t *testing.T) {
 			if c.torn && fi.Size() != 0 {
 				t.Fatalf("restart left %d bytes of a torn log", fi.Size())
 			}
-			if got := srv2.adm.Limits(); got.MaxDeployments != DefaultMaxDeployments {
+			if got := srv2.reg.Limits(); got.MaxDeployments != DefaultMaxDeployments {
 				t.Fatalf("restart recovered limits %+v from a failed append", got)
 			}
 			resp, err := newClient(t, srv2).Submit("acme", SubmitRequest{Name: "field-a", Spec: spec})
@@ -895,7 +927,7 @@ func FuzzWALReplay(f *testing.F) {
 		srv2 := NewServer(Config{})
 		if _, err := srv2.Restore(&Recovered{Checkpoint: &Checkpoint{
 			FormatVersion: checkpointFormatVersion, LSN: seq, Seq: seq,
-			Limits: srv.adm.Limits(), Snapshots: snaps,
+			Limits: srv.reg.Limits(), Snapshots: snaps,
 		}}); err != nil {
 			t.Fatalf("accepted state does not restore from its own export: %v", err)
 		}
@@ -907,8 +939,8 @@ func FuzzWALReplay(f *testing.F) {
 		if !bytes.Equal(first, second) || seq != seq2 {
 			t.Fatalf("replayed state is not a serialization fixed point\n first %s\nsecond %s", first, second)
 		}
-		if srv.adm.Limits() != srv2.adm.Limits() {
-			t.Fatalf("limits not a fixed point: %+v vs %+v", srv.adm.Limits(), srv2.adm.Limits())
+		if srv.reg.Limits() != srv2.reg.Limits() {
+			t.Fatalf("limits not a fixed point: %+v vs %+v", srv.reg.Limits(), srv2.reg.Limits())
 		}
 	})
 }

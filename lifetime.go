@@ -63,9 +63,6 @@ type LifetimeOptions struct {
 	// slots are ~0.04 — an adversarial streak. Mutually exclusive with
 	// Scale.
 	Weather []Weather
-	// MaxNodes bounds the exhaustive reference search when Algorithm
-	// is AlgorithmLifetimeExact (0 = default).
-	MaxNodes int64
 }
 
 // NewLifetimeSchedule builds a lifetime schedule from per-slot active
@@ -163,29 +160,24 @@ func (p *Planner) lifetimeInstance(opts *LifetimeOptions) (*LifetimeInstance, er
 	return in, nil
 }
 
-// PlanLifetime computes a lifetime schedule with the given algorithm
-// (AlgorithmHEF, AlgorithmStripCover or AlgorithmLifetimeExact;
-// "" = HEF). It is the lifetime half of Planner.Plan, exposed directly
-// for callers that only ever plan lifetimes.
-func (p *Planner) PlanLifetime(alg Algorithm, opts *LifetimeOptions) (*LifetimeResult, error) {
-	in, err := p.lifetimeInstance(opts)
+// planLifetime computes a lifetime schedule with the requested
+// algorithm (AlgorithmHEF, AlgorithmStripCover or
+// AlgorithmLifetimeExact; "" = HEF): the lifetime half of Plan.
+func (p *Planner) planLifetime(req PlanRequest) (*LifetimeResult, error) {
+	in, err := p.lifetimeInstance(req.Lifetime)
 	if err != nil {
 		return nil, err
 	}
 	var res *LifetimeResult
-	switch alg {
+	switch req.Algorithm {
 	case "", AlgorithmHEF:
 		res, err = lifetime.HEF(in)
 	case AlgorithmStripCover:
 		res, err = lifetime.StripCover(in)
 	case AlgorithmLifetimeExact:
-		var maxNodes int64
-		if opts != nil {
-			maxNodes = opts.MaxNodes
-		}
-		res, err = lifetime.Exact(in, lifetime.ExactOptions{MaxNodes: maxNodes})
+		res, err = lifetime.Exact(in, lifetime.ExactOptions{MaxNodes: req.MaxNodes})
 	default:
-		return nil, fmt.Errorf("cool: algorithm %q does not plan the lifetime objective", alg)
+		return nil, fmt.Errorf("cool: algorithm %q does not plan the lifetime objective", req.Algorithm)
 	}
 	if err != nil {
 		return nil, err

@@ -76,7 +76,8 @@ type PlanRequest struct {
 	// Objective selects what to optimize (zero = ObjectiveUtility).
 	Objective Objective
 	// MaxNodes bounds the branch-and-bound search of AlgorithmExact
-	// (0 = default budget); other engines ignore it.
+	// and the exhaustive search of AlgorithmLifetimeExact (0 = each
+	// engine's default budget); other engines ignore it.
 	MaxNodes int64
 	// Seed drives the randomized rounding of AlgorithmLPRound; other
 	// engines ignore it.
@@ -115,20 +116,7 @@ func (p *Planner) Plan(req PlanRequest) (*PlanResult, error) {
 	}
 	switch obj {
 	case ObjectiveLifetime:
-		opts := req.Lifetime
-		if req.MaxNodes != 0 {
-			// Thread the shared node-budget knob into the lifetime
-			// options (an explicit LifetimeOptions.MaxNodes wins).
-			copied := LifetimeOptions{}
-			if opts != nil {
-				copied = *opts
-			}
-			if copied.MaxNodes == 0 {
-				copied.MaxNodes = req.MaxNodes
-			}
-			opts = &copied
-		}
-		res, err := p.PlanLifetime(req.Algorithm, opts)
+		res, err := p.planLifetime(req)
 		if err != nil {
 			return nil, err
 		}
