@@ -45,14 +45,17 @@ coold-e2e:
 # Durability gate: the crash-point sweep (WAL recovery differential at
 # every byte offset of a recorded session), the store tests including
 # the frozen legacy data dir (a version-1 checkpoint plus its WAL tail),
-# the never-compacting submit path, the restart and watcher-vs-poller
-# e2e differentials, the teardown of a watcher that stops reading and
-# then half-closes or disconnects, and the daemon's TCP restart test,
-# all under the race detector — then a 30s fuzz of the WAL replay path
-# (decode never panics; accepted logs are serialization fixed points).
+# the storage-fault sweep over every append of that session, the held
+# syncs that nothing may be published during, the limits replay under
+# concurrent changes, the never-compacting submit path, the restart and
+# watcher-vs-poller e2e differentials, the teardown of a watcher that
+# stops reading and then half-closes or disconnects, and the daemon's
+# TCP restart test, all under the race detector — then a 30s fuzz of
+# the WAL replay path (decode never panics; accepted logs are
+# serialization fixed points).
 coold-crash:
 	$(GO) vet ./internal/controlplane/ ./cmd/coold/
-	$(GO) test -race -run 'TestCrash|TestWAL|TestStore|TestSubmitNeverCompacts|TestRestore|TestGoldenWAL|TestE2ERestartDifferential|TestE2EWatcher|TestE2EWatch|TestE2EObjective' -v ./internal/controlplane/
+	$(GO) test -race -run 'TestCrash|TestWAL|TestStore|TestSubmitNeverCompacts|TestRestore|TestGoldenWAL|TestE2ERestartDifferential|TestE2EWatch|TestE2EObjective' -v ./internal/controlplane/
 	$(GO) test -race -run 'TestRunDurableRestart' -v ./cmd/coold/
 	$(GO) test ./internal/controlplane/ -fuzz FuzzWALReplay -fuzztime 30s
 

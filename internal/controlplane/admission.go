@@ -20,16 +20,17 @@ const (
 	DefaultMaxDeployments = 1 << 10
 )
 
-// withDefaults fills zero fields.
-func (l Limits) withDefaults() Limits {
-	if l.MaxSensors <= 0 {
-		l.MaxSensors = DefaultMaxSensors
+// merge returns l with u's positive fields: the change a ControlLimits
+// request makes, and the defaults a Config's limits fill.
+func (l Limits) merge(u Limits) Limits {
+	if u.MaxSensors > 0 {
+		l.MaxSensors = u.MaxSensors
 	}
-	if l.MaxTargets <= 0 {
-		l.MaxTargets = DefaultMaxTargets
+	if u.MaxTargets > 0 {
+		l.MaxTargets = u.MaxTargets
 	}
-	if l.MaxDeployments <= 0 {
-		l.MaxDeployments = DefaultMaxDeployments
+	if u.MaxDeployments > 0 {
+		l.MaxDeployments = u.MaxDeployments
 	}
 	return l
 }
@@ -45,17 +46,15 @@ func (l Limits) withDefaults() Limits {
 // Every decision is a deterministic function of (request, registry
 // state, limits): resubmitting a snapshot yields the same fingerprint
 // and the same decision, and a rejection at any stage leaves no
-// registry residue — registration is the final step, and it decides
-// idempotency and the limits again under the table lock. On success
-// the entry is registered with the freshly built planner, or was
-// already (resubmitted). A fresh registration also returns the
-// normalized spec's canonical bytes, the ones its fingerprint hashes,
-// which it logs as its WAL record's spec.
-func (r *Registry) admit(tenant string, req *SubmitRequest) (*deployment, bool, []byte, *WireError) {
+// registry residue — registration, the final step, decides again and
+// logs the canonical bytes the fingerprint hashes before it publishes.
+// A resubmit of a published spec is answered here, without the log
+// lock; a new entry is registered with the freshly built planner.
+func (r *Registry) admit(tenant string, req *SubmitRequest) (*deployment, bool, *WireError) {
 	// Stage 1 — registry: provenance must resolve before anything else.
 	if req.Parent != "" {
 		if _, ok := r.get(tenant, req.Parent); !ok {
-			return nil, false, nil, &WireError{Code: CodeNotFound,
+			return nil, false, &WireError{Code: CodeNotFound,
 				Message: fmt.Sprintf("parent snapshot %q not registered for tenant", req.Parent)}
 		}
 	}
@@ -63,43 +62,32 @@ func (r *Registry) admit(tenant string, req *SubmitRequest) (*deployment, bool, 
 	// Stage 2 — normalizer/validator: canonical spec and identity.
 	spec, err := Normalize(req.Spec)
 	if err != nil {
-		return nil, false, nil, &WireError{Code: CodeRejected, Message: err.Error()}
+		return nil, false, &WireError{Code: CodeRejected, Message: err.Error()}
 	}
 	canonical, fp, err := canonicalFingerprint(&spec)
 	if err != nil {
-		return nil, false, nil, &WireError{Code: CodeInternal,
+		return nil, false, &WireError{Code: CodeInternal,
 			Message: fmt.Sprintf("controlplane: fingerprinting spec: %v", err)}
 	}
 
 	// Stage 3 — admission: idempotency and limits, checked here so a
 	// doomed submit builds no planner, then construction and
 	// registration, which decides both again.
+	rec := SubmitRecord{Tenant: tenant, Name: req.Name, Parent: req.Parent, Fingerprint: fp, Spec: spec}
 	r.mu.RLock()
-	existing, ok := r.tenants[tenant][fp]
-	werr := r.overLimit(tenant, &spec)
+	existing, werr := r.decide(&rec)
 	r.mu.RUnlock()
-	if ok {
-		if werr := parentConflict(existing, req.Parent); werr != nil {
-			return nil, false, nil, werr
-		}
-		return existing, true, nil, nil
-	}
 	if werr != nil {
-		return nil, false, nil, werr
+		return nil, false, werr
+	}
+	if existing != nil {
+		return existing, true, nil
 	}
 	planner, err := BuildPlanner(spec)
 	if err != nil {
-		return nil, false, nil, &WireError{Code: CodeRejected, Message: err.Error()}
+		return nil, false, &WireError{Code: CodeRejected, Message: err.Error()}
 	}
-	d := &deployment{
-		rec:     SubmitRecord{Tenant: tenant, Name: req.Name, Parent: req.Parent, Fingerprint: fp, Spec: spec},
-		planner: planner,
-	}
-	d, raced, werr := r.register(d)
-	if werr != nil {
-		return nil, false, nil, werr
-	}
-	return d, raced, canonical, nil
+	return r.register(&deployment{rec: rec, planner: planner}, canonical)
 }
 
 // parentConflict rejects resubmitting a registered spec under another

@@ -25,14 +25,14 @@ func TestAdmissionDeterministic(t *testing.T) {
 	reg := newRegistry(Limits{})
 	req := &SubmitRequest{Name: "field", Spec: admitSpec()}
 
-	first, resub, _, werr := reg.admit("acme", req)
+	first, resub, werr := reg.admit("acme", req)
 	if werr != nil {
 		t.Fatalf("first admit: %v", werr)
 	}
 	if first.planner == nil || resub {
 		t.Fatalf("first admit: planner=%v resubmitted=%v", first.planner, resub)
 	}
-	second, resub, _, werr := reg.admit("acme", req)
+	second, resub, werr := reg.admit("acme", req)
 	if werr != nil {
 		t.Fatalf("second admit: %v", werr)
 	}
@@ -61,7 +61,7 @@ func TestAdmissionConcurrentTenants(t *testing.T) {
 			wg.Add(1)
 			go func(tenant string) {
 				defer wg.Done()
-				d, _, _, werr := reg.admit(tenant, &SubmitRequest{Spec: admitSpec()})
+				d, _, werr := reg.admit(tenant, &SubmitRequest{Spec: admitSpec()})
 				if werr != nil {
 					t.Errorf("%s: %v", tenant, werr)
 					return
@@ -103,16 +103,16 @@ func TestAdmissionRejectionNoResidue(t *testing.T) {
 	reg := newRegistry(Limits{MaxSensors: 8})
 
 	bad := admitSpec() // 20 sensors > limit of 8
-	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "field", Spec: bad}); werr == nil || werr.Code != CodeRejected {
+	if _, _, werr := reg.admit("acme", &SubmitRequest{Name: "field", Spec: bad}); werr == nil || werr.Code != CodeRejected {
 		t.Fatalf("over-limit spec: want rejected, got %v", werr)
 	}
 	invalid := admitSpec()
 	invalid.Sensors[3].Range = -1
-	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: invalid}); werr == nil || werr.Code != CodeRejected {
+	if _, _, werr := reg.admit("acme", &SubmitRequest{Spec: invalid}); werr == nil || werr.Code != CodeRejected {
 		t.Fatalf("invalid spec: want rejected, got %v", werr)
 	}
 	orphan := testSpec(4, 3, 3, 8)
-	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Parent: "no-such-parent", Spec: orphan}); werr == nil || werr.Code != CodeNotFound {
+	if _, _, werr := reg.admit("acme", &SubmitRequest{Parent: "no-such-parent", Spec: orphan}); werr == nil || werr.Code != CodeNotFound {
 		t.Fatalf("unknown parent: want not-found, got %v", werr)
 	}
 
@@ -124,7 +124,7 @@ func TestAdmissionRejectionNoResidue(t *testing.T) {
 	}
 
 	good := testSpec(5, 3, 3, 8)
-	d, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "field", Spec: good})
+	d, _, werr := reg.admit("acme", &SubmitRequest{Name: "field", Spec: good})
 	if werr != nil {
 		t.Fatalf("valid submit after rejections: %v", werr)
 	}
@@ -138,15 +138,15 @@ func TestAdmissionRejectionNoResidue(t *testing.T) {
 // not a silent lineage rewrite.
 func TestAdmissionParentConflict(t *testing.T) {
 	reg := newRegistry(Limits{})
-	root, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "root", Spec: testSpec(6, 4, 3, 2)})
+	root, _, werr := reg.admit("acme", &SubmitRequest{Name: "root", Spec: testSpec(6, 4, 3, 2)})
 	if werr != nil {
 		t.Fatal(werr)
 	}
 	child := testSpec(8, 4, 3, 3)
-	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "child", Parent: root.rec.Fingerprint, Spec: child}); werr != nil {
+	if _, _, werr := reg.admit("acme", &SubmitRequest{Name: "child", Parent: root.rec.Fingerprint, Spec: child}); werr != nil {
 		t.Fatal(werr)
 	}
-	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Name: "child", Spec: child}); werr == nil || werr.Code != CodeConflict {
+	if _, _, werr := reg.admit("acme", &SubmitRequest{Name: "child", Spec: child}); werr == nil || werr.Code != CodeConflict {
 		t.Fatalf("same spec, different parent: want conflict, got %v", werr)
 	}
 }
@@ -236,15 +236,18 @@ func nan() float64 {
 // zero-valued fields keep their current setting.
 func TestLimitsReconfigure(t *testing.T) {
 	reg := newRegistry(Limits{})
-	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: admitSpec()}); werr != nil {
+	if _, _, werr := reg.admit("acme", &SubmitRequest{Spec: admitSpec()}); werr != nil {
 		t.Fatal(werr)
 	}
-	got := reg.SetLimits(Limits{MaxSensors: 4})
+	got, err := reg.SetLimits(Limits{MaxSensors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.MaxSensors != 4 || got.MaxTargets != DefaultMaxTargets {
 		t.Fatalf("partial reconfigure: %+v", got)
 	}
 	other := testSpec(10, 5, 3, 77)
-	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: other}); werr == nil || werr.Code != CodeRejected {
+	if _, _, werr := reg.admit("acme", &SubmitRequest{Spec: other}); werr == nil || werr.Code != CodeRejected {
 		t.Fatalf("post-tighten submit: want rejected, got %v", werr)
 	}
 	// The tightening is not retroactive: the admitted snapshot stays.
@@ -258,14 +261,14 @@ func TestLimitsReconfigure(t *testing.T) {
 func TestDeploymentCap(t *testing.T) {
 	reg := newRegistry(Limits{MaxDeployments: 2})
 	for i := 0; i < 2; i++ {
-		if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: testSpec(5, 3, 3, uint64(i))}); werr != nil {
+		if _, _, werr := reg.admit("acme", &SubmitRequest{Spec: testSpec(5, 3, 3, uint64(i))}); werr != nil {
 			t.Fatalf("submit %d: %v", i, werr)
 		}
 	}
-	if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: testSpec(5, 3, 3, 99)}); werr == nil || werr.Code != CodeRejected {
+	if _, _, werr := reg.admit("acme", &SubmitRequest{Spec: testSpec(5, 3, 3, 99)}); werr == nil || werr.Code != CodeRejected {
 		t.Fatalf("over cap: want rejected, got %v", werr)
 	}
-	if _, _, _, werr := reg.admit("globex", &SubmitRequest{Spec: testSpec(5, 3, 3, 99)}); werr != nil {
+	if _, _, werr := reg.admit("globex", &SubmitRequest{Spec: testSpec(5, 3, 3, 99)}); werr != nil {
 		t.Fatalf("other tenant blocked by foreign cap: %v", werr)
 	}
 }
@@ -284,7 +287,7 @@ func TestDeploymentCapConcurrent(t *testing.T) {
 			go func(seed uint64) {
 				defer wg.Done()
 				var code ErrorCode
-				if _, _, _, werr := reg.admit("acme", &SubmitRequest{Spec: testSpec(20, 12, 3, seed)}); werr != nil {
+				if _, _, werr := reg.admit("acme", &SubmitRequest{Spec: testSpec(20, 12, 3, seed)}); werr != nil {
 					code = werr.Code
 				}
 				codes <- code
@@ -316,7 +319,7 @@ func TestRegistryListOrder(t *testing.T) {
 	reg := newRegistry(Limits{})
 	var parent string
 	for i := 0; i < 4; i++ {
-		d, _, _, werr := reg.admit("acme", &SubmitRequest{
+		d, _, werr := reg.admit("acme", &SubmitRequest{
 			Name:   fmt.Sprintf("v%d", i),
 			Parent: parent,
 			Spec:   testSpec(5+i, 3, 3, uint64(100+i)),

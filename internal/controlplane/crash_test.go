@@ -70,11 +70,63 @@ func crashSessionConfig() Config {
 	return Config{Limits: Limits{MaxDeployments: 2}}
 }
 
-// recordCrashSession drives a live admission session through the wire
-// against a store-backed daemon and returns the recorded WAL bytes.
-// The script deliberately includes non-events that must leave no WAL
-// residue: an idempotent resubmit and a rejected submit (per-tenant
-// cap), plus a runtime limits change that lifts the cap mid-session.
+// crashStep is one request of the crash session: a submit, or a
+// limits change when submit is nil.
+type crashStep struct {
+	tenant string
+	submit *SubmitRequest
+	limits *Limits
+}
+
+// crashAnswer is what the daemon told the client for one step.
+type crashAnswer struct {
+	sub    *SubmitResponse
+	limits *Limits
+	err    error
+}
+
+// crashScript is the crash session's script. It deliberately includes
+// non-events that must leave no WAL residue: an idempotent resubmit
+// (step 2) and a submit rejected by the per-tenant cap (step 3), plus a
+// runtime limits change that lifts the cap mid-session. The other six
+// steps each append one record.
+func crashScript(t *testing.T) []crashStep {
+	specA := testSpec(8, 5, 3, 1)
+	sub := func(tenant, name, parent string, spec DeploymentSpec) crashStep {
+		return crashStep{tenant: tenant, submit: &SubmitRequest{Name: name, Parent: parent, Spec: spec}}
+	}
+	return []crashStep{
+		sub("acme", "field-a", "", specA),
+		sub("acme", "field-b", "", testSpec(6, 4, 2, 2)),
+		sub("acme", "field-a", "", specA),
+		sub("acme", "field-c", "", testSpec(5, 3, 2, 3)),
+		{tenant: "acme", limits: &Limits{MaxDeployments: 8}},
+		sub("acme", "field-c", "", testSpec(5, 3, 2, 3)),
+		sub("globex", "north", "", testSpec(7, 4, 1, 4)),
+		// A child snapshot with lineage.
+		sub("acme", "field-a-v2", mustFingerprint(t, specA), testSpec(9, 5, 3, 5)),
+	}
+}
+
+// runCrashScript sends the script through cli and returns every answer.
+func runCrashScript(cli *Client, script []crashStep) []crashAnswer {
+	answers := make([]crashAnswer, len(script))
+	for i, step := range script {
+		a := &answers[i]
+		if step.submit != nil {
+			a.sub, a.err = cli.Submit(step.tenant, *step.submit)
+			continue
+		}
+		var ctl *ControlResponse
+		if ctl, a.err = cli.Control(step.tenant, ControlRequest{Op: ControlLimits, Limits: step.limits}); a.err == nil {
+			a.limits = ctl.Limits
+		}
+	}
+	return answers
+}
+
+// recordCrashSession drives the crash script through the wire against
+// a store-backed daemon and returns the recorded WAL bytes.
 func recordCrashSession(t *testing.T) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -86,39 +138,17 @@ func recordCrashSession(t *testing.T) []byte {
 	if _, err := srv.UseStore(st, rec); err != nil {
 		t.Fatal(err)
 	}
-	cli := newClient(t, srv)
-
-	subA, err := cli.Submit("acme", SubmitRequest{Name: "field-a", Spec: testSpec(8, 5, 3, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Submit("acme", SubmitRequest{Name: "field-b", Spec: testSpec(6, 4, 2, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent resubmit: admitted state unchanged, no WAL record.
-	re, err := cli.Submit("acme", SubmitRequest{Name: "field-a", Spec: testSpec(8, 5, 3, 1)})
-	if err != nil || !re.Resubmitted {
-		t.Fatalf("resubmit: %v (resubmitted %v)", err, re)
-	}
-	// Rejected by the per-tenant cap: no admission, no WAL record.
-	if _, err := cli.Submit("acme", SubmitRequest{Name: "field-c", Spec: testSpec(5, 3, 2, 3)}); !isCode(err, CodeRejected) {
-		t.Fatalf("over-cap submit: want %s, got %v", CodeRejected, err)
-	}
-	// Runtime limits change IS durable.
-	if _, err := cli.Control("acme", ControlRequest{Op: ControlLimits,
-		Limits: &Limits{MaxDeployments: 8}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Submit("acme", SubmitRequest{Name: "field-c", Spec: testSpec(5, 3, 2, 3)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Submit("globex", SubmitRequest{Name: "north", Spec: testSpec(7, 4, 1, 4)}); err != nil {
-		t.Fatal(err)
-	}
-	// A child snapshot with lineage.
-	if _, err := cli.Submit("acme", SubmitRequest{Name: "field-a-v2", Parent: subA.Fingerprint,
-		Spec: testSpec(9, 5, 3, 5)}); err != nil {
-		t.Fatal(err)
+	for i, a := range runCrashScript(newClient(t, srv), crashScript(t)) {
+		switch {
+		case i == 3:
+			if !isCode(a.err, CodeRejected) {
+				t.Fatalf("over-cap submit: want %s, got %v", CodeRejected, a.err)
+			}
+		case a.err != nil:
+			t.Fatalf("step %d: %v", i, a.err)
+		case (i == 2) != (a.sub != nil && a.sub.Resubmitted):
+			t.Fatalf("step %d: resubmitted %+v", i, a.sub)
+		}
 	}
 
 	walBytes, err := os.ReadFile(walPath(dir))

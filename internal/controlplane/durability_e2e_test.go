@@ -192,6 +192,68 @@ func TestSubmitNeverCompacts(t *testing.T) {
 	reopen("closed")
 }
 
+// TestRestoreStatusBuildsNoPlanner restarts a daemon whose deployments
+// were never planned: status on each replayed entry answers what the
+// writing daemon answered (Seq, slots, ρ, present sensors), and the
+// entry still has no planner, since status reads the period from the
+// normalized spec.
+func TestRestoreStatusBuildsNoPlanner(t *testing.T) {
+	specs := []DeploymentSpec{testSpec(8, 5, 3, 1), testSpec(6, 4, 0.5, 2), testSpec(7, 4, 3.0000000001, 3)}
+	dir := t.TempDir()
+	st, rec, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Config{})
+	if _, err := srv.UseStore(st, rec); err != nil {
+		t.Fatal(err)
+	}
+	cli := newClient(t, srv)
+	fps := make([]string, len(specs))
+	want := make([]StatusInfo, len(specs))
+	for i, spec := range specs {
+		sub, err := cli.Submit("acme", SubmitRequest{Name: fmt.Sprintf("field-%d", i), Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := cli.Query("acme", QueryRequest{Fingerprint: sub.Fingerprint, What: QueryStatus})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[i], want[i] = sub.Fingerprint, *q.Status
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+	srv2 := NewServer(Config{})
+	if _, err := srv2.Restore(rec2); err != nil {
+		t.Fatal(err)
+	}
+	cli2 := newClient(t, srv2)
+	for i, fp := range fps {
+		q, err := cli2.Query("acme", QueryRequest{Fingerprint: fp, What: QueryStatus})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *q.Status != want[i] {
+			t.Errorf("%s: replayed status %+v, the writing daemon reported %+v", fp, *q.Status, want[i])
+		}
+		d, _ := srv2.reg.get("acme", fp)
+		d.mu.Lock()
+		built := d.planner != nil
+		d.mu.Unlock()
+		if built {
+			t.Errorf("%s: status built the replayed entry's planner", fp)
+		}
+	}
+}
+
 // mustFingerprint computes the admission identity of a spec exactly as
 // the daemon does.
 func mustFingerprint(t *testing.T, spec DeploymentSpec) string {

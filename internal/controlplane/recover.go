@@ -67,12 +67,7 @@ func (r *Registry) Export() ([]SubmitRecord, uint64) {
 func (r *Registry) installRecovered(rec *SubmitRecord) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	byFP := r.tenants[rec.Tenant]
-	if byFP == nil {
-		byFP = make(map[string]*deployment)
-		r.tenants[rec.Tenant] = byFP
-	}
-	if existing, ok := byFP[rec.Fingerprint]; ok {
+	if existing, ok := r.tenants[rec.Tenant][rec.Fingerprint]; ok {
 		if existing.rec.Seq != rec.Seq {
 			return fmt.Errorf("controlplane: replayed snapshot %s has seq %d, registry holds %d",
 				rec.Fingerprint, rec.Seq, existing.rec.Seq)
@@ -82,11 +77,16 @@ func (r *Registry) installRecovered(rec *SubmitRecord) error {
 	if rec.Seq == 0 {
 		return fmt.Errorf("controlplane: replayed snapshot %s has zero seq", rec.Fingerprint)
 	}
-	byFP[rec.Fingerprint] = &deployment{rec: *rec}
-	if rec.Seq > r.seq {
-		r.seq = rec.Seq
-	}
+	r.insert(&deployment{rec: *rec})
 	return nil
+}
+
+// restoreLimits applies a replayed limits change the way SetLimits
+// does, without logging it.
+func (r *Registry) restoreLimits(l Limits) {
+	r.mu.Lock()
+	r.limits = r.limits.merge(l)
+	r.mu.Unlock()
 }
 
 // seqFloor raises the registry's admission counter to at least seq
@@ -95,9 +95,7 @@ func (r *Registry) installRecovered(rec *SubmitRecord) error {
 // reissue those numbers).
 func (r *Registry) seqFloor(seq uint64) {
 	r.mu.Lock()
-	if seq > r.seq {
-		r.seq = seq
-	}
+	r.seq = max(r.seq, seq)
 	r.mu.Unlock()
 }
 
@@ -153,7 +151,7 @@ func (s *Server) Restore(rec *Recovered) (*RecoverStats, error) {
 	stats := &RecoverStats{TornTail: rec.TornTail}
 
 	if cp := rec.Checkpoint; cp != nil {
-		s.reg.SetLimits(cp.Limits)
+		s.reg.restoreLimits(cp.Limits)
 		for i := range cp.Snapshots {
 			if err := s.replaySubmit(cp.Snapshots[i]); err != nil {
 				return nil, fmt.Errorf("controlplane: checkpoint snapshot %d: %w", i, err)
@@ -181,8 +179,8 @@ func (s *Server) Restore(rec *Recovered) (*RecoverStats, error) {
 				return nil, fmt.Errorf("controlplane: WAL record lsn=%d: %w", r.LSN, err)
 			}
 			// The record holds the post-change effective limits (all
-			// fields non-zero), so SetLimits restores them exactly.
-			s.reg.SetLimits(lim.Limits)
+			// fields non-zero), so they are restored exactly.
+			s.reg.restoreLimits(lim.Limits)
 		default:
 			return nil, fmt.Errorf("controlplane: WAL record lsn=%d: unknown kind %d", r.LSN, r.Kind)
 		}
@@ -199,16 +197,15 @@ func (s *Server) Restore(rec *Recovered) (*RecoverStats, error) {
 	return stats, nil
 }
 
-// UseStore replays the store's recovered state into the server and
-// attaches the store, so subsequent admission events are durably
-// logged and Close closes it. Call before Serve.
+// UseStore replays the store's recovered state into the server, then
+// attaches the store to its registry, so every later admission and
+// limits change is logged before it is published, and Close closes it.
+// The replay itself appends nothing. Call before Serve.
 func (s *Server) UseStore(st *Store, rec *Recovered) (*RecoverStats, error) {
 	stats, err := s.Restore(rec)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.store = st
-	s.mu.Unlock()
+	s.reg.useStore(st)
 	return stats, nil
 }

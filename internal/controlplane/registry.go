@@ -51,12 +51,22 @@ func (d *deployment) ensurePlanner() error {
 // Registry is the control plane's one table: every admitted
 // deployment, per tenant, keyed by fingerprint. Tenants are fully
 // isolated — one tenant's snapshots are invisible to (and cannot
-// collide with) another's. Its lock also guards the admission sequence
-// counter and the limits, so admission decides a registration (the
-// per-tenant cap included) in one critical section. The lock is never
-// held across spec normalization, planner construction or an entry's
-// own lock. Safe for concurrent use.
+// collide with) another's. It is also the one place that decides, logs
+// and publishes every change the WAL records: register and SetLimits
+// hold the log lock while they decide the change, append and sync its
+// record through the attached store, and only then publish it under the
+// table lock. So nothing is visible before its record is durable, and
+// the log order is the publish order. The log lock is taken before the
+// table lock, never after; the table lock is never held across a WAL
+// append, spec normalization, planner construction or an entry's own
+// lock. Safe for concurrent use.
 type Registry struct {
+	// logMu, the log lock, serializes the changes the WAL records from
+	// decision to publication and guards store (nil serving in memory).
+	logMu sync.Mutex
+	store *Store
+
+	// mu, the table lock, guards the table, the Seq counter and limits.
 	mu      sync.RWMutex
 	tenants map[string]map[string]*deployment
 	seq     uint64
@@ -65,7 +75,8 @@ type Registry struct {
 
 // newRegistry returns an empty registry under the given limits.
 func newRegistry(limits Limits) *Registry {
-	return &Registry{tenants: make(map[string]map[string]*deployment), limits: limits.withDefaults()}
+	defaults := Limits{MaxSensors: DefaultMaxSensors, MaxTargets: DefaultMaxTargets, MaxDeployments: DefaultMaxDeployments}
+	return &Registry{tenants: make(map[string]map[string]*deployment), limits: defaults.merge(limits)}
 }
 
 // get returns the tenant's deployment with the given fingerprint.
@@ -84,62 +95,97 @@ func (r *Registry) Limits() Limits {
 }
 
 // SetLimits reconfigures the limits at runtime; zero fields keep their
-// current values. Returns the effective limits.
-func (r *Registry) SetLimits(l Limits) Limits {
+// current values. It logs the effective limits before it publishes and
+// returns them, so no submit is decided by limits the log does not
+// hold; after a storage error the limits are unchanged.
+func (r *Registry) SetLimits(l Limits) (Limits, error) {
+	r.logMu.Lock()
+	defer r.logMu.Unlock()
+	eff := r.Limits().merge(l)
+	if r.store != nil {
+		// The record holds the effective (fully non-zero) limits, so
+		// replaying it restores them exactly.
+		if err := r.store.AppendLimits(eff); err != nil {
+			return Limits{}, err
+		}
+	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if l.MaxSensors > 0 {
-		r.limits.MaxSensors = l.MaxSensors
-	}
-	if l.MaxTargets > 0 {
-		r.limits.MaxTargets = l.MaxTargets
-	}
-	if l.MaxDeployments > 0 {
-		r.limits.MaxDeployments = l.MaxDeployments
-	}
-	return r.limits
+	r.limits = eff
+	r.mu.Unlock()
+	return eff, nil
 }
 
-// register installs d and stamps its admission sequence number: the
-// final admission step, so rejected snapshots leave no registry
-// residue. Registration is idempotent on fingerprint: when a concurrent
-// identical submit won the race, the registered entry is returned with
-// raced set (or a conflict when its parent differs). Otherwise the
-// limits decide, under the same lock that inserts, so concurrent
-// distinct submits never overrun the per-tenant cap.
-func (r *Registry) register(d *deployment) (registered *deployment, raced bool, werr *WireError) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if existing, ok := r.tenants[d.rec.Tenant][d.rec.Fingerprint]; ok {
-		if werr := parentConflict(existing, d.rec.Parent); werr != nil {
-			return nil, false, werr
-		}
-		return existing, true, nil
+// decide reports the registered entry a submit resolves to (resubmit,
+// or a conflict when its parent differs), or the limit a new snapshot
+// would break. The caller holds r.mu.
+func (r *Registry) decide(rec *SubmitRecord) (*deployment, *WireError) {
+	if existing, ok := r.tenants[rec.Tenant][rec.Fingerprint]; ok {
+		return existing, parentConflict(existing, rec.Parent)
 	}
-	if werr := r.overLimit(d.rec.Tenant, &d.rec.Spec); werr != nil {
+	return nil, r.overLimit(rec.Tenant, &rec.Spec)
+}
+
+// register decides, logs and publishes one admission, the final
+// admission step: under the log lock it decides idempotency and the
+// limits again and stamps the next Seq, appends and syncs the record
+// around the spec's canonical bytes, and only then inserts the entry. A
+// submit that raced an identical one waits for that one's sync and gets
+// its entry (raced), or storage when that append failed and stopped the
+// store. A failed append publishes nothing.
+func (r *Registry) register(d *deployment, canonical []byte) (registered *deployment, raced bool, werr *WireError) {
+	r.logMu.Lock()
+	defer r.logMu.Unlock()
+	r.mu.RLock()
+	existing, werr := r.decide(&d.rec)
+	seq := r.seq + 1
+	r.mu.RUnlock()
+	if werr != nil {
 		return nil, false, werr
 	}
+	if existing != nil {
+		return existing, true, nil
+	}
+	d.rec.Seq = seq
+	if r.store != nil {
+		if err := r.store.appendSubmit(&d.rec, canonical); err != nil {
+			return nil, false, &WireError{Code: CodeStorage, Message: err.Error()}
+		}
+	}
+	r.mu.Lock()
+	r.insert(d)
+	r.mu.Unlock()
+	return d, false, nil
+}
+
+// insert publishes d and raises the counter to its Seq. The caller
+// holds r.mu.
+func (r *Registry) insert(d *deployment) {
 	byFP := r.tenants[d.rec.Tenant]
 	if byFP == nil {
 		byFP = make(map[string]*deployment)
 		r.tenants[d.rec.Tenant] = byFP
 	}
-	r.seq++
-	d.rec.Seq = r.seq
 	byFP[d.rec.Fingerprint] = d
-	return d, false, nil
+	r.seq = max(r.seq, d.rec.Seq)
 }
 
-// unregister removes an entry whose durable logging failed, so the
-// in-memory state never claims what the WAL does not hold; its serving
-// state and watchers go with it. The admission sequence counter is not
-// rewound — audit numbers are consumed, never reissued.
-func (r *Registry) unregister(d *deployment) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if byFP := r.tenants[d.rec.Tenant]; byFP[d.rec.Fingerprint] == d {
-		delete(byFP, d.rec.Fingerprint)
+// useStore attaches the store every later change is logged to.
+func (r *Registry) useStore(st *Store) {
+	r.logMu.Lock()
+	r.store = st
+	r.logMu.Unlock()
+}
+
+// closeStore closes the attached store once the append in flight, if
+// any, has finished. The store stays attached, so a change decided
+// afterwards gets storage instead of being published unlogged.
+func (r *Registry) closeStore() (err error) {
+	r.logMu.Lock()
+	defer r.logMu.Unlock()
+	if r.store != nil {
+		err = r.store.Close()
 	}
+	return err
 }
 
 // List returns the tenant's snapshots in admission order, each with its

@@ -45,7 +45,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	ln     net.Listener
 	closed bool
-	store  *Store
 }
 
 // connState is one live connection's write half: pushes and responses
@@ -126,14 +125,13 @@ func (s *Server) Serve(l net.Listener) error {
 
 // Close stops the server: the listener, every open connection and the
 // attached store are closed. There is nothing to flush: every admission
-// event was synced to the WAL before it was acknowledged. In-flight
-// requests finish against closed writes.
+// event was synced to the WAL before it was published. In-flight
+// requests finish against closed writes, and a change they decide after
+// the store closed gets storage.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	ln := s.ln
-	st := s.store
-	s.store = nil
 	open := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		open = append(open, c)
@@ -146,19 +144,10 @@ func (s *Server) Close() error {
 	for _, c := range open {
 		c.Close()
 	}
-	if st != nil {
-		if cerr := st.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := s.reg.closeStore(); cerr != nil && err == nil {
+		err = cerr
 	}
 	return err
-}
-
-// getStore returns the attached store (nil when serving in-memory).
-func (s *Server) getStore() *Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store
 }
 
 func (s *Server) track(conn net.Conn) bool {
@@ -298,27 +287,12 @@ func (s *Server) handleList(tenant string) (*Response, *WireError) {
 }
 
 func (s *Server) handleSubmit(tenant string, sub *SubmitRequest) (*Response, *WireError) {
-	d, resubmitted, canonical, werr := s.reg.admit(tenant, sub)
+	d, resubmitted, werr := s.reg.admit(tenant, sub)
 	if werr != nil {
 		s.logf("submit tenant=%s rejected: %s: %s", tenant, werr.Code, werr.Message)
 		return nil, werr
 	}
 	rec := &d.rec
-	if !resubmitted {
-		if st := s.getStore(); st != nil {
-			// Durability before acknowledgment: the admission is answered
-			// only after the event is logged and synced. On a storage
-			// failure the registration is rolled back, so memory never
-			// claims what the WAL does not hold and a restart cannot
-			// diverge from what clients were told. The record's spec is
-			// the canonical bytes admission fingerprinted.
-			if err := st.appendSubmit(rec, canonical); err != nil {
-				s.reg.unregister(d)
-				s.logf("submit tenant=%s fp=%.12s storage failure: %v", tenant, rec.Fingerprint, err)
-				return nil, &WireError{Code: CodeStorage, Message: err.Error()}
-			}
-		}
-	}
 	s.logf("submit tenant=%s fp=%.12s name=%q sensors=%d targets=%d seq=%d resubmitted=%v",
 		tenant, rec.Fingerprint, rec.Name, len(rec.Spec.Sensors), len(rec.Spec.Targets), rec.Seq, resubmitted)
 	return &Response{Op: OpSubmit, Submit: &SubmitResponse{
@@ -584,10 +558,11 @@ func (s *Server) handleQuery(tenant string, q *QueryRequest) (*Response, *WireEr
 		// sees the suspension.
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		if err := d.ensurePlanner(); err != nil {
+		// The planner's period, derived as BuildPlanner derives it.
+		period, err := cool.PeriodFromRho(d.rec.Spec.Rho)
+		if err != nil {
 			return nil, &WireError{Code: CodeInternal, Message: err.Error()}
 		}
-		period := d.planner.Period()
 		st := &StatusInfo{
 			Fingerprint: d.rec.Fingerprint,
 			Name:        d.rec.Name,
@@ -651,17 +626,10 @@ func (s *Server) handleControl(tenant string, ctl *ControlRequest) (*Response, *
 		if ctl.Limits != nil {
 			l = *ctl.Limits
 		}
-		old := s.reg.Limits()
-		eff := s.reg.SetLimits(l)
-		if st := s.getStore(); st != nil {
-			// The record holds the effective (fully non-zero) limits, so
-			// replaying it restores them exactly; on storage failure the
-			// change is undone the same way.
-			if err := st.AppendLimits(eff); err != nil {
-				s.reg.SetLimits(old)
-				s.logf("control tenant=%s limits storage failure: %v", tenant, err)
-				return nil, &WireError{Code: CodeStorage, Message: err.Error()}
-			}
+		eff, err := s.reg.SetLimits(l)
+		if err != nil {
+			s.logf("control tenant=%s limits storage failure: %v", tenant, err)
+			return nil, &WireError{Code: CodeStorage, Message: err.Error()}
 		}
 		s.logf("control tenant=%s limits=%+v", tenant, eff)
 		return &Response{Op: OpControl, Control: &ControlResponse{Limits: &eff}}, nil

@@ -272,12 +272,12 @@ type StoreOptions struct{}
 // Store owns one data directory: the append-only wal.log, plus the
 // read-only checkpoint.json an earlier build may have left. Appends are
 // serialized, synced to disk before they return, and framed by
-// appendWALRecord; the server calls AppendSubmit/AppendLimits after
-// each successful admission event so a restarted daemon replays to the
-// exact pre-crash state. A failed write or sync stops the store: every
-// later append fails with that error until a restart reopens the
-// directory, so the log never grows past a record whose fate is
-// unknown. Safe for concurrent use.
+// appendWALRecord; the registry logs each admission and limits change
+// through it before publishing the change, so a restarted daemon
+// replays to exactly the state clients saw. A failed write or sync
+// stops the store: every later append fails with that error until a
+// restart reopens the directory, so the log never grows past a record
+// whose fate is unknown. Safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
@@ -395,8 +395,8 @@ func (st *Store) usable() error {
 }
 
 // append encodes and durably appends one record: the write and the
-// fsync both complete before the admission decision is answered. The
-// first write or sync error stops the store. After a failed sync the
+// fsync both complete before the change is published. The first
+// write or sync error stops the store. After a failed sync the
 // record's bytes may or may not be on disk, and after a short write a
 // partial record is: the restart's replay decides the record's fate
 // exactly once, and until then nothing may follow it.
