@@ -160,7 +160,14 @@ func goldenFrames(t *testing.T) []struct {
 		out = append(out, mk("error-"+string(code), FrameError,
 			&WireError{Code: code, Message: "golden " + string(code)}))
 	}
-	return out
+	// The query answer behind most of a polling client's traffic, with
+	// a sensor killed after the plan (Absent) as live schedules carry.
+	killed, err := core.NewSchedule(core.ModePlacement, 4, []int{0, 3, core.Absent, 1, -1})
+	if err != nil {
+		t.Fatalf("golden schedule with an absent sensor: %v", err)
+	}
+	return append(out, mk("response-query-schedule", FrameResponse, &Response{Op: OpQuery,
+		Query: &QueryResponse{Schedule: killed}}))
 }
 
 // TestGoldenWire pins every frame encoding byte-for-byte against the

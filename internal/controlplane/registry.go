@@ -97,8 +97,15 @@ func (r *Registry) Limits() Limits {
 // SetLimits reconfigures the limits at runtime; zero fields keep their
 // current values. It logs the effective limits before it publishes and
 // returns them, so no submit is decided by limits the log does not
-// hold; after a storage error the limits are unchanged.
+// hold; after a storage error the limits are unchanged. A change that
+// sets no field is how the wire reads the limits: it returns the
+// published ones and logs nothing. A field set to its live value is
+// still logged, since that value may come from Config and the record
+// pins it across a restart.
 func (r *Registry) SetLimits(l Limits) (Limits, error) {
+	if (Limits{}).merge(l) == (Limits{}) {
+		return r.Limits(), nil
+	}
 	r.logMu.Lock()
 	defer r.logMu.Unlock()
 	eff := r.Limits().merge(l)

@@ -224,6 +224,63 @@ func TestStoreHeldSyncHidesLimits(t *testing.T) {
 	}
 }
 
+// TestStoreLimitsReadLogsNothing checks that a limits request setting
+// no field, the wire's way to read the limits, answers with the
+// published limits and leaves wal.log as it was, while one that sets a
+// field to its live value is still logged. After a failed append has
+// stopped the store, a read still answers and a change gets storage.
+func TestStoreLimitsReadLogsNothing(t *testing.T) {
+	srv, st := storeServer(t)
+	cli := newClient(t, srv)
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(walPath(st.Dir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	read := func(when string, want Limits) {
+		t.Helper()
+		size := walSize()
+		for _, l := range []*Limits{nil, {}, {MaxSensors: -1}, {MaxTargets: -5, MaxDeployments: 0}, {}} {
+			resp, err := cli.Control("acme", ControlRequest{Op: ControlLimits, Limits: l})
+			if err != nil || *resp.Limits != want {
+				t.Fatalf("%s: read %+v answered %+v, %v; want %+v", when, l, resp, err, want)
+			}
+		}
+		if got := walSize(); got != size {
+			t.Fatalf("%s: five limits reads grew wal.log from %d to %d bytes", when, size, got)
+		}
+	}
+	set := Limits{MaxSensors: 50}
+	resp, err := cli.Control("acme", ControlRequest{Op: ControlLimits, Limits: &set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := *resp.Limits
+	read("after a change", live)
+
+	size := walSize()
+	if _, err := cli.Control("acme", ControlRequest{Op: ControlLimits, Limits: &set}); err != nil {
+		t.Fatal(err)
+	}
+	if walSize() == size {
+		t.Fatal("a change to the live value was not logged")
+	}
+
+	hold := holdNextSync(t, st)
+	hold.settle(errInjected)
+	tighter := Limits{MaxSensors: 4}
+	if _, err := cli.Control("acme", ControlRequest{Op: ControlLimits, Limits: &tighter}); !isCode(err, CodeStorage) {
+		t.Fatalf("change with a failing sync: want %s, got %v", CodeStorage, err)
+	}
+	read("after the store stopped", live)
+	if _, err := cli.Control("acme", ControlRequest{Op: ControlLimits, Limits: &tighter}); !isCode(err, CodeStorage) {
+		t.Fatalf("change on a stopped store: want %s, got %v", CodeStorage, err)
+	}
+}
+
 // TestStoreLimitsReplayMatchesLive races limits changes from 8
 // connections, 20 each and each setting one field, so the effective
 // limits depend on the order the changes apply. After the server

@@ -223,3 +223,46 @@ func canonicalSubmit() []byte {
 	payload, _ := json.Marshal(fullSubmitRequest()) // a finite spec always encodes
 	return AppendFrame(nil, Frame{Version: Version1, Type: FrameRequest, Payload: payload})
 }
+
+// BenchmarkServeSchedule times what a schedule query costs the server
+// once it holds the deployment's lock: materializing the committed
+// schedule and encoding the query answer's frame. The field is
+// e2ebench's n = 10⁴ shape (1000×1000, m = 10³, mean degree 10,
+// detection p = 0.4), planned at ρ = 3 (placement) and ρ = 1/3
+// (removal).
+func BenchmarkServeSchedule(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		rho  float64
+	}{{"rho=3", 3}, {"rho=1:3", 1.0 / 3}} {
+		spec := fieldSpec(b, 10000)
+		spec.Rho, spec.Utility, spec.DetectProb = c.rho, UtilityDetection, 0.4
+		norm, err := Normalize(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		planner, err := BuildPlanner(norm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inc, err := planner.Incremental()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sched, err := inc.Schedule()
+				if err != nil {
+					b.Fatal(err)
+				}
+				f, err := encodeFrame(Version1, FrameResponse, &Response{Op: OpQuery,
+					Query: &QueryResponse{Schedule: sched}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = f
+			}
+		})
+	}
+}

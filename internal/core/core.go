@@ -13,7 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"sync"
 
 	"cool/internal/energy"
 	"cool/internal/submodular"
@@ -96,8 +96,11 @@ type Schedule struct {
 	// mode, always active in removal mode); Absent (−2) means the
 	// sensor is inactive in every slot in both modes.
 	assign []int
-	// slots[t] caches the sorted active set of slot t.
-	slots [][]int
+	// slots[t] is the sorted active set of slot t. Serving a schedule
+	// reads only assign, so the lists are built on first use by
+	// ActiveAt or SlotSizes, once, under slotsOnce.
+	slotsOnce sync.Once
+	slots     [][]int
 }
 
 // Absent is the assignment marker for a sensor that is inactive in
@@ -131,16 +134,22 @@ func NewSchedule(mode Mode, period int, assign []int) (*Schedule, error) {
 			return nil, fmt.Errorf("core: sensor %d assigned to slot %d outside [0,%d)", v, t, period)
 		}
 	}
-	s := &Schedule{
+	return &Schedule{
 		mode:   mode,
 		period: period,
 		assign: append([]int(nil), assign...),
-	}
-	s.rebuildSlots()
-	return s, nil
+	}, nil
 }
 
-func (s *Schedule) rebuildSlots() {
+// activeSets returns the per-slot active lists, built on first use.
+func (s *Schedule) activeSets() [][]int {
+	s.slotsOnce.Do(s.buildSlots)
+	return s.slots
+}
+
+// buildSlots fills slots. Sensors are visited in ascending order, so
+// every list comes out sorted.
+func (s *Schedule) buildSlots() {
 	s.slots = make([][]int, s.period)
 	for v, t := range s.assign {
 		if t == Absent {
@@ -158,9 +167,6 @@ func (s *Schedule) rebuildSlots() {
 				}
 			}
 		}
-	}
-	for t := range s.slots {
-		sort.Ints(s.slots[t])
 	}
 }
 
@@ -184,7 +190,7 @@ func (s *Schedule) ActiveAt(t int) []int {
 	if t < 0 {
 		t = ((t % s.period) + s.period) % s.period
 	}
-	return s.slots[t%s.period]
+	return s.activeSets()[t%s.period]
 }
 
 // IsActiveAt reports whether sensor v is active at absolute slot t.
@@ -271,8 +277,8 @@ func (s *Schedule) AverageUtility(factory OracleFactory, targets int) float64 {
 // diminishing-returns property induces.
 func (s *Schedule) SlotSizes() []int {
 	sizes := make([]int, s.period)
-	for t := range s.slots {
-		sizes[t] = len(s.slots[t])
+	for t, active := range s.activeSets() {
+		sizes[t] = len(active)
 	}
 	return sizes
 }

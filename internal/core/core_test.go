@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"cool/internal/energy"
@@ -205,6 +207,62 @@ func TestScheduleAssignmentCopies(t *testing.T) {
 	a[0] = 1
 	if s.Assignment()[0] != 0 {
 		t.Error("Assignment exposes internal state")
+	}
+}
+
+// TestScheduleFirstUseConcurrent makes the first ActiveAt, SlotSizes
+// and PeriodUtility calls on one fresh schedule from many goroutines at
+// once, as the simulator's parallel workers do with a shared policy:
+// the lists are built once, and every caller sees the same ones (run
+// under -race).
+func TestScheduleFirstUseConcurrent(t *testing.T) {
+	const n, workers = 300, 12
+	for _, rho := range []float64{3, 1.0 / 3} {
+		rng := stats.NewRNG(7)
+		in, _ := detectionInstance(t, rng, n, 40, rho)
+		mode, slots := ModeFor(in.Period), in.Period.Slots()
+		assign := make([]int, n)
+		for v := range assign {
+			assign[v] = rng.Intn(slots+2) - 2 // Absent, −1 or a slot
+		}
+		ref, err := NewSchedule(mode, slots, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager, wantU := eagerSlots(ref), ref.PeriodUtility(in.Factory)
+		s, err := NewSchedule(mode, slots, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				switch w % 3 {
+				case 0:
+					for tt := 0; tt < slots; tt++ {
+						if got := s.ActiveAt(tt); !slices.Equal(got, eager[tt]) {
+							t.Errorf("ρ=%v: ActiveAt(%d) = %v, want %v", rho, tt, got, eager[tt])
+						}
+					}
+				case 1:
+					for tt, size := range s.SlotSizes() {
+						if size != len(eager[tt]) {
+							t.Errorf("ρ=%v: SlotSizes()[%d] = %d, want %d", rho, tt, size, len(eager[tt]))
+						}
+					}
+				case 2:
+					if u := s.PeriodUtility(in.Factory); u != wantU {
+						t.Errorf("ρ=%v: PeriodUtility = %v, want %v", rho, u, wantU)
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
 	}
 }
 

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
 // FuzzScheduleJSON hardens the schedule decoder against malformed
 // input: it must either reject or produce a structurally valid
-// schedule — never panic or accept an inconsistent one.
+// schedule — never panic or accept an inconsistent one. It is also a
+// differential: every accepted schedule re-marshals to exactly the
+// reflect encoding of scheduleJSON, and the active lists built on first
+// use match an eager rebuild.
 func FuzzScheduleJSON(f *testing.F) {
 	f.Add([]byte(`{"mode":"placement","period":4,"assign":[0,1,2,3]}`))
 	f.Add([]byte(`{"mode":"removal","period":3,"assign":[0,-1,2]}`))
@@ -28,6 +33,13 @@ func FuzzScheduleJSON(f *testing.F) {
 	f.Add([]byte(`{"mode":"placement","period":9007199254740993,"assign":[0]}`))
 	f.Add([]byte(`{"mode":"placement","period":2,"assign":[0,1],"assign":[1,0]}`))
 	f.Add([]byte(`[]`))
+	// Absent sensors, as live schedules carry after a kill, and empty
+	// or missing assignments, which encode as null.
+	f.Add([]byte(`{"mode":"placement","period":4,"assign":[0,-2,3,-1,-2]}`))
+	f.Add([]byte(`{"mode":"removal","period":3,"assign":[-2,1,-1,-2]}`))
+	f.Add([]byte(`{"mode":"placement","period":2,"assign":[]}`))
+	f.Add([]byte(`{"mode":"removal","period":5,"assign":null}`))
+	f.Add([]byte(` {"period":1000000,"assign":[999999,-2],"mode":"placement"} `))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Schedule
 		if err := json.Unmarshal(data, &s); err != nil {
@@ -36,19 +48,50 @@ func FuzzScheduleJSON(f *testing.F) {
 		if s.Period() <= 0 {
 			t.Fatalf("accepted schedule with period %d", s.Period())
 		}
-		for v := 0; v < s.NumSensors(); v++ {
-			for slot := 0; slot < s.Period(); slot++ {
-				s.IsActiveAt(v, slot) // must not panic
-			}
+		want, err := marshalScheduleReflect(&s)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := s.MarshalJSON()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("MarshalJSON = %s, %v; the reflect encoding is %s", got, err, want)
+		}
+		if got, err := json.Marshal(&s); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("json.Marshal = %s, %v; the reflect encoding is %s", got, err, want)
+		}
+		eager := eagerSlots(&s)
+		sizes := s.SlotSizes()
 		for slot := 0; slot < s.Period(); slot++ {
-			for _, v := range s.ActiveAt(slot) {
-				if v < 0 || v >= s.NumSensors() {
-					t.Fatalf("active set names sensor %d outside [0,%d)", v, s.NumSensors())
-				}
+			if !slices.Equal(s.ActiveAt(slot), eager[slot]) || sizes[slot] != len(eager[slot]) {
+				t.Fatalf("slot %d: ActiveAt %v, SlotSizes %d; an eager rebuild has %v",
+					slot, s.ActiveAt(slot), sizes[slot], eager[slot])
 			}
 		}
 	})
+}
+
+// marshalScheduleReflect is the reflect encoding of scheduleJSON, the
+// reference MarshalJSON must match byte for byte.
+func marshalScheduleReflect(s *Schedule) ([]byte, error) {
+	return json.Marshal(scheduleJSON{
+		Mode:   s.mode.String(),
+		Period: s.period,
+		Assign: s.assign,
+	})
+}
+
+// eagerSlots rebuilds every slot's active list from IsActiveAt, in
+// ascending sensor order.
+func eagerSlots(s *Schedule) [][]int {
+	slots := make([][]int, s.Period())
+	for slot := range slots {
+		for v := 0; v < s.NumSensors(); v++ {
+			if s.IsActiveAt(v, slot) {
+				slots[slot] = append(slots[slot], v)
+			}
+		}
+	}
+	return slots
 }
 
 // FuzzSubsetSumGadget checks that gadget construction never panics and
