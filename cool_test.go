@@ -505,23 +505,3 @@ func TestRunClosedLoopHeteroStreak(t *testing.T) {
 		t.Error("mismatched panel vector accepted")
 	}
 }
-
-func TestNewAreaUtilityRefinedFacade(t *testing.T) {
-	sensors := []Sensor{{ID: 0, Pos: Point{X: 50, Y: 50}, Range: 20}}
-	net, err := NewNetwork(sensors, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := NewAreaUtilityRefined(net, NewField(100), 50, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := u.Eval([]int{0})
-	want := math.Pi * 400
-	if math.Abs(got-want)/want > 0.01 {
-		t.Errorf("refined area = %v, want ~%v", got, want)
-	}
-	if _, err := NewAreaUtilityRefined(net, NewField(100), 50, 1, nil); err == nil {
-		t.Error("refine=1 accepted")
-	}
-}

@@ -3,12 +3,12 @@
 //
 // It is the membership representation of the submodular-oracle hot path
 // (see internal/submodular): Add/Remove/Contains are single-word
-// bit operations with zero allocations and Count is a popcount sweep.
+// bit operations with zero allocations.
 // All operations are O(1) or O(n/64) with perfectly predictable,
 // cache-friendly memory access.
 //
 // A Bitset is not safe for concurrent mutation; concurrent Contains /
-// Count / Members calls are safe provided no Add, Remove or Clear runs
+// Members calls are safe provided no Add, Remove or Clear runs
 // at the same time.
 package bitset
 
@@ -32,8 +32,7 @@ func New(n int) Bitset {
 	return Bitset{words: make([]uint64, (n+63)>>6), n: n}
 }
 
-// Len returns the universe size n (not the number of members; see
-// Count).
+// Len returns the universe size n, not the number of members.
 func (s Bitset) Len() int { return s.n }
 
 // check panics when v is outside the universe. The explicit check
@@ -61,13 +60,6 @@ func (s Bitset) Add(v int) {
 func (s Bitset) Remove(v int) {
 	s.check(v)
 	s.words[v>>6] &^= 1 << (uint(v) & 63)
-}
-
-// Count returns the number of members. It runs on the package's
-// unrolled popcount kernel (see popcount.go); the tests hold it to the
-// plain word loop CountScalar.
-func (s Bitset) Count() int {
-	return popcountWords(s.words)
 }
 
 // Clear empties the set in place.

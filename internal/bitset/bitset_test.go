@@ -7,8 +7,8 @@ import (
 
 func TestBasicOps(t *testing.T) {
 	s := New(130) // crosses two word boundaries
-	if s.Len() != 130 || s.Count() != 0 {
-		t.Fatalf("fresh set: Len=%d Count=%d", s.Len(), s.Count())
+	if s.Len() != 130 || count(s) != 0 {
+		t.Fatalf("fresh set: Len=%d members=%d", s.Len(), count(s))
 	}
 	for _, v := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		if s.Contains(v) {
@@ -20,15 +20,18 @@ func TestBasicOps(t *testing.T) {
 		}
 		s.Add(v) // idempotent
 	}
-	if got := s.Count(); got != 8 {
-		t.Fatalf("Count = %d, want 8", got)
+	if got := count(s); got != 8 {
+		t.Fatalf("members = %d, want 8", got)
 	}
 	s.Remove(64)
 	s.Remove(64) // idempotent
-	if s.Contains(64) || s.Count() != 7 {
-		t.Fatalf("after Remove(64): Contains=%v Count=%d", s.Contains(64), s.Count())
+	if s.Contains(64) || count(s) != 7 {
+		t.Fatalf("after Remove(64): Contains=%v members=%d", s.Contains(64), count(s))
 	}
 }
+
+// count returns the number of members of s.
+func count(s Bitset) int { return len(s.AppendMembers(nil)) }
 
 // fill adds every element of s's universe.
 func fill(s Bitset) {
@@ -41,8 +44,8 @@ func TestFillClearMembers(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 200} {
 		s := New(n)
 		fill(s)
-		if s.Count() != n {
-			t.Fatalf("n=%d: fill then Count = %d", n, s.Count())
+		if count(s) != n {
+			t.Fatalf("n=%d: fill then members = %d", n, count(s))
 		}
 		members := s.AppendMembers(nil)
 		if len(members) != n {
@@ -54,8 +57,8 @@ func TestFillClearMembers(t *testing.T) {
 			}
 		}
 		s.Clear()
-		if s.Count() != 0 {
-			t.Fatalf("n=%d: Clear left %d members", n, s.Count())
+		if count(s) != 0 {
+			t.Fatalf("n=%d: Clear left %d members", n, count(s))
 		}
 	}
 }
@@ -113,8 +116,8 @@ func TestAgainstMap(t *testing.T) {
 				t.Fatalf("step %d: Contains(%d) = %v, ref %v", i, v, s.Contains(v), ref[v])
 			}
 		}
-		if s.Count() != len(ref) {
-			t.Fatalf("step %d: Count = %d, ref %d", i, s.Count(), len(ref))
+		if count(s) != len(ref) {
+			t.Fatalf("step %d: members = %d, ref %d", i, count(s), len(ref))
 		}
 	}
 }
@@ -126,9 +129,80 @@ func TestZeroAllocHotOps(t *testing.T) {
 		s.Add(513)
 		_ = s.Contains(513)
 		s.Remove(513)
-		_ = s.Count()
 		scratch = s.AppendMembers(scratch[:0])
 	}); a != 0 {
 		t.Fatalf("hot operations allocated %v times per run", a)
+	}
+}
+
+// boundarySizes are the tail-word corners of the 64-bit layout: the
+// empty universe, a single bit, one-below/at/one-above the word
+// boundary, and a two-word universe ending exactly on a boundary minus
+// one.
+var boundarySizes = []int{0, 1, 63, 64, 65, 127}
+
+// fillPattern populates s with a deterministic pattern parameterized by
+// phase.
+func fillPattern(s Bitset, phase int) {
+	for v := 0; v < s.Len(); v++ {
+		if (v+phase)%3 == 0 || (v*7+phase)%11 == 0 {
+			s.Add(v)
+		}
+	}
+}
+
+func TestCountBoundarySizes(t *testing.T) {
+	for _, size := range boundarySizes {
+		s := New(size)
+		if got, want := count(s), 0; got != want {
+			t.Errorf("size %d: empty members = %d", size, got)
+		}
+		fillPattern(s, 0)
+		want := 0
+		for v := 0; v < size; v++ {
+			if s.Contains(v) {
+				want++
+			}
+		}
+		if got := count(s); got != want {
+			t.Errorf("size %d: members = %d, membership says %d", size, got, want)
+		}
+		// A full universe must count to exactly size: the tail word
+		// holds only the bits below size.
+		fill(s)
+		if got := count(s); got != size {
+			t.Errorf("size %d: full members = %d", size, got)
+		}
+	}
+}
+
+func TestAddRemoveBoundaryBits(t *testing.T) {
+	s := New(128)
+	for _, v := range []int{0, 1, 63, 64, 65, 127} {
+		s.Add(v)
+		if !s.Contains(v) || count(s) != 1 {
+			t.Errorf("Add(%d): Contains=%v members=%d", v, s.Contains(v), count(s))
+		}
+		s.Remove(v)
+		if s.Contains(v) || count(s) != 0 {
+			t.Errorf("Remove(%d): Contains=%v members=%d", v, s.Contains(v), count(s))
+		}
+	}
+}
+
+// TestWholeSetOpsZeroAlloc extends the hot-op allocation gate to the
+// whole-set sweeps.
+func TestWholeSetOpsZeroAlloc(t *testing.T) {
+	a := New(1024)
+	members := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		fillPattern(a, 0)
+		a.ForEach(func(int) { members++ })
+		a.Clear()
+	}); allocs != 0 {
+		t.Fatalf("whole-set operations allocated %v times per run", allocs)
+	}
+	if members == 0 {
+		t.Fatal("ForEach visited no members")
 	}
 }

@@ -63,8 +63,8 @@ type RepairStats struct {
 //
 // The ground set is fixed at construction: AddSensors re-activates
 // sensors from the instance's universe (a reserve pool, or sensors
-// previously removed), it does not grow N. Growing the universe is the
-// wsn layer's AddSensors + a new Repairer.
+// previously removed), it does not grow N. Growing the universe means
+// building a new network and a new Repairer.
 //
 // A Repairer is not safe for concurrent use.
 type Repairer struct {

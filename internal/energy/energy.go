@@ -172,9 +172,6 @@ func NewBattery(capacity float64, rates Rates) (*Battery, error) {
 	}, nil
 }
 
-// Capacity returns the battery capacity B.
-func (b *Battery) Capacity() float64 { return b.capacity }
-
 // Level returns the current energy level in [0, B].
 func (b *Battery) Level() float64 { return b.level }
 
@@ -195,29 +192,9 @@ func (b *Battery) SetRates(r Rates) error {
 	return nil
 }
 
-// ErrNotReady is returned by Activate when the node is not in the ready
-// state. The paper's base model only activates fully charged nodes.
+// ErrNotReady is returned by ForceActivate when the battery cannot
+// sustain one active slot.
 var ErrNotReady = errors.New("energy: node is not ready")
-
-// Activate switches a ready node to the active state.
-func (b *Battery) Activate() error {
-	if b.state != StateReady {
-		return fmt.Errorf("%w (state=%v)", ErrNotReady, b.state)
-	}
-	b.state = StateActive
-	return nil
-}
-
-// Deactivate returns an active node with remaining energy to the ready
-// state (used at slot boundaries when the schedule turns a node off
-// before depletion, possible only when ρ < 1 grants multiple active
-// slots). A depleted node cannot be deactivated into ready; it is
-// already passive.
-func (b *Battery) Deactivate() {
-	if b.state == StateActive {
-		b.state = StateReady
-	}
-}
 
 // Rest switches the node into the passive (recharging) state
 // regardless of its current state. The ρ ≤ 1 schedules of the paper
@@ -270,16 +247,4 @@ func (b *Battery) Tick() State {
 		// Ready drain is negligible by assumption (Section II-B).
 	}
 	return b.state
-}
-
-// FullChargeSlots returns the number of ticks a passive battery needs
-// to reach full charge from empty (the paper's Tr in slots).
-func (b *Battery) FullChargeSlots() int {
-	return int(math.Ceil(b.capacity / b.rates.Recharge))
-}
-
-// FullDrainSlots returns the number of ticks an active battery lasts
-// from full charge (the paper's Td in slots).
-func (b *Battery) FullDrainSlots() int {
-	return int(math.Ceil(b.capacity / b.rates.Discharge))
 }

@@ -159,8 +159,8 @@ func TestNewBatteryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != StateReady || b.Level() != 4 || b.Capacity() != 4 {
-		t.Errorf("fresh battery wrong: %v %v %v", b.State(), b.Level(), b.Capacity())
+	if b.State() != StateReady || b.Level() != 4 {
+		t.Errorf("fresh battery wrong: %v %v", b.State(), b.Level())
 	}
 }
 
@@ -170,13 +170,7 @@ func TestBatteryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.FullDrainSlots(); got != 1 {
-		t.Errorf("FullDrainSlots = %d, want 1", got)
-	}
-	if got := b.FullChargeSlots(); got != 3 {
-		t.Errorf("FullChargeSlots = %d, want 3", got)
-	}
-	if err := b.Activate(); err != nil {
+	if err := b.ForceActivate(); err != nil {
 		t.Fatal(err)
 	}
 	if s := b.Tick(); s != StatePassive {
@@ -195,53 +189,44 @@ func TestBatteryLifecycle(t *testing.T) {
 	}
 }
 
-func TestActivateRequiresReady(t *testing.T) {
+func TestForceActivateRequiresCharge(t *testing.T) {
 	b, err := NewBattery(1, Rates{Discharge: 1, Recharge: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Activate(); err != nil {
+	if err := b.ForceActivate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Activate(); !errors.Is(err, ErrNotReady) {
-		t.Errorf("double activate error = %v, want ErrNotReady", err)
-	}
 	b.Tick() // depletes -> passive
-	if err := b.Activate(); !errors.Is(err, ErrNotReady) {
-		t.Errorf("activate while passive error = %v, want ErrNotReady", err)
+	if err := b.ForceActivate(); !errors.Is(err, ErrNotReady) {
+		t.Errorf("activate while empty error = %v, want ErrNotReady", err)
+	}
+	b.Tick() // half charged: still below one slot's drain
+	if err := b.ForceActivate(); !errors.Is(err, ErrNotReady) {
+		t.Errorf("activate while half charged error = %v, want ErrNotReady", err)
 	}
 }
 
-func TestDeactivateReturnsToReady(t *testing.T) {
-	// ρ < 1: node can be active multiple slots; deactivating early keeps
-	// the remaining charge.
+func TestRestKeepsChargeAndRecharges(t *testing.T) {
+	// ρ < 1: a node can be active several slots; resting it early keeps
+	// the remaining charge and recharges from there.
 	b, err := NewBattery(3, Rates{Discharge: 1, Recharge: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Activate(); err != nil {
+	if err := b.ForceActivate(); err != nil {
 		t.Fatal(err)
 	}
 	b.Tick()
-	if b.State() != StateActive {
-		t.Fatalf("state = %v, want active", b.State())
+	if b.State() != StateActive || b.Level() != 2 {
+		t.Fatalf("after one active slot: state=%v level=%v, want active/2", b.State(), b.Level())
 	}
-	b.Deactivate()
-	if b.State() != StateReady || b.Level() != 2 {
-		t.Errorf("after deactivate: state=%v level=%v, want ready/2", b.State(), b.Level())
+	b.Rest()
+	if b.State() != StatePassive || b.Level() != 2 {
+		t.Errorf("after rest: state=%v level=%v, want passive/2", b.State(), b.Level())
 	}
-	// Deactivating a passive node is a no-op.
-	if err := b.Activate(); err != nil {
-		t.Fatal(err)
-	}
-	b.Tick()
-	b.Tick()
-	if b.State() != StatePassive {
-		t.Fatalf("state = %v, want passive", b.State())
-	}
-	b.Deactivate()
-	if b.State() != StatePassive {
-		t.Error("Deactivate changed a passive node's state")
+	if s := b.Tick(); s != StateReady || b.Level() != 3 {
+		t.Errorf("after a recharge slot: state=%v level=%v, want ready/3", s, b.Level())
 	}
 }
 
@@ -288,7 +273,7 @@ func TestBatteryPeriodicityProperty(t *testing.T) {
 			if b.State() != StateReady {
 				return false
 			}
-			if err := b.Activate(); err != nil {
+			if err := b.ForceActivate(); err != nil {
 				return false
 			}
 			for s := 0; s < rho+1; s++ {

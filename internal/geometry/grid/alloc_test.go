@@ -35,36 +35,6 @@ func TestCandidatesIntoAllocations(t *testing.T) {
 	}
 }
 
-// TestInsertAllocations pins the incremental-growth path: after Grow
-// has reserved overlay capacity, Insert performs no allocations, and
-// WithinInto with a capacity-sufficient buffer stays allocation-free
-// even with a populated overlay. This is the grid half of the issue's
-// 0-allocs/op gate for the online replanning hot path.
-func TestInsertAllocations(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	items := make([]Item, 256)
-	for i := range items {
-		items[i] = Item{
-			Pos:   Point{rng.Float64() * 200, rng.Float64() * 200},
-			Reach: 4 + rng.Float64()*12,
-		}
-	}
-	ix := Build(items)
-	const rounds = 200
-	ix.Grow(rounds + 16)
-	if a := testing.AllocsPerRun(rounds, func() {
-		ix.Insert(Item{Pos: Point{rng.Float64() * 200, rng.Float64() * 200}, Reach: 5})
-	}); a != 0 {
-		t.Errorf("Insert after Grow allocated %v times per run, want 0", a)
-	}
-	buf := make([]int32, 0, ix.Len())
-	if a := testing.AllocsPerRun(100, func() {
-		buf = ix.WithinInto(buf, Point{100, 100}, 25)
-	}); a != 0 {
-		t.Errorf("WithinInto with overlay allocated %v times per run, want 0", a)
-	}
-}
-
 // TestBuildAllocationsBounded pins Build at a small constant number of
 // allocations (bucket CSR + one scratch array), independent of the
 // cell count: the counting sort never allocates per item or per cell

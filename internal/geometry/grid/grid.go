@@ -44,17 +44,11 @@ type Item struct {
 	Reach float64
 }
 
-// Index is the spatial-hash index built by Build. The bucket CSR is
-// immutable; Insert adds items to a small dynamic overlay scanned
-// linearly by every query, so perturbation-scale additions (new
-// deployment batches between replans) never rebuild the bucket array.
-// Queries stay exact-superset and ascending either way; rebuild with
-// Build when the overlay grows to a meaningful fraction of the index.
+// Index is the immutable spatial-hash index built by Build.
 type Index struct {
 	ox, oy     float64 // origin: min corner of the anchor bounding box
 	invX, invY float64 // 1 / cell side per axis (0 for a 1-cell axis)
 	winX, winY float64 // query half-window in cell units: maxReach·inv + slack
-	maxReach   float64 // max reach of the gridded population at Build time
 	cols, rows int
 
 	// start/ids is the counting-sorted bucket CSR: cell (c, r)'s items
@@ -66,17 +60,6 @@ type Index struct {
 	// (non-finite anchor or reach). They are candidates for every
 	// query, keeping Candidates a true superset without error paths.
 	overflow []int32
-
-	// The dynamic overlay: items added by Insert, in insertion order
-	// (their IDs continue past the built population, so the overlay is
-	// one ascending run). dynCX/dynCY hold the item's clamped cell, or
-	// -1 when the item cannot be placed safely under the built geometry
-	// (anchor outside the built bounding box, reach beyond the built
-	// maxReach, or non-finite) — such items are candidates for every
-	// query, like overflow.
-	dynIDs []int32
-	dynCX  []int32
-	dynCY  []int32
 
 	n int
 }
@@ -137,7 +120,6 @@ func Build(items []Item) *Index {
 		return ix
 	}
 	ix.ox, ix.oy = minX, minY
-	ix.maxReach = maxReach
 	limit := maxCellsPerAxis(gridded)
 	ix.cols, ix.invX = axisCells(maxX-minX, maxReach, limit)
 	ix.rows, ix.invY = axisCells(maxY-minY, maxReach, limit)
@@ -278,133 +260,27 @@ func (ix *Index) Candidates(p Point) []int32 {
 // its anchor cell lies within the ±win window around p's fractional
 // cell coordinate that cellRange scans.
 func (ix *Index) CandidatesInto(buf []int32, p Point) []int32 {
-	return ix.queryInto(buf, p, 0)
-}
-
-// WithinInto appends to buf[:0] a superset of every item whose
-// footprint square [Pos±Reach] intersects the query square [p±reach],
-// ascending and duplicate-free, and returns the extended slice. With
-// reach = 0 it is exactly CandidatesInto. The incremental incidence
-// path uses it in the reversed orientation: a grid over point targets
-// (Reach 0), queried with a new sensor's position and reach, yields
-// every target the sensor's footprint could contain. Like
-// CandidatesInto it performs no allocations when buf has capacity.
-func (ix *Index) WithinInto(buf []int32, p Point, reach float64) []int32 {
-	return ix.queryInto(buf, p, reach)
-}
-
-// queryInto is the shared query body: an intersecting item's anchor
-// lies within reach + Reach ≤ reach + maxReach of p on each axis, i.e.
-// within reach·inv + win fractional cells of p's cell coordinate
-// (win = maxReach·inv + slack), so scanning that window plus the
-// overflow and overlay lists keeps the superset contract. A negative
-// query reach degrades to 0; a NaN or infinite one scans every cell
-// (cellRange degrades non-finite windows to the full axis).
-func (ix *Index) queryInto(buf []int32, p Point, reach float64) []int32 {
 	buf = buf[:0]
 	if ix.n == 0 {
 		return buf
 	}
 	buf = append(buf, ix.overflow...)
-	wx, wy := ix.winX, ix.winY
-	if reach > 0 {
-		wx += reach * ix.invX
-		wy += reach * ix.invY
-	} else if math.IsNaN(reach) {
-		wx, wy = math.NaN(), math.NaN()
-	}
-	cLo, cHi, ok := cellRange((p.X-ix.ox)*ix.invX, wx, ix.cols)
-	rLo, rHi, okY := 0, -1, false
-	if ok {
-		rLo, rHi, okY = cellRange((p.Y-ix.oy)*ix.invY, wy, ix.rows)
-	}
-	if ok && okY {
-		for r := rLo; r <= rHi; r++ {
-			base := r * ix.cols
-			lo, hi := ix.start[base+cLo], ix.start[base+cHi+1]
-			buf = append(buf, ix.ids[lo:hi]...)
-		}
-	}
-	// Dynamic overlay: inserted items are tested against the same cell
-	// window their bucket placement would have used; unplaceable ones
-	// (cell -1) are candidates for every query, like overflow.
-	for k, id := range ix.dynIDs {
-		cx := int(ix.dynCX[k])
-		if cx < 0 {
-			buf = append(buf, id)
-			continue
-		}
-		if ok && okY && cx >= cLo && cx <= cHi {
-			if cy := int(ix.dynCY[k]); cy >= rLo && cy <= rHi {
-				buf = append(buf, id)
+	if cLo, cHi, ok := cellRange((p.X-ix.ox)*ix.invX, ix.winX, ix.cols); ok {
+		if rLo, rHi, ok := cellRange((p.Y-ix.oy)*ix.invY, ix.winY, ix.rows); ok {
+			for r := rLo; r <= rHi; r++ {
+				base := r * ix.cols
+				lo, hi := ix.start[base+cLo], ix.start[base+cHi+1]
+				buf = append(buf, ix.ids[lo:hi]...)
 			}
 		}
 	}
-	// The buffer is a concatenation of ascending runs (overflow, ≤ 3
-	// buckets per visited row — each ascending by the stable counting
-	// sort — and the overlay's ascending insertion order). Insertion
-	// sort is near-linear on such input and allocation-free; candidate
-	// counts are O(local density + overlay size).
+	// The buffer is a concatenation of ascending runs (overflow, then ≤
+	// 3 buckets per visited row — each ascending by the stable counting
+	// sort). Insertion sort is near-linear on such input and
+	// allocation-free; candidate counts are O(local density).
 	insertionSort(buf)
 	return buf
 }
-
-// Insert adds an item to the index's dynamic overlay and returns its
-// ID (continuing the built population's numbering). The bucket CSR is
-// not rebuilt: the item is assigned the cell its anchor falls in and
-// tested per query, so an insert is O(1) and — after Grow has
-// reserved capacity — allocation-free. Items the built geometry cannot
-// place safely (anchor outside the built bounding box, reach beyond
-// the built maximum, or non-finite coordinates) become candidates for
-// every query: conservative, never wrong, exactly like Build's
-// overflow bucket.
-func (ix *Index) Insert(it Item) int {
-	id := ix.n
-	ix.n++
-	cx, cy := int32(-1), int32(-1)
-	if itemFinite(it) && it.Reach <= ix.maxReach {
-		fx := (it.Pos.X - ix.ox) * ix.invX
-		fy := (it.Pos.Y - ix.oy) * ix.invY
-		// The built slack covers anchors landing exactly on the far
-		// boundary (fx == cols), same as Build's clamp; anything beyond
-		// the box would shift by more than slack and could be missed.
-		if fx >= 0 && fx <= float64(ix.cols) && fy >= 0 && fy <= float64(ix.rows) {
-			cx = int32(ix.clampCell(fx, ix.cols))
-			cy = int32(ix.clampCell(fy, ix.rows))
-		}
-	}
-	ix.dynIDs = append(ix.dynIDs, int32(id))
-	ix.dynCX = append(ix.dynCX, cx)
-	ix.dynCY = append(ix.dynCY, cy)
-	return id
-}
-
-// Grow reserves overlay capacity for extra future Inserts so each one
-// performs no allocations.
-func (ix *Index) Grow(extra int) {
-	if extra <= 0 {
-		return
-	}
-	need := len(ix.dynIDs) + extra
-	if cap(ix.dynIDs) < need {
-		ids := make([]int32, len(ix.dynIDs), need)
-		copy(ids, ix.dynIDs)
-		ix.dynIDs = ids
-	}
-	if cap(ix.dynCX) < need {
-		cs := make([]int32, len(ix.dynCX), need)
-		copy(cs, ix.dynCX)
-		ix.dynCX = cs
-	}
-	if cap(ix.dynCY) < need {
-		cs := make([]int32, len(ix.dynCY), need)
-		copy(cs, ix.dynCY)
-		ix.dynCY = cs
-	}
-}
-
-// Dynamic returns how many items live in the post-Build overlay.
-func (ix *Index) Dynamic() int { return len(ix.dynIDs) }
 
 // cellRange maps a fractional cell coordinate to the closed cell index
 // window [lo, hi] a query must scan: win cells either side (floor

@@ -190,16 +190,10 @@ func TestSubdivideGridDegenerate(t *testing.T) {
 	}
 }
 
-// TestSubdivideAdaptiveGridDifferential checks that the adaptive
-// refinement, which now draws its signatures from the shared region
-// index, matches a reference run whose signatures come from the
-// all-regions scan. Rather than duplicating the whole adaptive sweep,
-// it exploits that SubdivideAdaptive's output is a deterministic
-// function of the signature oracle: the production run is compared
-// against a run over a permuted-then-restored population (identity
-// check) and, more sharply, its per-point signatures are validated
-// against the brute scan at every base-cell center and corner probe.
-func TestSubdivideAdaptiveGridDifferential(t *testing.T) {
+// TestRegionIndexSignatures checks the shared region index's per-point
+// signatures against the all-regions scan at every base-cell center
+// and corner probe.
+func TestRegionIndexSignatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	omega := NewRect(Point{0, 0}, Point{50, 50})
 	for trial := 0; trial < 10; trial++ {
@@ -209,8 +203,7 @@ func TestSubdivideAdaptiveGridDifferential(t *testing.T) {
 			t.Fatalf("trial %d: newRegionIndex: %v", trial, err)
 		}
 		// Signature oracle equivalence on an adversarial probe set:
-		// cell centers, the ±1e-9 corner probes the adaptive sweep
-		// uses, and points far outside Ω.
+		// cell centers, ±1e-9 corner probes, and points far outside Ω.
 		const cells = 16
 		dx := omega.Width() / cells
 		dy := omega.Height() / cells
@@ -239,18 +232,6 @@ func TestSubdivideAdaptiveGridDifferential(t *testing.T) {
 				t.Fatalf("trial %d: signature at %v = %v, want %v", trial, p, sig, want)
 			}
 		}
-		// End-to-end determinism: two independent adaptive runs agree
-		// bit-for-bit (guards against buffer-reuse aliasing in the
-		// shared index path).
-		a, err := SubdivideAdaptive(omega, regions, cells, 3)
-		if err != nil {
-			t.Fatalf("trial %d: SubdivideAdaptive: %v", trial, err)
-		}
-		b, err := SubdivideAdaptive(omega, regions, cells, 3)
-		if err != nil {
-			t.Fatalf("trial %d: SubdivideAdaptive repeat: %v", trial, err)
-		}
-		requireSameSubdivision(t, a, b)
 	}
 }
 
@@ -260,8 +241,5 @@ func TestSubdivideNilRegion(t *testing.T) {
 	omega := NewRect(Point{0, 0}, Point{10, 10})
 	if _, err := Subdivide(omega, []Region{Disk{Center: Point{5, 5}, Radius: 2}, nil}, 8); err == nil {
 		t.Fatal("Subdivide accepted a nil region")
-	}
-	if _, err := SubdivideAdaptive(omega, []Region{nil}, 8, 2); err == nil {
-		t.Fatal("SubdivideAdaptive accepted a nil region")
 	}
 }

@@ -23,20 +23,6 @@ const (
 	EQ
 )
 
-// String implements fmt.Stringer.
-func (s Sense) String() string {
-	switch s {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "="
-	default:
-		return fmt.Sprintf("Sense(%d)", int(s))
-	}
-}
-
 // Constraint is one row Σ Coeffs[j]·x_j (Sense) RHS.
 type Constraint struct {
 	Coeffs []float64

@@ -113,7 +113,12 @@ func TestBatchAllocations(t *testing.T) {
 func TestAddNodesBulkBudget(t *testing.T) {
 	const n = 10000
 	rng := stats.NewRNG(42)
-	perm := rng.Perm(n) // shuffled IDs so the single sort actually works
+	// Shuffled IDs so the single sort actually works.
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	specs := make([]NodeSpec, n)
 	for i := range specs {
 		specs[i] = NodeSpec{

@@ -102,8 +102,6 @@ type nodeState struct {
 	nextReportSeq int
 	pending       map[reportKey]*pendingReport
 	seenReports   map[reportKey]bool
-	// aggregation
-	agg *aggState
 }
 
 // Config tunes the protocol engine.
@@ -147,9 +145,7 @@ type Engine struct {
 	schedule    *ScheduleMsg
 	ackedBy     map[netsim.NodeID]bool
 	collected   []Report
-	seenReports map[string]bool
-	aggValues   map[int]func(netsim.NodeID) float64
-	aggResults  map[int]*AggMsg
+	seenReports map[reportKey]bool
 	// rx is the reused delivery buffer for netsim.ReceiveInto: one
 	// engine drains every node's inbox through it each tick, so the
 	// per-node per-tick Receive allocation of the old API is gone.
@@ -173,7 +169,7 @@ func NewEngine(cfg Config, net *netsim.Network) (*Engine, error) {
 		net:         net,
 		nodes:       make(map[netsim.NodeID]*nodeState),
 		ackedBy:     map[netsim.NodeID]bool{BaseID: true},
-		seenReports: make(map[string]bool),
+		seenReports: make(map[reportKey]bool),
 	}
 	return e, nil
 }
@@ -244,7 +240,7 @@ func (e *Engine) Report(id netsim.NodeID, slot int, value float64) error {
 }
 
 func (e *Engine) collect(r Report) {
-	key := fmt.Sprintf("%d/%d", r.Origin, r.Seq)
+	key := reportKey{r.Origin, r.Seq}
 	if e.seenReports[key] {
 		return
 	}
@@ -298,9 +294,6 @@ func (e *Engine) Tick() error {
 		if err := e.flushReports(st); err != nil {
 			return err
 		}
-		if err := e.flushAggregates(st); err != nil {
-			return err
-		}
 	}
 
 	e.net.Step()
@@ -320,18 +313,8 @@ func (e *Engine) Tick() error {
 // to an explicit neighbor.
 func (e *Engine) transmit(st *nodeState, payload any) error {
 	switch p := payload.(type) {
-	case Beacon, ScheduleMsg, Query:
+	case Beacon, ScheduleMsg:
 		return e.net.Broadcast(st.id, p)
-	case addressedAgg:
-		if st.parent < 0 {
-			st.outbox = append(st.outbox, p)
-			return nil
-		}
-		if err := e.net.Send(st.id, st.parent, p.msg); err != nil {
-			st.parent = -1
-			st.outbox = append(st.outbox, p)
-		}
-		return nil
 	case Ack:
 		if st.parent < 0 {
 			// No route yet; requeue for the next tick.
@@ -457,10 +440,6 @@ func (e *Engine) handle(st *nodeState, m netsim.Message) error {
 		}
 	case ReportAck:
 		delete(st.pending, reportKey{p.Origin, p.Seq})
-	case Query:
-		e.handleQuery(st, p)
-	case AggMsg:
-		e.handleAggMsg(st, p)
 	default:
 		return fmt.Errorf("protocol: node %d received unknown payload %T", st.id, m.Payload)
 	}

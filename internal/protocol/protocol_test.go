@@ -399,47 +399,3 @@ func TestRunUntilImmediateAndTimeout(t *testing.T) {
 		t.Errorf("timeout: ticks=%d ok=%v err=%v", ticks, ok, err)
 	}
 }
-
-// TestAggregationLateArrivalForwarded: a partial aggregate arriving
-// after the relay already sent its own is forwarded raw instead of
-// silently dropped.
-func TestAggregationLateArrivalForwarded(t *testing.T) {
-	// Line topology: base - relay - leaf, with a slow leaf (big slack
-	// makes the relay send before the leaf's aggregate arrives).
-	net, err := netsim.NewNetwork(netsim.WithDelay(1, 2), netsim.WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range []float64{0, 10, 20} {
-		if err := net.AddNode(netsim.NodeID(i), geometry.Point{X: x}, 12); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e, err := NewEngine(Config{BeaconInterval: 2}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := netsim.NodeID(0); i < 3; i++ {
-		if err := e.Register(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok, err := e.RunUntil(func() bool { return e.SyncedCount() == 3 }, 200); err != nil || !ok {
-		t.Fatalf("sync failed: %v", err)
-	}
-	// Tight slack: depth budget 1 means relay and leaf share a deadline,
-	// so the leaf's aggregate can reach the relay after it already sent.
-	if err := e.StartAggregation(1, func(id netsim.NodeID) float64 { return 1 }, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.RunUntil(func() bool {
-		res, _ := e.AggregateResult(1)
-		return res.Count == 3
-	}, 300); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := e.AggregateResult(1)
-	if res.Count != 3 {
-		t.Errorf("count = %d, want 3 (late arrivals must be forwarded)", res.Count)
-	}
-}

@@ -72,7 +72,6 @@ type Net struct {
 	nodes   map[netsim.NodeID]netNode
 	queues  [][]tx // queues[d]: replays pending for partition d
 	workers int
-	now     int
 	// stepOne is built once so the per-tick parallel.For does not
 	// allocate a fresh closure (the zero-alloc Step gate).
 	stepOne func(s int) error
@@ -162,9 +161,6 @@ func (n *Net) EffectiveShards() int { return len(n.cores) }
 // them).
 func (n *Net) Cuts() []float64 { return append([]float64(nil), n.cuts...) }
 
-// Now returns the current tick.
-func (n *Net) Now() int { return n.now }
-
 // NumNodes returns the registered fleet size.
 func (n *Net) NumNodes() int { return len(n.nodes) }
 
@@ -214,7 +210,6 @@ func (n *Net) Step() {
 		n.queues[d] = q[:0]
 	}
 	parallel.For(n.workers, len(n.cores), n.stepOne)
-	n.now++
 }
 
 // ReceiveInto drains a node's inbox via its home partition (see

@@ -183,16 +183,6 @@ func (d *Day) PanelCurrent(lux float64) float64 {
 	return float64(d.cfg.Panels) * perPanel
 }
 
-// chargeThresholdMA is the minimum panel current that actually charges
-// the battery (below it the harvesting circuit cannot top the load).
-const chargeThresholdMA = 8.0
-
-// Charging reports whether the panel current at the given hour is
-// sufficient to charge the battery.
-func (d *Day) Charging(hour float64) bool {
-	return d.PanelCurrent(d.Lux(hour)) >= chargeThresholdMA
-}
-
 // SunnyPattern returns the charging pattern the paper measured for its
 // motes in sunny weather (Tr = 45 min, Td = 15 min, ρ = 3). Additional
 // panels shorten the recharge time proportionally; worse weather

@@ -142,20 +142,6 @@ func TestPanelCurrentSaturates(t *testing.T) {
 	}
 }
 
-func TestChargingWindow(t *testing.T) {
-	d := newDay(t, WeatherSunny, 1, 5)
-	if d.Charging(2) {
-		t.Error("charging at night")
-	}
-	if !d.Charging(12) {
-		t.Error("not charging at sunny noon")
-	}
-	rain := newDay(t, WeatherRain, 1, 5)
-	if rain.Charging(12) {
-		t.Error("rainy noon should not clear the charge threshold")
-	}
-}
-
 func TestPatternFor(t *testing.T) {
 	tr, td, err := PatternFor(WeatherSunny, 1)
 	if err != nil {

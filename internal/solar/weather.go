@@ -44,41 +44,6 @@ func DefaultWeatherModel() *WeatherModel {
 	return m
 }
 
-// NewWeatherModel builds a chain from explicit transition rows. Every
-// row must sum to 1 within tolerance and only contain known weather
-// classes.
-func NewWeatherModel(rows map[Weather]map[Weather]float64) (*WeatherModel, error) {
-	if len(rows) == 0 {
-		return nil, errors.New("solar: empty weather model")
-	}
-	m := &WeatherModel{transitions: make(map[Weather][]weatherProb, len(rows))}
-	for from, row := range rows {
-		if from < WeatherSunny || from > WeatherRain {
-			return nil, fmt.Errorf("solar: unknown weather %v in model", from)
-		}
-		var sum float64
-		for to, p := range row {
-			if to < WeatherSunny || to > WeatherRain {
-				return nil, fmt.Errorf("solar: unknown weather %v in row %v", to, from)
-			}
-			if p < 0 {
-				return nil, fmt.Errorf("solar: negative probability %v", p)
-			}
-			sum += p
-		}
-		if sum < 0.999 || sum > 1.001 {
-			return nil, fmt.Errorf("solar: row %v sums to %v, want 1", from, sum)
-		}
-		// Deterministic order: enumerate classes in declaration order.
-		for _, to := range []Weather{WeatherSunny, WeatherPartlyCloudy, WeatherOvercast, WeatherRain} {
-			if p := row[to]; p > 0 {
-				m.transitions[from] = append(m.transitions[from], weatherProb{to, p})
-			}
-		}
-	}
-	return m, nil
-}
-
 // Next samples the following day's weather.
 func (m *WeatherModel) Next(cur Weather, rng *stats.RNG) (Weather, error) {
 	row, ok := m.transitions[cur]

@@ -58,14 +58,6 @@ func StreamSeed(seed, stream uint64) uint64 {
 	return SplitMix64(seed + (stream+1)*splitMixGamma)
 }
 
-// NewStream returns a generator for independent stream i of a base
-// seed. Unlike Split, which advances the parent generator, NewStream is
-// a pure function of (seed, stream) — workers sharded by index obtain
-// identical streams no matter how many of them run or in what order.
-func NewStream(seed, stream uint64) *RNG {
-	return NewRNG(StreamSeed(seed, stream))
-}
-
 // Split derives a new, statistically independent generator from r. It is
 // used to hand independent streams to concurrent workers without sharing
 // a lock.
@@ -123,16 +115,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	hi = aHi*bHi + w2 + (w1 >> 32)
 	lo = a * b
 	return hi, lo
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap, via the

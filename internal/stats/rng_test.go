@@ -104,17 +104,18 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
+func TestShufflePermutes(t *testing.T) {
 	r := NewRNG(8)
 	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
 		}
+		r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+				t.Fatalf("Shuffle(%d) = %v is not a permutation", n, p)
 			}
 			seen[v] = true
 		}

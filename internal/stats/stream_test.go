@@ -37,31 +37,6 @@ func TestStreamSeedIsPureAndDecorrelated(t *testing.T) {
 	}
 }
 
-func TestNewStreamIndependentOfOrder(t *testing.T) {
-	// NewStream is a pure function of (seed, stream): drawing streams in
-	// any order yields the same sequences.
-	a := NewStream(9, 3)
-	_ = NewStream(9, 1) // unrelated stream in between
-	b := NewStream(9, 3)
-	for i := 0; i < 16; i++ {
-		if x, y := a.Uint64(), b.Uint64(); x != y {
-			t.Fatalf("stream draw %d differs: %#x != %#x", i, x, y)
-		}
-	}
-	// And distinct streams differ.
-	c, d := NewStream(9, 0), NewStream(9, 1)
-	same := true
-	for i := 0; i < 16; i++ {
-		if c.Uint64() != d.Uint64() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("streams 0 and 1 produced identical prefixes")
-	}
-}
-
 func TestNewRNGMatchesStreamedSeeding(t *testing.T) {
 	// NewRNG(seed) must remain bit-identical to the documented seeding:
 	// four successive splitmix64 outputs of the gamma sequence.

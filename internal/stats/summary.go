@@ -145,28 +145,3 @@ func LinearFit(xs, ys []float64) (a, b float64, err error) {
 	a = my - b*mx
 	return a, b, nil
 }
-
-// Histogram counts xs into nbins equal-width bins spanning [lo, hi].
-// Samples outside the range are clamped into the first or last bin. It
-// returns an error when nbins <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
-	if nbins <= 0 {
-		return nil, errors.New("stats: non-positive bin count")
-	}
-	if hi <= lo {
-		return nil, errors.New("stats: empty histogram range")
-	}
-	counts := make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts, nil
-}

@@ -130,26 +130,6 @@ func TestLinearFitErrors(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, err := Histogram([]float64{-1, 0, 0.1, 0.5, 0.9, 2}, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// -1 clamps to bin 0; 2 clamps to bin 1.
-	if counts[0] != 3 || counts[1] != 3 {
-		t.Errorf("counts = %v, want [3 3]", counts)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := Histogram(nil, 0, 1, 0); err == nil {
-		t.Error("zero bins should error")
-	}
-	if _, err := Histogram(nil, 1, 1, 3); err == nil {
-		t.Error("empty range should error")
-	}
-}
-
 func TestSummarizePropertyBounds(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))

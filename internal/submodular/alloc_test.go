@@ -20,10 +20,8 @@ func allocTestOracles(tb testing.TB, n int) map[string]RemovalOracle {
 	m := n / 2
 	targets := make([]DetectionTarget, m)
 	items := make([]CoverageItem, m)
-	weights := make([]float64, n)
 	sizes := make([]float64, n)
 	for v := 0; v < n; v++ {
-		weights[v] = rng.Float64()
 		sizes[v] = rng.Float64() * 3
 	}
 	for i := 0; i < m; i++ {
@@ -53,15 +51,10 @@ func allocTestOracles(tb testing.TB, n int) map[string]RemovalOracle {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	bu, err := NewBudgetAdditiveUtility(weights, float64(n)/4)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	return map[string]RemovalOracle{
 		"detection": du.Oracle(),
 		"coverage":  cu.Oracle(),
 		"logsum":    lu.Oracle(),
-		"budget":    bu.Oracle(),
 	}
 }
 

@@ -153,16 +153,6 @@ func (u *CoverageUtility) Oracle() *CoverageOracle {
 	}
 }
 
-// FullOracle returns an oracle whose current set is the whole ground
-// set, the starting point of the ρ ≤ 1 removal greedy.
-func (u *CoverageUtility) FullOracle() *CoverageOracle {
-	o := u.Oracle()
-	for v := 0; v < u.n; v++ {
-		o.Add(v)
-	}
-	return o
-}
-
 // CoverageOracle tracks the number of active sensors covering each item,
 // giving O(deg) gains and losses with zero allocations.
 type CoverageOracle struct {

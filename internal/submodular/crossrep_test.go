@@ -131,17 +131,6 @@ func TestCrossRepresentationAgreement(t *testing.T) {
 		t.Run("logsum", func(t *testing.T) {
 			checkAgainstReference(t, rng, lu, lu.Oracle(), 120)
 		})
-		weights := make([]float64, n)
-		for i := range weights {
-			weights[i] = rng.Float64()
-		}
-		bu, err := NewBudgetAdditiveUtility(weights, 1+rng.Float64()*float64(n)/3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run("budget", func(t *testing.T) {
-			checkAgainstReference(t, rng, bu, bu.Oracle(), 120)
-		})
 	}
 }
 

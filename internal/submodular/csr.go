@@ -29,9 +29,6 @@ type CSR struct {
 // Rows returns the number of rows.
 func (c *CSR) Rows() int { return len(c.Offs) - 1 }
 
-// Edges returns the total number of edges.
-func (c *CSR) Edges() int { return len(c.Idx) }
-
 // Row returns row r's column indices and parallel values (values nil
 // for unweighted incidence). The slices alias the CSR's storage and
 // must not be modified.
@@ -112,19 +109,4 @@ func (s *colSorter) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
 func (s *colSorter) Swap(i, j int) {
 	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 	s.val[i], s.val[j] = s.val[j], s.val[i]
-}
-
-// lookup returns the value of edge (r, col) and whether it exists,
-// binary-searching row r (which must be sorted by column).
-func (c *CSR) lookup(r int, col int32) (float64, bool) {
-	lo, hi := int(c.Offs[r]), int(c.Offs[r+1])
-	row := c.Idx[lo:hi]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= col })
-	if i == len(row) || row[i] != col {
-		return 0, false
-	}
-	if c.Val == nil {
-		return 0, true
-	}
-	return c.Val[lo+i], true
 }

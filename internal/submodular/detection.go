@@ -138,26 +138,6 @@ func (u *DetectionUtility) Eval(set []int) float64 {
 	return weightedComplementSum(u.weights, surv)
 }
 
-// TargetValue returns U_i(S) for a single target index, useful for
-// reporting per-target quality.
-func (u *DetectionUtility) TargetValue(target int, set []int) float64 {
-	if target < 0 || target >= len(u.weights) {
-		panic(fmt.Sprintf("submodular: target %d out of range", target))
-	}
-	surv := 1.0
-	seen := bitset.New(u.n)
-	for _, v := range set {
-		if seen.Contains(v) {
-			continue
-		}
-		seen.Add(v)
-		if q, ok := u.targetSensors.lookup(target, int32(v)); ok {
-			surv *= q
-		}
-	}
-	return u.weights[target] * (1 - surv)
-}
-
 // Oracle returns an incremental oracle for the empty set. Gain and Loss
 // queries cost O(deg(v)) where deg(v) is the number of targets sensor v
 // covers, with zero allocations.

@@ -74,19 +74,13 @@ func TestDetectionEvalSingleTarget(t *testing.T) {
 	}
 }
 
-func TestDetectionTargetValue(t *testing.T) {
+func TestDetectionTotalWeight(t *testing.T) {
 	u, err := NewDetectionUtility(2, []DetectionTarget{
 		{Weight: 2, Probs: map[int]float64{0: 0.5}},
 		{Weight: 1, Probs: map[int]float64{1: 0.25}},
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := u.TargetValue(0, []int{0, 1}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("target 0 value = %v, want 1", got)
-	}
-	if got := u.TargetValue(1, []int{0}); got != 0 {
-		t.Errorf("target 1 value = %v, want 0", got)
 	}
 	if got, want := u.TotalWeight(), 3.0; got != want {
 		t.Errorf("TotalWeight = %v, want %v", got, want)
@@ -119,7 +113,7 @@ func TestDetectionOracleMatchesEval(t *testing.T) {
 		u := randomDetectionUtility(t, rng, n, 1+rng.Intn(4))
 		o := u.Oracle()
 		var set []int
-		for _, v := range rng.Perm(n)[:1+rng.Intn(n)] {
+		for _, v := range perm(rng, n)[:1+rng.Intn(n)] {
 			gain := o.Gain(v)
 			before := o.Value()
 			wantGain := u.Eval(append(append([]int{}, set...), v)) - u.Eval(set)
@@ -144,7 +138,7 @@ func TestDetectionOracleMatchesEval(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 8 + rng.Intn(40)
 		u := randomDetectionUtility(t, rng, n, 4+rng.Intn(24))
-		set := rng.Perm(n)[:1+rng.Intn(n)]
+		set := perm(rng, n)[:1+rng.Intn(n)]
 		if got, want := u.Eval(set), u.EvalScalar(set); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: Eval %v != EvalScalar %v", trial, got, want)
 		}
@@ -171,7 +165,7 @@ func TestDetectionOracleRemoveMatchesEval(t *testing.T) {
 			}
 			return s
 		}
-		for _, v := range rng.Perm(n)[:1+rng.Intn(n)] {
+		for _, v := range perm(rng, n)[:1+rng.Intn(n)] {
 			loss := o.Loss(v)
 			cur := u.Eval(members())
 			delete(set, v)

@@ -145,108 +145,6 @@ func (o *LogSumOracle) Remove(v int) {
 	o.sum -= o.u.sizes[v]
 }
 
-// ConcaveCardinalityUtility is U(S) = g(|S|) for a concave
-// non-decreasing g with g(0) = 0, supplied as the marginal sequence
-// g(k+1)−g(k). It models homogeneous-sensor utilities such as the
-// single-target identical-coverage case.
-type ConcaveCardinalityUtility struct {
-	n     int
-	prefG []float64 // prefG[k] = g(k)
-}
-
-var _ Function = (*ConcaveCardinalityUtility)(nil)
-
-// NewConcaveCardinalityUtility builds U(S) = g(|S|) from g evaluated at
-// 0..n. g must satisfy g(0)=0, be non-decreasing, and have
-// non-increasing increments (concavity); violations are rejected so the
-// greedy guarantees stay valid.
-func NewConcaveCardinalityUtility(g []float64) (*ConcaveCardinalityUtility, error) {
-	if len(g) == 0 {
-		return nil, fmt.Errorf("submodular: empty g table")
-	}
-	if g[0] != 0 {
-		return nil, fmt.Errorf("submodular: g(0) = %v, want 0", g[0])
-	}
-	const tol = 1e-12
-	for k := 1; k < len(g); k++ {
-		if g[k] < g[k-1]-tol {
-			return nil, fmt.Errorf("submodular: g not non-decreasing at k=%d", k)
-		}
-		if k >= 2 && g[k]-g[k-1] > g[k-1]-g[k-2]+tol {
-			return nil, fmt.Errorf("submodular: g not concave at k=%d", k)
-		}
-	}
-	return &ConcaveCardinalityUtility{
-		n:     len(g) - 1,
-		prefG: append([]float64(nil), g...),
-	}, nil
-}
-
-// DetectionG returns the g table for the paper's single-target
-// evaluation utility g(k) = 1 − (1−p)^k, for k = 0..n.
-func DetectionG(p float64, n int) []float64 {
-	g := make([]float64, n+1)
-	q := 1.0
-	for k := 1; k <= n; k++ {
-		q *= 1 - p
-		g[k] = 1 - q
-	}
-	return g
-}
-
-// GroundSize implements Function.
-func (u *ConcaveCardinalityUtility) GroundSize() int { return u.n }
-
-// Eval implements Function.
-func (u *ConcaveCardinalityUtility) Eval(set []int) float64 {
-	seen := bitset.New(u.n)
-	for _, v := range set {
-		checkElem(v, u.n)
-		seen.Add(v)
-	}
-	return u.prefG[seen.Count()]
-}
-
-// SumFunction is the sum of several submodular functions over the same
-// ground set — the paper's overall utility f(U_1,…,U_m) = Σ U_i.
-type SumFunction struct {
-	n   int
-	fns []Function
-}
-
-var _ Function = (*SumFunction)(nil)
-
-// NewSumFunction builds the sum. All component functions must agree on
-// the ground-set size.
-func NewSumFunction(fns ...Function) (*SumFunction, error) {
-	if len(fns) == 0 {
-		return nil, fmt.Errorf("submodular: empty sum")
-	}
-	n := fns[0].GroundSize()
-	for i, fn := range fns {
-		if fn == nil {
-			return nil, fmt.Errorf("submodular: component %d is nil", i)
-		}
-		if fn.GroundSize() != n {
-			return nil, fmt.Errorf(
-				"submodular: component %d ground size %d != %d", i, fn.GroundSize(), n)
-		}
-	}
-	return &SumFunction{n: n, fns: append([]Function(nil), fns...)}, nil
-}
-
-// GroundSize implements Function.
-func (s *SumFunction) GroundSize() int { return s.n }
-
-// Eval implements Function.
-func (s *SumFunction) Eval(set []int) float64 {
-	var total float64
-	for _, fn := range s.fns {
-		total += fn.Eval(set)
-	}
-	return total
-}
-
 // ResidualFunction is the contraction U'(A) = U(A ∪ F) − U(F) of a
 // function onto a fixed set F. Lemma 4.2 of the paper proves it remains
 // submodular; it is what the induction in the 1/2-approximation proof

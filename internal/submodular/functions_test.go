@@ -64,7 +64,7 @@ func TestLogSumOracleMatchesEval(t *testing.T) {
 	}
 	o := u.Oracle()
 	var set []int
-	for _, v := range rng.Perm(len(sizes)) {
+	for _, v := range perm(rng, len(sizes)) {
 		wantGain := u.Eval(append(append([]int{}, set...), v)) - u.Eval(set)
 		if got := o.Gain(v); math.Abs(got-wantGain) > 1e-12 {
 			t.Fatalf("Gain(%d) = %v, want %v", v, got, wantGain)
@@ -86,99 +86,6 @@ func TestLogSumOracleMatchesEval(t *testing.T) {
 	}
 	if math.Abs(o.Value()) > 1e-12 {
 		t.Errorf("value after removing all = %v", o.Value())
-	}
-}
-
-func TestConcaveCardinalityValidation(t *testing.T) {
-	if _, err := NewConcaveCardinalityUtility(nil); err == nil {
-		t.Error("empty table accepted")
-	}
-	if _, err := NewConcaveCardinalityUtility([]float64{1, 2}); err == nil {
-		t.Error("g(0) != 0 accepted")
-	}
-	if _, err := NewConcaveCardinalityUtility([]float64{0, 2, 1}); err == nil {
-		t.Error("decreasing g accepted")
-	}
-	if _, err := NewConcaveCardinalityUtility([]float64{0, 1, 3}); err == nil {
-		t.Error("convex g accepted")
-	}
-}
-
-func TestConcaveCardinalityEval(t *testing.T) {
-	u, err := NewConcaveCardinalityUtility([]float64{0, 5, 8, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.GroundSize() != 3 {
-		t.Errorf("GroundSize = %d", u.GroundSize())
-	}
-	if got := u.Eval([]int{1}); got != 5 {
-		t.Errorf("g(1) = %v", got)
-	}
-	if got := u.Eval([]int{0, 2}); got != 8 {
-		t.Errorf("g(2) = %v", got)
-	}
-	if got := u.Eval([]int{0, 0, 2}); got != 8 {
-		t.Errorf("duplicate-insensitive g = %v", got)
-	}
-	if err := IsSubmodular(u, 1e-12); err != nil {
-		t.Error(err)
-	}
-	if err := IsMonotone(u, 1e-12); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDetectionG(t *testing.T) {
-	g := DetectionG(0.4, 3)
-	want := []float64{0, 0.4, 0.64, 0.784}
-	for i := range want {
-		if math.Abs(g[i]-want[i]) > 1e-12 {
-			t.Errorf("g[%d] = %v, want %v", i, g[i], want[i])
-		}
-	}
-	u, err := NewConcaveCardinalityUtility(g)
-	if err != nil {
-		t.Fatalf("DetectionG table rejected: %v", err)
-	}
-	if err := IsSubmodular(u, 1e-12); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSumFunction(t *testing.T) {
-	a, err := NewLogSumUtility([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCoverageUtility(3, []CoverageItem{{Value: 4, CoveredBy: []int{1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSumFunction(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := []int{1, 2}
-	if got, want := s.Eval(set), a.Eval(set)+b.Eval(set); math.Abs(got-want) > 1e-12 {
-		t.Errorf("sum eval = %v, want %v", got, want)
-	}
-	if err := IsSubmodular(s, 1e-9); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSumFunctionValidation(t *testing.T) {
-	if _, err := NewSumFunction(); err == nil {
-		t.Error("empty sum accepted")
-	}
-	a, _ := NewLogSumUtility([]float64{1})
-	b, _ := NewLogSumUtility([]float64{1, 2})
-	if _, err := NewSumFunction(a, b); err == nil {
-		t.Error("mismatched ground sizes accepted")
-	}
-	if _, err := NewSumFunction(a, nil); err == nil {
-		t.Error("nil component accepted")
 	}
 }
 
@@ -241,7 +148,7 @@ func TestEvalOracleMatchesDirect(t *testing.T) {
 	u := randomDetectionUtility(t, rng, 7, 3)
 	o := NewEvalOracle(u)
 	fast := u.Oracle()
-	for _, v := range rng.Perm(7)[:5] {
+	for _, v := range perm(rng, 7)[:5] {
 		if math.Abs(o.Gain(v)-fast.Gain(v)) > 1e-9 {
 			t.Fatalf("EvalOracle.Gain(%d) disagrees with fast oracle", v)
 		}

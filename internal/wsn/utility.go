@@ -112,32 +112,6 @@ func BuildAreaUtility(
 	if err != nil {
 		return nil, nil, fmt.Errorf("wsn: subdividing Ω: %w", err)
 	}
-	return areaUtilityFromSubdivision(n, sub, weight)
-}
-
-// BuildAreaUtilityRefined is BuildAreaUtility with adaptive boundary
-// refinement: cells straddling footprint boundaries are re-sampled on a
-// refine×refine sub-grid, giving Equation-2 areas accurate to a
-// fraction of a percent at coarse base resolutions.
-func BuildAreaUtilityRefined(
-	n *Network, omega geometry.Rect, cellsPerSide, refine int, weight WeightFunc,
-) (*submodular.CoverageUtility, *geometry.Subdivision, error) {
-	if n == nil {
-		return nil, nil, errors.New("wsn: nil network")
-	}
-	if weight == nil {
-		weight = UniformWeight
-	}
-	sub, err := geometry.SubdivideAdaptive(omega, n.Regions(), cellsPerSide, refine)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wsn: subdividing Ω: %w", err)
-	}
-	return areaUtilityFromSubdivision(n, sub, weight)
-}
-
-func areaUtilityFromSubdivision(
-	n *Network, sub *geometry.Subdivision, weight WeightFunc,
-) (*submodular.CoverageUtility, *geometry.Subdivision, error) {
 	items := make([]submodular.CoverageItem, 0, len(sub.Cells))
 	for _, cell := range sub.Cells {
 		if len(cell.Covers) == 0 {

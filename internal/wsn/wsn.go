@@ -36,9 +36,6 @@ func (s Sensor) Region() geometry.Region {
 	return geometry.Disk{Center: s.Pos, Radius: s.Range}
 }
 
-// Covers reports whether the sensor's footprint contains the point.
-func (s Sensor) Covers(p geometry.Point) bool { return s.Region().Contains(p) }
-
 // Reach returns the Chebyshev reach of the sensor's footprint from its
 // position: the smallest r such that the footprint fits inside
 // [Pos.X±r] × [Pos.Y±r] (the grid.Item contract; see sensorReach). The
@@ -58,11 +55,7 @@ type Target struct {
 }
 
 // Network is a deployment: sensors, targets, and the coverage relation
-// between them. The target set is fixed at construction; the sensor
-// population can evolve incrementally through AddSensors and
-// RemoveSensors, which patch the incidence lists in place instead of
-// rebuilding them — the O(perturbation)-not-O(fleet) contract the
-// online replanner rests on.
+// between them, fixed at construction.
 type Network struct {
 	sensors []Sensor
 	targets []Target
@@ -71,18 +64,6 @@ type Network struct {
 	coverers [][]int
 	// covered[i] = sorted target IDs covered by sensor i.
 	covered [][]int
-	// removed[i] marks sensors spliced out by RemoveSensors (nil until
-	// the first removal). Their Sensor records stay addressable — IDs
-	// are ordinal and never compact — but they have no incidence.
-	removed []bool
-	// targetIx is the reversed-orientation spatial index (targets as
-	// zero-reach points), built lazily by the first AddSensors: a new
-	// sensor's covered targets are the exact-filtered WithinInto
-	// candidates of its position and reach, so one addition costs
-	// O(local density), not O(m).
-	targetIx *grid.Index
-	// buf is the reusable candidate scratch for incremental queries.
-	buf []int32
 }
 
 // ErrNoSensors is returned when a network is constructed without
@@ -203,97 +184,6 @@ func sensorReach(s Sensor, reg geometry.Region) float64 {
 	return r
 }
 
-// AddSensors appends new sensors to the deployment and patches the
-// coverage relation incrementally: each added sensor's covered targets
-// come from the lazily-built target index (WithinInto candidates of the
-// sensor's position and reach, re-checked with the sensor's own exact
-// Covers predicate), so the cost is O(k · local density) for k added
-// sensors instead of the O(n + m + edges) full rebuild. Because new IDs
-// are strictly larger than every existing ID and candidates arrive in
-// ascending target order, the patched incidence lists are bit-identical
-// to a NewNetwork rebuild over the extended population (enforced by the
-// differential tests in incremental_test.go).
-//
-// Sensor IDs must continue the ordinal numbering, including the IDs of
-// removed sensors: a removed ID is never reused. On error the network
-// is unchanged.
-func (n *Network) AddSensors(added []Sensor) error {
-	base := len(n.sensors)
-	for k, s := range added {
-		if s.ID != base+k {
-			return fmt.Errorf("wsn: added sensor %d has ID %d, want ordinal %d", k, s.ID, base+k)
-		}
-		if s.Footprint == nil && !(s.Range > 0) {
-			return fmt.Errorf("wsn: added sensor %d has non-positive range %v", s.ID, s.Range)
-		}
-	}
-	if n.targetIx == nil {
-		pts := make([]grid.Item, len(n.targets))
-		for j, t := range n.targets {
-			pts[j] = grid.Item{Pos: grid.Point(t.Pos)}
-		}
-		n.targetIx = grid.Build(pts)
-	}
-	for _, s := range added {
-		reg := s.Region()
-		reach := sensorReach(s, reg)
-		i := len(n.sensors)
-		n.sensors = append(n.sensors, s)
-		n.covered = append(n.covered, nil)
-		if n.removed != nil {
-			n.removed = append(n.removed, false)
-		}
-		n.buf = n.targetIx.WithinInto(n.buf, grid.Point(s.Pos), reach)
-		for _, cj := range n.buf {
-			j := int(cj)
-			if reg.Contains(n.targets[j].Pos) {
-				n.covered[i] = append(n.covered[i], j)
-				n.coverers[j] = append(n.coverers[j], i)
-			}
-		}
-	}
-	return nil
-}
-
-// RemoveSensors splices the given sensors out of the coverage relation:
-// each one is deleted from the coverers list of every target it covered
-// and its own covered list is cleared, in O(Σ degree) total. The Sensor
-// records remain addressable (IDs are ordinal and never compact) but
-// Removed reports true and CoversTarget false for them. Removing an
-// unknown or already-removed ID is an error; on error the network may
-// have removed a prefix of ids.
-func (n *Network) RemoveSensors(ids []int) error {
-	for _, i := range ids {
-		if i < 0 || i >= len(n.sensors) {
-			return fmt.Errorf("wsn: cannot remove sensor %d: no such sensor", i)
-		}
-		if n.removed != nil && n.removed[i] {
-			return fmt.Errorf("wsn: sensor %d already removed", i)
-		}
-		if n.removed == nil {
-			n.removed = make([]bool, len(n.sensors))
-		}
-		n.removed[i] = true
-		for _, j := range n.covered[i] {
-			list := n.coverers[j]
-			for k, v := range list {
-				if v == i {
-					n.coverers[j] = append(list[:k], list[k+1:]...)
-					break
-				}
-			}
-		}
-		n.covered[i] = nil
-	}
-	return nil
-}
-
-// Removed reports whether sensor i has been spliced out by
-// RemoveSensors.
-func (n *Network) Removed(i int) bool {
-	return n.removed != nil && n.removed[i]
-}
-
 // NumSensors returns n.
 func (n *Network) NumSensors() int { return len(n.sensors) }
 
@@ -320,19 +210,6 @@ func (n *Network) Coverers(j int) []int { return n.coverers[j] }
 // ID order. The returned slice must not be modified.
 func (n *Network) CoveredTargets(i int) []int { return n.covered[i] }
 
-// CoversTarget reports a_ij: whether sensor i covers target j.
-func (n *Network) CoversTarget(i, j int) bool {
-	for _, v := range n.coverers[j] {
-		if v == i {
-			return true
-		}
-		if v > i {
-			return false
-		}
-	}
-	return false
-}
-
 // UncoveredTargets returns the IDs of targets no sensor can monitor.
 // Such targets contribute zero utility under every policy; callers may
 // want to warn about them.
@@ -344,27 +221,6 @@ func (n *Network) UncoveredTargets() []int {
 		}
 	}
 	return out
-}
-
-// CoverageDegreeStats returns the min, mean and max number of sensors
-// covering a target (0s included).
-func (n *Network) CoverageDegreeStats() (min int, mean float64, max int) {
-	if len(n.targets) == 0 {
-		return 0, 0, 0
-	}
-	min = len(n.coverers[0])
-	var sum int
-	for _, c := range n.coverers {
-		d := len(c)
-		sum += d
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return min, float64(sum) / float64(len(n.targets)), max
 }
 
 // Regions returns every sensor's footprint, indexed by sensor ID —

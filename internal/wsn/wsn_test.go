@@ -69,18 +69,13 @@ func TestCoverageRelation(t *testing.T) {
 	if got := n.Coverers(2); len(got) != 0 {
 		t.Errorf("Coverers(2) = %v, want empty", got)
 	}
-	if got := n.CoveredTargets(1); len(got) != 1 || got[0] != 1 {
-		t.Errorf("CoveredTargets(1) = %v, want [1]", got)
-	}
-	if !n.CoversTarget(0, 0) || n.CoversTarget(0, 1) || n.CoversTarget(2, 0) {
-		t.Error("CoversTarget wrong")
+	for i, want := range []int{0, 1, 1} {
+		if got := n.CoveredTargets(i); len(got) != 1 || got[0] != want {
+			t.Errorf("CoveredTargets(%d) = %v, want [%d]", i, got, want)
+		}
 	}
 	if got := n.UncoveredTargets(); len(got) != 1 || got[0] != 2 {
 		t.Errorf("UncoveredTargets = %v, want [2]", got)
-	}
-	min, mean, max := n.CoverageDegreeStats()
-	if min != 0 || max != 2 || math.Abs(mean-1) > 1e-12 {
-		t.Errorf("degree stats = %d %v %d", min, mean, max)
 	}
 }
 
@@ -92,10 +87,10 @@ func TestSensorFootprintOverride(t *testing.T) {
 			Center: geometry.Point{}, Radius: 10, Heading: 0, HalfAngle: math.Pi / 4,
 		},
 	}
-	if !s.Covers(geometry.Point{X: 5, Y: 0}) {
+	if !s.Region().Contains(geometry.Point{X: 5, Y: 0}) {
 		t.Error("sector footprint should cover on-axis point")
 	}
-	if s.Covers(geometry.Point{X: -5, Y: 0}) {
+	if s.Region().Contains(geometry.Point{X: -5, Y: 0}) {
 		t.Error("sector footprint should not cover behind")
 	}
 	// Footprint-only sensors pass validation even with Range == 0.
@@ -370,36 +365,5 @@ func TestBuildTargetCountUtility(t *testing.T) {
 	}
 	if _, err := BuildTargetCountUtility(nil); err == nil {
 		t.Error("nil network accepted")
-	}
-}
-
-func TestBuildAreaUtilityRefined(t *testing.T) {
-	sensors := []Sensor{{ID: 0, Pos: geometry.Point{X: 50, Y: 50}, Range: 22}}
-	n := mustNetwork(t, sensors, nil)
-	omega := geometry.NewRect(geometry.Point{}, geometry.Point{X: 100, Y: 100})
-	// Coarse base grid: the refined build must beat the plain build's
-	// area accuracy on the same base resolution.
-	plain, _, err := BuildAreaUtility(n, omega, 40, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, _, err := BuildAreaUtilityRefined(n, omega, 40, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := math.Pi * 22 * 22
-	plainErr := math.Abs(plain.Eval([]int{0}) - exact)
-	refinedErr := math.Abs(refined.Eval([]int{0}) - exact)
-	if refinedErr >= plainErr {
-		t.Errorf("refined error %v not below plain error %v", refinedErr, plainErr)
-	}
-	if refinedErr/exact > 0.005 {
-		t.Errorf("refined relative error %v", refinedErr/exact)
-	}
-	if _, _, err := BuildAreaUtilityRefined(nil, omega, 40, 4, nil); err == nil {
-		t.Error("nil network accepted")
-	}
-	if _, _, err := BuildAreaUtilityRefined(n, omega, 40, 1, nil); err == nil {
-		t.Error("refine=1 accepted")
 	}
 }

@@ -81,18 +81,6 @@ func NewAreaUtility(n *Network, omega Rect, cellsPerSide int, weight AreaWeight)
 	return coverageUtility{u}, nil
 }
 
-// NewAreaUtilityRefined is NewAreaUtility with adaptive boundary
-// refinement: grid cells straddling footprint boundaries are re-sampled
-// refine× finer, improving area accuracy by roughly that factor at
-// little cost.
-func NewAreaUtilityRefined(n *Network, omega Rect, cellsPerSide, refine int, weight AreaWeight) (Utility, error) {
-	u, _, err := wsn.BuildAreaUtilityRefined(n, omega, cellsPerSide, refine, weight)
-	if err != nil {
-		return nil, err
-	}
-	return coverageUtility{u}, nil
-}
-
 // Subregions exposes the subdivision of Ω induced by the network's
 // footprints (the A_i of Equation 2) for inspection or custom weights.
 func Subregions(n *Network, omega Rect, cellsPerSide int) (*geometry.Subdivision, error) {
