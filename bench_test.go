@@ -531,8 +531,8 @@ func BenchmarkReplanCycle(b *testing.B) {
 
 // BenchmarkRepairAll times the whole-fleet polish of the same Repairer
 // at its local-search fixed point, at ρ = 3 and ρ = 1/3: one sweep
-// round that moves nothing, then the closing refill of every column.
-// DESIGN.md §5.7 records the measured rows. Rerun with
+// round that moves nothing. DESIGN.md §5.7 records the measured rows.
+// Rerun with
 //
 //	go test -run xxx -bench RepairAll -benchtime 20x -count 5 .
 func BenchmarkRepairAll(b *testing.B) {

@@ -23,7 +23,10 @@ type Incremental struct {
 }
 
 // Incremental plans an initial schedule over the planner's full ground
-// set and returns the live replanning handle.
+// set and returns the live replanning handle. The plan's margin table
+// goes when the plan ends: between operations the handle holds the
+// slot oracles, the assignment and the live set, and a deploy's greedy
+// runs over a table of the deployed batch only.
 func (p *Planner) Incremental() (*Incremental, error) {
 	r, err := core.NewRepairer(p.inst)
 	if err != nil {

@@ -8,16 +8,18 @@ import (
 	"cool/internal/submodular"
 )
 
-// TestMarginCachePlacementMatchesFresh is the dirty-slot property test:
-// drive the climb's own step and, after every step, compare every
-// (sensor, slot) cache entry — assigned sensors included — against a
+// TestMarginCachePlacementMatchesFresh is the dirty-slot property test
+// for a run's margin table: drive the climb's own step and, after every
+// step, compare every unassigned pending row of the table against a
 // from-scratch recomputation on fresh oracles replaying the current
-// assignment, and each step's choice against a dense scan of the
-// cache. The invariant under test: only the mutated slot's column ever
-// goes stale, and the refresh restores exactness everywhere. The
-// detection and coverage oracles take the walk's column-sparse refresh,
-// the EvalOracle the full per-sensor fill, and edgeOracle feeds the
-// winner trees NaN, ±Inf, ties and values at and below the −1 floor.
+// assignment, and each step's choice against the dense scan of the
+// table. The invariant under test: a step leaves only the committed
+// slot's column stale, and the refresh restores every unassigned row of
+// it. The detection and coverage oracles take the bulk fill and the
+// walk's sparse refresh, the EvalOracle the per-row fill and the full
+// refresh, edgeOracle feeds the tree NaN, ±Inf, ties and values at and
+// below the −1 floor, and the batch runs fill their rows by queries
+// among assigned and absent sensors, as a Repairer's insertion does.
 func TestMarginCachePlacementMatchesFresh(t *testing.T) {
 	rng := stats.NewRNG(31)
 	in, _ := detectionInstance(t, rng, 10, 4, 3)
@@ -31,8 +33,9 @@ func TestMarginCachePlacementMatchesFresh(t *testing.T) {
 }
 
 // TestMarginCacheRemovalMatchesFresh is the removal-mode dual. Its
-// edgeOracle run must meet a NaN loss on the first pending sensor,
-// which wins its column whatever follows (see climb.winner).
+// edgeOracle run must meet a step that the first-pair rule decides: a
+// NaN loss of the lowest unassigned sensor in slot 0, which wins
+// whatever follows (see climb.best).
 func TestMarginCacheRemovalMatchesFresh(t *testing.T) {
 	rng := stats.NewRNG(32)
 	in, _ := detectionInstance(t, rng, 8, 3, 0.5)
@@ -40,7 +43,7 @@ func TestMarginCacheRemovalMatchesFresh(t *testing.T) {
 	checkClimbAgainstFresh(t, coverageInstance(t, rng, 9, 5, 1.0/3))
 	checkClimbAgainstFresh(t, evalInstance(t, []float64{1, 2, 3, 4, 5, 6, 7}, 0.5))
 	if firstNaN := checkClimbAgainstFresh(t, edgeInstance(coverageInstance(t, rng, 23, 8, 1.0/3))); firstNaN == 0 {
-		t.Error("edgeOracle run never put a NaN loss on the first pending sensor")
+		t.Error("edgeOracle run never let the first-pair rule pick a NaN loss")
 	}
 	checkBatchAgainstFresh(t, rng, coverageInstance(t, rng, 30, 10, 1.0/3))
 	det, _ := detectionInstance(t, rng, 30, 10, 0.5)
@@ -49,7 +52,7 @@ func TestMarginCacheRemovalMatchesFresh(t *testing.T) {
 
 // evalInstance builds an instance over EvalOracle, which has neither
 // the bulk contract nor an affected list, so the climb takes the
-// per-sensor fill and the full-column refresh.
+// per-row fill and the full refresh.
 func evalInstance(t *testing.T, sizes []float64, rho float64) Instance {
 	t.Helper()
 	fn, err := submodular.NewLogSumUtility(sizes)
@@ -63,7 +66,8 @@ func evalInstance(t *testing.T, sizes []float64, rho float64) Instance {
 	}
 }
 
-// checkClimbAgainstFresh runs a whole climb over in step by step (see
+// checkClimbAgainstFresh runs a whole from-scratch climb over in step
+// by step, filling its table as planClimb does (see
 // checkRunAgainstFresh).
 func checkClimbAgainstFresh(t *testing.T, in Instance) int {
 	t.Helper()
@@ -71,6 +75,7 @@ func checkClimbAgainstFresh(t *testing.T, in Instance) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.col = make([]float64, in.N)
 	pending := make([]int, in.N)
 	for v := range pending {
 		pending[v] = v
@@ -104,29 +109,18 @@ func checkBatchAgainstFresh(t *testing.T, rng *stats.RNG, in Instance) {
 }
 
 // checkRunAgainstFresh runs c over pending step by step, checking the
-// cache against fresh oracles before the first step and after every
-// step, and each step's choice against the dense scan — which must
-// agree with the climb even on failing: where the scan finds no
-// candidate, the step must return an error. Afterwards every pending
-// sensor must be assigned. It returns how many steps met a NaN marginal
-// on the first pending sensor.
+// table against fresh oracles after the fill and after every step, and
+// each step's choice against the dense scan — which must agree with the
+// climb even on failing: where the scan finds no candidate, the step
+// must return an error. Afterwards every pending sensor must be
+// assigned. It returns how many steps picked a NaN marginal, which only
+// removal's first-pair rule can do.
 func checkRunAgainstFresh(t *testing.T, in Instance, c *climb, pending []int) (firstNaN int) {
 	t.Helper()
-	checkAgainstFresh(t, in, c)
 	c.begin(pending)
+	checkAgainstFresh(t, in, c)
 	for step := range pending {
-		want := denseBest(c)
-		for _, v := range pending {
-			if c.assign[v] == -1 {
-				for tt := range c.oracles {
-					if math.IsNaN(c.cache.at(v, tt)) {
-						firstNaN++
-						break
-					}
-				}
-				break
-			}
-		}
+		want := denseScan(c)
 		got, err := c.step()
 		if want.v < 0 {
 			if err == nil {
@@ -140,6 +134,9 @@ func checkRunAgainstFresh(t *testing.T, in Instance, c *climb, pending []int) (f
 		if !sameCandidate(got, want) {
 			t.Fatalf("step %d: climb chose %+v, dense scan %+v", step, got, want)
 		}
+		if math.IsNaN(want.value) {
+			firstNaN++
+		}
 		checkAgainstFresh(t, in, c)
 	}
 	for _, v := range pending {
@@ -150,46 +147,78 @@ func checkRunAgainstFresh(t *testing.T, in Instance, c *climb, pending []int) (f
 	return firstNaN
 }
 
-// checkAgainstFresh rebuilds every slot's oracle from scratch by
-// replaying the climb's assignment and compares fresh Gain/Loss values
-// against the cache for every sensor, assigned or not. NaN must meet
-// NaN, and infinities must match exactly.
-func checkAgainstFresh(t *testing.T, in Instance, c *climb) {
-	t.Helper()
-	const tol = 1e-9
-	for tt := range c.oracles {
-		fresh := in.Factory()
+// freshOracles rebuilds every slot's oracle from scratch by replaying
+// the climb's assignment. In removal a slot holds every present sensor
+// except those whose chosen passive slot it is; in placement, those
+// whose active slot it is. Absent sensors are in no slot.
+func freshOracles(in Instance, c *climb) []submodular.RemovalOracle {
+	fresh := make([]submodular.RemovalOracle, len(c.oracles))
+	for tt := range fresh {
+		fresh[tt] = in.Factory()
 		for v, a := range c.assign {
-			// Removal mode: slot t holds every present sensor except
-			// those whose chosen passive slot is t; placement: those
-			// whose active slot it is. Absent sensors are in no slot.
 			if a != Absent && (a == tt) != c.removal {
-				fresh.Add(v)
+				fresh[tt].Add(v)
 			}
 		}
-		for v := 0; v < in.N; v++ {
-			want := fresh.Gain(v)
-			if c.removal {
-				want = fresh.Loss(v)
-			}
-			got := c.cache.at(v, tt)
-			if same := got == want || math.Abs(got-want) <= tol || math.IsNaN(got) && math.IsNaN(want); !same {
-				t.Fatalf("cache[%d,%d] = %v (assigned %d), fresh recomputation %v", v, tt, got, c.assign[v], want)
+	}
+	return fresh
+}
+
+// checkMarginal fails unless got, what the climb holds for sensor v at
+// slot tt, matches the fresh oracle's marginal: NaN must meet NaN,
+// infinities must match exactly, and finite values within 1e-9, the
+// drift of a different order of Adds.
+func checkMarginal(t *testing.T, c *climb, fresh submodular.RemovalOracle, v, tt int, got float64, what string) {
+	t.Helper()
+	want := fresh.Gain(v)
+	if c.removal {
+		want = fresh.Loss(v)
+	}
+	if same := got == want || math.Abs(got-want) <= 1e-9 || math.IsNaN(got) && math.IsNaN(want); !same {
+		t.Fatalf("%s[%d,%d] = %v (assigned %d), fresh recomputation %v", what, v, tt, got, c.assign[v], want)
+	}
+}
+
+// checkAgainstFresh compares every unassigned pending row of the run's
+// table against fresh oracles replaying the assignment.
+func checkAgainstFresh(t *testing.T, in Instance, c *climb) {
+	t.Helper()
+	T := len(c.oracles)
+	for tt, fresh := range freshOracles(in, c) {
+		for i, v := range c.pending {
+			if c.assign[v] == -1 {
+				checkMarginal(t, c, fresh, v, tt, c.table[i*T+tt], "table")
 			}
 		}
 	}
 }
 
+// checkIdleClimb holds a climb between runs — a Repairer between
+// operations — to what it keeps: no live run, and slot oracles that
+// answer every sensor's marginal as fresh oracles replaying its
+// assignment do.
+func checkIdleClimb(t *testing.T, in Instance, c *climb) {
+	t.Helper()
+	if c.pending != nil {
+		t.Fatalf("climb holds a run over %d pending sensors between operations", len(c.pending))
+	}
+	for tt, fresh := range freshOracles(in, c) {
+		for v := 0; v < in.N; v++ {
+			checkMarginal(t, c, fresh, v, tt, c.marginal(v, tt), "oracle")
+		}
+	}
+}
+
 // edgeOracle wraps an oracle and overrides its marginals with the
-// values that stress the winner trees: NaN, ±Inf, −1 and below, and
+// values that stress the winner tree: NaN, ±Inf, −1 and below, and
 // exact ties. The override is a pure function of the sensor and the
 // set's size, so a fresh oracle replaying the same set agrees bit for
 // bit. A mutation can move every marginal, so it lists every sensor as
-// affected and the climb's walk rewrites and reports every row. A NaN
-// loss depends on the set's size
-// too, so once the slots' sets differ in size a sensor's loss can be
-// NaN in some slots and finite in others — the case where the dense
-// scan's first-pair rule holds in slot 0 only (see climb.winner).
+// affected and the climb's walk reports every unassigned row. A NaN
+// loss depends on the set's size too, so once the slots' sets differ
+// in size a sensor's loss can be NaN in some slots and finite in
+// others — the case where the dense scan's first-pair rule holds in
+// slot 0 only (see climb.best).
 type edgeOracle struct {
 	submodular.RemovalOracle
 	n, size int
@@ -255,10 +284,9 @@ func (o *edgeOracle) AppendAffected(buf []int32, _ int) []int32 {
 
 // TestClimbCommitZeroAlloc gates the climb's per-step oracle work at
 // zero allocations on the detection and coverage oracles: commit and
-// lift each mutate one oracle, and a one-sensor refresh walks the
-// affected list through the interface call into the climb's reused
-// buffers — between runs, and inside one, where the walk's row report
-// also updates the winner trees.
+// lift each mutate one oracle, and a one-sensor refresh inside a run
+// walks the affected list through the interface call into the climb's
+// reused buffers and updates the rows it reports and their tree paths.
 func TestClimbCommitZeroAlloc(t *testing.T) {
 	rng := stats.NewRNG(33)
 	for _, rho := range []float64{3, 1.0 / 3} {
@@ -271,51 +299,20 @@ func TestClimbCommitZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, inRun := range []bool{false, true} {
-				if inRun {
-					pending := make([]int, in.N)
-					for v := range pending {
-						pending[v] = v
-					}
-					c.begin(pending)
-				}
-				c.one[0] = 2
-				if a := testing.AllocsPerRun(200, func() {
-					c.commit(2, 1)
-					c.refresh(1, c.one[:])
-					c.lift(2, 1)
-					c.refresh(1, c.one[:])
-				}); a != 0 {
-					t.Errorf("%s ρ=%v in run %v: commit+lift allocated %v times per run, want 0", name, rho, inRun, a)
-				}
+			pending := make([]int, in.N)
+			for v := range pending {
+				pending[v] = v
+			}
+			c.begin(pending)
+			c.one[0] = 2
+			if a := testing.AllocsPerRun(200, func() {
+				c.commit(2, 1)
+				c.refresh(1, c.one[:])
+				c.lift(2, 1)
+				c.refresh(1, c.one[:])
+			}); a != 0 {
+				t.Errorf("%s ρ=%v: commit+lift allocated %v times per run, want 0", name, rho, a)
 			}
 		}
-	}
-}
-
-// TestMergeTieBreak verifies that merging per-column candidates
-// reproduces the dense scan's lowest-(v, t) tie-break: with equal
-// values the lower sensor wins even from a later column, an equal
-// sensor keeps the earlier column, and empty columns (v = -1) are
-// skipped.
-func TestMergeTieBreak(t *testing.T) {
-	cols := []candidate{
-		{v: 9, t: 0, value: 2},
-		{v: 5, t: 1, value: 2},
-		{v: 5, t: 2, value: 2},
-	}
-	if got := bestOfColumnsMax(cols); got.v != 5 || got.t != 1 {
-		t.Errorf("bestOfColumnsMax tie: got (%d,%d), want (5,1)", got.v, got.t)
-	}
-	if got := bestOfColumnsMin(cols); got.v != 5 || got.t != 1 {
-		t.Errorf("bestOfColumnsMin tie: got (%d,%d), want (5,1)", got.v, got.t)
-	}
-	cols = []candidate{{v: -1}, {v: 3, t: 1, value: 1}}
-	if got := bestOfColumnsMax(cols); got.v != 3 {
-		t.Errorf("bestOfColumnsMax skipped wrong candidate: %+v", got)
-	}
-	cols = []candidate{{v: -1}, {v: 3, t: 1, value: -1}}
-	if got := bestOfColumnsMin(cols); got.v != 3 {
-		t.Errorf("bestOfColumnsMin skipped wrong candidate: %+v", got)
 	}
 }

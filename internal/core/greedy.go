@@ -28,17 +28,18 @@ func newAssignment(n int) []int {
 // sensors with present[v] == false receive the Absent assignment and
 // never enter any oracle, and the greedy runs over the survivors
 // exactly as Greedy would on a compacted instance (same floats, same
-// lowest-(v, t) tie-breaks — the winner trees index only the present
-// IDs). A nil present schedules everyone. This is the incremental
-// Repairer's ground truth: the from-scratch plan for the current
-// fleet, with stable sensor IDs.
+// lowest-(v, t) tie-breaks — the margin table and its winner tree
+// index only the present IDs). A nil present schedules everyone. This
+// is the incremental Repairer's ground truth: the from-scratch plan for
+// the current fleet, with stable sensor IDs.
 //
-// The engine is the cached climb (see climb): a dirty-slot margin
-// cache (see marginCache) indexed by one winner tree per slot, so a
-// step selects in O(T), refreshes one column — column-sparse when the
-// oracle lists affected sensors — and updates only the tree leaves the
-// refresh rewrote, in O(log n) each, while the schedule stays
-// bit-identical to ReferenceGreedy's eager O(n·T) scan.
+// The engine is the indexed climb (see climb): a dirty-slot margin
+// table with one row per present sensor, indexed by one winner tree,
+// so a step selects at the root, refreshes one column — column-sparse
+// when the oracle lists affected sensors — and rescans only the rows
+// the refresh rewrote, in O(T + log n) each, while the schedule stays
+// bit-identical to ReferenceGreedy's eager O(n·T) scan. The table and
+// the tree live for the one plan.
 func GreedySubset(in Instance, present []bool) (*Schedule, error) {
 	c, err := planClimb(in, present)
 	if err != nil {

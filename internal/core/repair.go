@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cool/internal/energy"
 	"cool/internal/submodular"
@@ -10,25 +10,23 @@ import (
 
 // This file implements the incremental online replanner (ROADMAP item
 // 2): a Repairer owns a committed schedule plus the live per-slot
-// oracle and margin-cache state, and repairs the schedule after a fleet
-// perturbation in time proportional to the perturbation instead of
-// replanning the whole fleet.
+// oracles, and repairs the schedule after a fleet perturbation in time
+// proportional to the perturbation instead of replanning the whole
+// fleet.
 //
 // Damage localization: the submodular oracles' CSR incidence bounds the
 // blast radius of any single-sensor change — only sensors sharing a
 // target with a changed sensor can see their marginals move
-// (AffectedLister enumerates exactly that set). The climb's walk over
-// the changed sensors' lists is therefore the damage front, and a
-// k-sensor perturbation costs one walk for the front, the bounded
-// strict-improvement sweep over it (climb.sweep, the sharded planner's
-// border sweep too), and one refresh per cache column over the changed
-// and swept sensors at the end of the operation.
+// (AffectedLister enumerates exactly that set). The changed sensors'
+// lists are therefore the damage front, and a k-sensor perturbation
+// costs those lists and the bounded strict-improvement sweep over the
+// front (climb.sweep, the sharded planner's border sweep too).
 //
 // Engine: the Repairer keeps the greedy climb that planned its
-// schedule (see climb) alive between operations, so between operations
-// its margin cache holds cache[v][t] == oracles[t].Gain(v) (placement)
-// or .Loss(v) (removal) bit-exactly for every sensor, members included.
-// A batch insertion runs the climb's own greedy loop on that cache.
+// schedule (see climb) between operations, without its run state: its
+// oracles and assignment. A batch insertion runs the climb's own greedy
+// loop over a table of the batch's k·T marginals, queried from the
+// oracles.
 
 // RepairStats reports what one repair operation did and what it cost.
 type RepairStats struct {
@@ -66,14 +64,19 @@ type RepairStats struct {
 // previously removed), it does not grow N. Growing the universe means
 // building a new network and a new Repairer.
 //
+// Between operations a Repairer holds its slot oracles, the assignment
+// and the present set, and no selection state: the initial plan's is
+// dropped when it ends, and an insertion keeps only its batch-sized
+// table and tree for the next one.
+//
 // A Repairer is not safe for concurrent use.
 type Repairer struct {
 	in       Instance
 	c        *climb
 	present  []bool
 	nPresent int
-	// dirtyBuf holds the operation's damage front, then the sensors of
-	// its closing refresh; reused across operations.
+	// dirtyBuf holds the operation's damage front; reused across
+	// operations.
 	dirtyBuf []int
 }
 
@@ -166,7 +169,7 @@ func (r *Repairer) GapVsFullReplan() (float64, error) {
 // (re-activation).
 func (r *Repairer) checkIDs(ids []int, wantPresent bool) ([]int, error) {
 	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
+	slices.Sort(sorted)
 	for k, v := range sorted {
 		if v < 0 || v >= r.in.N {
 			return nil, fmt.Errorf("core: sensor %d outside ground set [0,%d)", v, r.in.N)
@@ -211,7 +214,6 @@ func (r *Repairer) AddSensors(ids []int) (RepairStats, error) {
 	dirty := r.damageFront(sorted)
 	stats.Dirty = len(dirty)
 	stats.Rounds, stats.Moves = r.c.sweep(dirty)
-	r.settle(dirty)
 	stats.Utility = r.utility()
 	return stats, nil
 }
@@ -250,9 +252,6 @@ func (r *Repairer) RemoveSensors(ids []int) (RepairStats, error) {
 	dirty := r.damageFront(sorted)
 	stats.Dirty = len(dirty)
 	stats.Rounds, stats.Moves = c.sweep(dirty)
-	// The removed sensors left their slots too, but not the front.
-	r.dirtyBuf = append(dirty, sorted...)
-	r.settle(r.dirtyBuf)
 	stats.Utility = r.utility()
 	return stats, nil
 }
@@ -302,22 +301,17 @@ func (r *Repairer) RepairAll() RepairStats {
 	}
 	stats.Dirty = len(r.dirtyBuf)
 	stats.Rounds, stats.Moves = r.c.sweep(r.dirtyBuf)
-	// The whole fleet is dirty, so refill every column: the bulk
-	// contract makes that bit-identical to a refresh over every live
-	// sensor, and no run is live, so no winner tree needs rebuilding.
-	for t := range r.c.oracles {
-		r.c.fill(t)
-	}
 	stats.Utility = r.utility()
 	return stats
 }
 
 // damageFront returns the ascending list of live sensors whose
-// marginals a perturbation of changed can have moved: the climb's walk
-// over the changed sensors (each changed sensor and every sensor
-// sharing a target with one), restricted to the present fleet. Oracles
-// without the AffectedLister contract cannot bound the front, so the
-// whole live fleet goes dirty — correct, just not localized.
+// marginals a perturbation of changed can have moved: the climb's
+// affected sensors of changed (each changed sensor and every sensor
+// sharing a target with one), restricted to the present fleet, each
+// once. Oracles without the AffectedLister contract cannot bound the
+// front, so the whole live fleet goes dirty — correct, just not
+// localized.
 func (r *Repairer) damageFront(changed []int) []int {
 	r.dirtyBuf = r.dirtyBuf[:0]
 	al, ok := r.c.oracles[0].(submodular.AffectedLister)
@@ -329,20 +323,12 @@ func (r *Repairer) damageFront(changed []int) []int {
 		}
 		return r.dirtyBuf
 	}
-	for _, u := range r.c.walk(al, changed) {
+	for _, u := range r.c.affected(al, changed) {
 		if r.present[u] {
 			r.dirtyBuf = append(r.dirtyBuf, int(u))
 		}
 	}
-	sort.Ints(r.dirtyBuf)
+	slices.Sort(r.dirtyBuf)
+	r.dirtyBuf = slices.Compact(r.dirtyBuf)
 	return r.dirtyBuf
-}
-
-// settle ends an operation whose sweep left the cache stale: it
-// refreshes every column once over touched, the sensors whose slots the
-// operation changed or swept.
-func (r *Repairer) settle(touched []int) {
-	for t := range r.c.oracles {
-		r.c.refresh(t, touched)
-	}
 }

@@ -57,8 +57,9 @@ func convergeRepairer(r *Repairer) bool {
 // checkRepairerConsistency asserts the invariants every operation must
 // preserve: feasible schedule, assignment/present agreement, the live
 // oracles' incremental utility matching a fresh evaluation of the
-// committed schedule, and a margin cache exact for every sensor — the
-// refresh that ends each operation restores it after the sweep.
+// committed schedule, no run state left live, and live oracles that
+// answer every sensor's marginal as fresh ones replaying the schedule
+// do — what the next operation's batch table is queried from.
 func checkRepairerConsistency(t *testing.T, r *Repairer, in Instance) *Schedule {
 	t.Helper()
 	s, err := r.Schedule()
@@ -90,7 +91,7 @@ func checkRepairerConsistency(t *testing.T, r *Repairer, in Instance) *Schedule 
 	if math.Abs(live-fresh) > 1e-6*(1+math.Abs(fresh)) {
 		t.Fatalf("live utility %v drifted from fresh evaluation %v", live, fresh)
 	}
-	checkAgainstFresh(t, r.in, r.c)
+	checkIdleClimb(t, r.in, r.c)
 	return s
 }
 
@@ -265,8 +266,8 @@ func TestRepairerPerturbationDifferential(t *testing.T) {
 }
 
 // TestRepairAllMonotone: the polish sweep never decreases utility, on
-// a fresh plan and after a kill, and the refill that closes it leaves
-// the margin cache exact.
+// a fresh plan and after a kill, and leaves live oracles that match
+// fresh ones.
 func TestRepairAllMonotone(t *testing.T) {
 	moves := 0
 	for _, rho := range []float64{3, 1.0 / 3} {
@@ -296,7 +297,7 @@ func TestRepairAllMonotone(t *testing.T) {
 		polish()
 	}
 	if moves == 0 {
-		t.Fatal("RepairAll never moved a sensor, so the cache check proves nothing")
+		t.Fatal("RepairAll never moved a sensor, so the oracle check proves nothing")
 	}
 }
 
@@ -643,8 +644,8 @@ func TestRepairSweepTiesKeepIncumbent(t *testing.T) {
 // TestSweepOnceSteadyStateAllocs pins the strict-improvement sweep at
 // zero allocations on the detection and coverage oracles, in both
 // regimes: a round's Gain/Loss queries and Add/Remove repairs never
-// touch the heap, and neither does the refresh that ends a Repairer
-// operation, so a RepairAll of a warmed Repairer allocates nothing.
+// touch the heap, so a RepairAll of a warmed Repairer allocates
+// nothing.
 func TestSweepOnceSteadyStateAllocs(t *testing.T) {
 	rng := stats.NewRNG(410)
 	for _, rho := range []float64{3, 1.0 / 3} {
@@ -711,7 +712,8 @@ func sparseCoverageInstance(t *testing.T, rng *stats.RNG, n, m, deg int, rho flo
 // TestReplanCycleAllocs pins the allocations of a kill and redeploy of
 // four sensors on a small sparse field, in both regimes, at the two
 // sorted copies checkIDs makes. The redeploy's batch insertion reuses
-// the climb's winner trees and refresh scratch, so an engine that
+// the batch-sized table, tree and marks of the last one, and the
+// damage front the climb's affected-list buffer, so an engine that
 // allocated them per run would fail here.
 func TestReplanCycleAllocs(t *testing.T) {
 	rng := stats.NewRNG(409)
@@ -732,5 +734,40 @@ func TestReplanCycleAllocs(t *testing.T) {
 		}); a != 2 {
 			t.Errorf("ρ=%v: kill+deploy of %d sensors allocated %v times per cycle, want 2", rho, len(ids), a)
 		}
+	}
+}
+
+// TestRepairerKeepsNoRunState pins what an idle Repairer holds. After
+// NewRepairer plans a 2,000-sensor sparse field, in both regimes, its
+// climb keeps no winner tree, no margin table, no scratch column and no
+// walk marks: the plan's run state, sized for the fleet, is dropped.
+// After a kill and redeploy of four sensors, the tree, table and marks
+// it keeps for the next batch are sized for that batch.
+func TestRepairerKeepsNoRunState(t *testing.T) {
+	rng := stats.NewRNG(412)
+	for _, rho := range []float64{3, 1.0 / 3} {
+		in := sparseCoverageInstance(t, rng, 2000, 600, 4, rho)
+		r, err := NewRepairer(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := r.c
+		if c.pending != nil || c.tree != nil || c.table != nil || c.col != nil || c.mark != nil {
+			t.Fatalf("ρ=%v: planned Repairer keeps run state: %d pending, %d tree nodes, %d table entries, %d column entries, %d marks",
+				rho, len(c.pending), cap(c.tree), cap(c.table), cap(c.col), cap(c.mark))
+		}
+		ids := []int{1500, 3, 977, 42}
+		if _, err := r.RemoveSensors(ids); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.AddSensors(ids); err != nil {
+			t.Fatal(err)
+		}
+		T := len(c.oracles)
+		if c.pending != nil || cap(c.tree) != 2*len(ids) || cap(c.table) != len(ids)*T || cap(c.mark) != len(ids) || c.col != nil {
+			t.Fatalf("ρ=%v: after a %d-sensor batch the Repairer keeps %d pending, %d tree nodes, %d table entries, %d marks and %d column entries",
+				rho, len(ids), len(c.pending), cap(c.tree), cap(c.table), cap(c.mark), cap(c.col))
+		}
+		checkRepairerConsistency(t, r, in)
 	}
 }

@@ -12,13 +12,14 @@ import (
 
 // The climb's walk is the column-sparse refresh of every oracle with an
 // affected list: after mutations confined to the sensors of changed,
-// recomputing only the walk's rows must leave a cached marginal column
-// bit-identical to a fresh BulkGain/BulkLoss on every entry, member or
-// not, and the walk must report each such row once. These tests hold
-// the detection and coverage oracles to that with Float64bits equality,
-// for the one-sensor refresh a greedy step runs and for the batches of
-// the Repairer. The engines' determinism rests on exactly this
-// equality.
+// recomputing only the rows the walk reports must leave every
+// unassigned row of a run's table bit-identical to a fresh
+// BulkGain/BulkLoss, member or not, and the walk must report each such
+// row once. These tests hold the detection and coverage oracles to that
+// with Float64bits equality, for the one-sensor refresh a greedy step
+// runs and for multi-sensor batches, on tables filled both ways a run
+// fills them (a from-scratch plan's bulk sweep, a Repairer batch's
+// queries). The engines' determinism rests on exactly this equality.
 
 // walkOracle is what the walk tests need of an oracle.
 type walkOracle interface {
@@ -28,32 +29,53 @@ type walkOracle interface {
 	submodular.AffectedLister
 }
 
-// columnClimb returns a one-slot climb over o in the given regime with
-// its column filled: the gain column (placement) or loss column
-// (removal) a greedy caches for o. Outside a run there are no trees.
-func columnClimb(o submodular.RemovalOracle, n int, removal bool) *climb {
-	c := &climb{
-		oracles: []submodular.RemovalOracle{o},
-		cache:   newMarginCache(n, 1),
-		removal: removal,
-		mark:    make([]uint32, n),
+// columnClimb starts a run of a one-slot climb over o in the given
+// regime: every sensor with v%3 != 1 pending, the others assigned, so
+// the rows are not contiguous and the walk meets sensors it must skip.
+// bulk fills the table as a from-scratch plan does, with one bulk
+// sweep; otherwise each row is queried, as in a Repairer batch.
+func columnClimb(o submodular.RemovalOracle, n int, removal, bulk bool) *climb {
+	c := &climb{oracles: []submodular.RemovalOracle{o}, assign: make([]int, n), removal: removal}
+	if bulk {
+		c.col = make([]float64, n)
 	}
-	c.fill(0)
+	var pending []int
+	for v := range c.assign {
+		if v%3 != 1 {
+			c.assign[v] = -1
+			pending = append(pending, v)
+		}
+	}
+	c.begin(pending)
 	return c
 }
 
-// columnMismatch returns the first entry of c's column that differs in
-// its bits from a fresh bulk sweep of o, or -1.
-func columnMismatch(c *climb, o walkOracle) int {
-	col := c.cache.column(0)
-	fresh := make([]float64, len(col))
+// columnClimbs returns the four one-slot climbs over o: both regimes,
+// each filled both ways.
+func columnClimbs(o submodular.RemovalOracle, n int) []*climb {
+	return []*climb{
+		columnClimb(o, n, false, true), columnClimb(o, n, false, false),
+		columnClimb(o, n, true, true), columnClimb(o, n, true, false),
+	}
+}
+
+// freshColumn returns a fresh bulk sweep of o in c's regime.
+func freshColumn(c *climb, o walkOracle) []float64 {
+	fresh := make([]float64, len(c.assign))
 	if c.removal {
 		o.BulkLoss(fresh)
 	} else {
 		o.BulkGain(fresh)
 	}
-	for v := range col {
-		if math.Float64bits(col[v]) != math.Float64bits(fresh[v]) {
+	return fresh
+}
+
+// columnMismatch returns the first unassigned sensor whose table entry
+// differs in its bits from a fresh bulk sweep of o, or -1.
+func columnMismatch(c *climb, o walkOracle) int {
+	fresh := freshColumn(c, o)
+	for i, v := range c.pending {
+		if math.Float64bits(c.table[i]) != math.Float64bits(fresh[v]) {
 			return v
 		}
 	}
@@ -112,12 +134,12 @@ func walkCoverageUtility(t testing.TB, rng *stats.RNG) *submodular.CoverageUtili
 	return u
 }
 
-// checkOneSensorWalk toggles random sensors of o, refreshing a gain and
-// a loss column with the one-sensor list after each toggle, and holds
-// both columns to fresh bulk sweeps.
+// checkOneSensorWalk toggles random sensors of o, refreshing the four
+// one-slot climbs over o with the one-sensor list after each toggle,
+// and holds their tables to fresh bulk sweeps.
 func checkOneSensorWalk(t testing.TB, o walkOracle, n int, rng *stats.RNG, steps int) bool {
 	t.Helper()
-	cols := []*climb{columnClimb(o, n, false), columnClimb(o, n, true)}
+	cols := columnClimbs(o, n)
 	for step := 0; step < steps; step++ {
 		v := rng.Intn(n)
 		if o.Contains(v) {
@@ -125,12 +147,12 @@ func checkOneSensorWalk(t testing.TB, o walkOracle, n int, rng *stats.RNG, steps
 		} else {
 			o.Add(v)
 		}
-		for _, c := range cols {
+		for k, c := range cols {
 			c.one[0] = v
 			c.refresh(0, c.one[:])
 			if u := columnMismatch(c, o); u >= 0 {
-				t.Logf("step %d (sensor %d) removal=%v: entry %d = %v, bulk disagrees",
-					step, v, c.removal, u, c.cache.at(u, 0))
+				t.Logf("step %d (sensor %d) climb %d removal=%v: entry %d disagrees with a bulk sweep",
+					step, v, k, c.removal, u)
 				return false
 			}
 		}
@@ -237,25 +259,25 @@ func TestSparseBatchRefreshMatchesBulk(t *testing.T) {
 		rng := rand.New(rand.NewSource(1000 + trial))
 		for _, o := range batchWalkOracles(t, n, m, trial) {
 			seedMembers(rng, o, n)
-			cols := []*climb{columnClimb(o, n, false), columnClimb(o, n, true)}
+			cols := columnClimbs(o, n)
 			changed := mutateBatch(rng, o, n)
-			for _, c := range cols {
+			for k, c := range cols {
 				c.refresh(0, changed)
 				if u := columnMismatch(c, o); u >= 0 {
-					t.Fatalf("trial %d removal=%v: entry %d = %v after the batch refresh, bulk disagrees (changed %v)",
-						trial, c.removal, u, c.cache.at(u, 0), changed)
+					t.Fatalf("trial %d climb %d removal=%v: entry %d disagrees with a bulk sweep after the batch refresh (changed %v)",
+						trial, k, c.removal, u, changed)
 				}
 			}
 		}
 	}
 }
 
-// TestSparseBatchRowReport pins the row report the winner trees and
-// the Repairer's damage front rely on: after a random batch, the walk
-// reports no row twice and every changed element, and every entry it
-// does not report is bit-identical both to its value before the batch
-// and to a fresh bulk sweep — so recomputing only the reported rows
-// refreshes the whole column.
+// TestSparseBatchRowReport pins the row report the refresh relies on:
+// after a random batch, the walk reports only unassigned rows, none
+// twice, and every unassigned changed sensor, and every unassigned row
+// it does not report is bit-identical both to its value before the
+// batch and to a fresh bulk sweep — so recomputing only the reported
+// rows refreshes the whole table.
 func TestSparseBatchRowReport(t *testing.T) {
 	const n, m = 120, 60
 	for trial := int64(0); trial < 40; trial++ {
@@ -263,27 +285,25 @@ func TestSparseBatchRowReport(t *testing.T) {
 		for _, o := range batchWalkOracles(t, n, m, trial) {
 			seedMembers(rng, o, n)
 			for _, removal := range []bool{false, true} {
-				c := columnClimb(o, n, removal)
-				before := append([]float64(nil), c.cache.column(0)...)
+				c := columnClimb(o, n, removal, true)
+				before := append([]float64(nil), c.table...)
 				changed := mutateBatch(rng, o, n)
-				reported := make([]bool, n)
-				for _, v := range c.walk(o, changed) {
-					if reported[v] {
-						t.Fatalf("trial %d removal=%v: row %d reported twice", trial, removal, v)
+				reported := make([]bool, len(c.pending))
+				for _, i := range c.walk(o, changed) {
+					if reported[i] || c.assign[c.pending[i]] != -1 {
+						t.Fatalf("trial %d removal=%v: row %d reported twice or assigned", trial, removal, i)
 					}
-					reported[v] = true
+					reported[i] = true
 				}
 				for _, v := range changed {
-					if !reported[v] {
-						t.Fatalf("trial %d removal=%v: changed element %d not reported", trial, removal, v)
+					if i, ok := c.leafOf(v); ok && !reported[i] {
+						t.Fatalf("trial %d removal=%v: changed sensor %d not reported", trial, removal, v)
 					}
 				}
-				// A column filled fresh now differs from before only at
-				// reported rows.
-				c.fill(0)
-				for v, now := range c.cache.column(0) {
-					if !reported[v] && math.Float64bits(now) != math.Float64bits(before[v]) {
-						t.Fatalf("trial %d removal=%v: unreported entry %d moved %v -> %v", trial, removal, v, before[v], now)
+				fresh := freshColumn(c, o)
+				for i, v := range c.pending {
+					if !reported[i] && (math.Float64bits(fresh[v]) != math.Float64bits(before[i])) {
+						t.Fatalf("trial %d removal=%v: unreported entry %d moved %v -> %v", trial, removal, v, before[i], fresh[v])
 					}
 				}
 			}
@@ -299,13 +319,13 @@ func TestWalkEpochWraparound(t *testing.T) {
 	o := batchWalkOracles(t, n, 60, 5)[1]
 	changed := []int{3, 17, 64}
 	want := map[int32]bool{}
-	for _, v := range columnClimb(o, n, false).walk(o, changed) {
-		want[v] = true
+	for _, i := range columnClimb(o, n, false, true).walk(o, changed) {
+		want[i] = true
 	}
-	c := columnClimb(o, n, false)
+	c := columnClimb(o, n, false, true)
 	c.epoch = math.MaxUint32
-	for v := range c.mark {
-		c.mark[v] = 1
+	for i := range c.mark {
+		c.mark[i] = 1
 	}
 	rows := c.walk(o, changed)
 	if c.epoch != 1 {
@@ -314,14 +334,14 @@ func TestWalkEpochWraparound(t *testing.T) {
 	if len(rows) != len(want) {
 		t.Fatalf("wrapped walk reported %d rows, want %d", len(rows), len(want))
 	}
-	for _, v := range rows {
-		if !want[v] {
-			t.Fatalf("wrapped walk reported row %d outside the affected set", v)
+	for _, i := range rows {
+		if !want[i] {
+			t.Fatalf("wrapped walk reported row %d outside the affected set", i)
 		}
 	}
-	for v, m := range c.mark {
-		if want[int32(v)] != (m == 1) {
-			t.Fatalf("mark[%d] = %d after the wrap (reported %v)", v, m, want[int32(v)])
+	for i, m := range c.mark {
+		if want[int32(i)] != (m == 1) {
+			t.Fatalf("mark[%d] = %d after the wrap (reported %v)", i, m, want[int32(i)])
 		}
 	}
 }
